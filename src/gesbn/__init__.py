@@ -65,6 +65,7 @@ from .oracle import (
     inclusion_optimal_classes,
     joint_from_bn,
     observed_margin,
+    optimal_classes,
     parameter_optimal_classes,
     transformation_sequence,
 )

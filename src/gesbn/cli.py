@@ -113,15 +113,14 @@ def _parse_ci_flag(text, spec):
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import inclusion_optimal_classes, parameter_optimal_classes
+    from .oracle import optimal_classes
 
     gold = load_model(args.model)
     margin = observed_margin(gold)
     if margin.n > 4:
         raise SystemExit("oracle sweeps are limited to 4 observable variables")
     spec = margin.spec
-    optimal = inclusion_optimal_classes(margin)
-    popt = set(parameter_optimal_classes(margin))
+    optimal, popt = optimal_classes(margin)
     print(f"inclusion-optimal classes: {len(optimal)}")
     for c in optimal:
         rep = consistent_extensions(c)[0]

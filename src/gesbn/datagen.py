@@ -7,7 +7,12 @@ variables and rejection-filtering on selection variables. Two built-in
 gold standards cover the hidden-variable and the selection-bias regime.
 
 All sampling is driven by numpy's PCG64 generator through explicit seeds,
-so every artifact here is reproducible bit for bit.
+so every artifact here is reproducible bit for bit. The mapping from a
+seed to its records is part of the package's contract: the results CSV,
+class encodings and search traces of every sweep depend on it. A faster
+sampler must reproduce it byte for byte (tests/test_fastpaths.py compares
+against the per-record reference); a change that alters it must say so
+and report the acceptance numbers before and after.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphs import Dag, VariableSpec, topological_order
-from .scoring import CategoricalDataset, config_indices
+from .scoring import CategoricalDataset
 
 ROW_SUM_TOL = 1e-12
 
@@ -165,21 +170,51 @@ def sample_parameters(structure: Dag, spec: VariableSpec, ess=10.0, seed=0) -> P
     return ParametricBn(structure, spec, cpts)
 
 
-def _ancestral(bn: ParametricBn, m, rng) -> np.ndarray:
-    out = np.zeros((m, bn.spec.n), dtype=np.int64)
+def _cdf_thresholds(bn: ParametricBn) -> list:
+    """Per node, the r - 1 inner CDF values of each CPT row, shape (r - 1, q).
+
+    A draw with uniform u and parent configuration j lands in state
+    min(#{k : u > cdf[j, k]}, r - 1). Because the cumulative sums never
+    decrease, that equals #{k < r - 1 : u > cdf[j, k]}, so the last column
+    can go and the table serves every record without a per-record cumsum.
+    """
+    return [np.ascontiguousarray(np.cumsum(t, axis=1)[:, :-1].T) for t in bn.cpts]
+
+
+def _ancestral(bn: ParametricBn, draws, rng, rows=None) -> list:
+    """States of `draws` ancestral draws, one column per node.
+
+    Each node takes `draws` uniforms from rng, node by node in topological
+    order; with rows=k only the first k draws are turned into states, the
+    rest are drawn and dropped so the stream stays the same. Columns use
+    the smallest unsigned dtype that holds the node's states.
+    """
+    thresholds = _cdf_thresholds(bn)
+    cards = bn.spec.cards
+    cols = [None] * bn.spec.n
     for i in topological_order(bn.structure):
-        rows = bn.cpts[i][config_indices(out, bn.structure.parents(i), bn.spec.cards)]
-        cdf = np.cumsum(rows, axis=1)
-        draws = (rng.random((m, 1)) > cdf).sum(axis=1)
-        out[:, i] = np.minimum(draws, bn.spec.cards[i] - 1)
-    return out
+        u = rng.random(draws)[:rows]
+        cfg = 0
+        for p in bn.structure.parents(i):
+            cfg = np.add(cfg * cards[p], cols[p], dtype=np.intp)
+        state = np.zeros(u.shape[0], dtype=np.min_scalar_type(cards[i] - 1))
+        for row in thresholds[i]:
+            state += u > row[cfg]
+        cols[i] = state
+    return cols
+
+
+def _records(cols, keep, rows=slice(None)) -> np.ndarray:
+    """The record matrix of the columns in keep, on the given rows."""
+    return np.array([cols[v][rows] for v in keep], dtype=np.int64).T
 
 
 def forward_sample(bn: ParametricBn, m, seed) -> CategoricalDataset:
     """m iid records over all variables, by ancestral sampling."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return CategoricalDataset(bn.spec, _ancestral(bn, m, _rng(seed)))
+    cols = _ancestral(bn, m, _rng(seed))
+    return CategoricalDataset(bn.spec, _records(cols, range(bn.spec.n)))
 
 
 # rejection sampling runs in batches; the guard below aborts once the
@@ -194,6 +229,9 @@ def observed_sample(gold: GoldStandard, m, seed) -> CategoricalDataset:
     Raw draws that miss the selection states are discarded; hidden and
     selection columns are dropped from the result. Without hidden or
     selection variables this equals forward_sample projected on observed.
+    With hidden variables, draws come in batches of max(4m, 1024) per
+    node, and the first m draws (the first m accepted ones, under
+    selection) are kept.
     """
     if gold.bn is None:
         raise ValueError("gold standard carries no parameters; call with_parameters")
@@ -201,27 +239,32 @@ def observed_sample(gold: GoldStandard, m, seed) -> CategoricalDataset:
         raise ValueError("m must be nonnegative")
     obs = list(gold.observed)
     if not gold.hidden and not gold.selection:
-        full = forward_sample(gold.bn, m, seed)
-        return CategoricalDataset(gold.observed_spec, full.records[:, obs])
+        return CategoricalDataset(
+            gold.observed_spec, _records(_ancestral(gold.bn, m, _rng(seed)), obs)
+        )
     rng = _rng(seed)
-    sel_vars = [v for v, _ in gold.selection]
-    sel_vals = np.array([s for _, s in gold.selection], dtype=np.int64)
     batch = max(4 * m, 1024)
+    if not gold.selection:
+        # one batch always suffices; only its first m draws become records
+        cols = _ancestral(gold.bn, batch, rng, m)
+        return CategoricalDataset(gold.observed_spec, _records(cols, obs))
     kept, accepted, drawn = [], 0, 0
     while accepted < m:
-        raw = _ancestral(gold.bn, batch, rng)
-        if sel_vars:
-            raw = raw[(raw[:, sel_vars] == sel_vals).all(axis=1)]
-        kept.append(raw)
-        accepted += raw.shape[0]
+        cols = _ancestral(gold.bn, batch, rng)
+        hit = np.ones(batch, dtype=bool)
+        for v, s in gold.selection:
+            hit &= cols[v] == s
+        hit = np.flatnonzero(hit)
+        kept.append(_records(cols, obs, hit[: m - accepted]))
+        accepted += hit.size
         drawn += batch
         if drawn >= _GUARD_MIN_DRAWS and accepted < drawn * MIN_ACCEPT_RATE:
             raise RuntimeError(
                 f"selection acceptance rate {accepted}/{drawn} below {MIN_ACCEPT_RATE}; "
                 "selection event has (near-)zero probability"
             )
-    full = np.concatenate(kept)[:m] if kept else np.zeros((0, gold.spec.n), np.int64)
-    return CategoricalDataset(gold.observed_spec, full[:, obs])
+    full = np.concatenate(kept) if kept else ()
+    return CategoricalDataset(gold.observed_spec, full)
 
 
 def gold_w() -> GoldStandard:

@@ -112,9 +112,6 @@ class Dag:
     def parents(self, v) -> tuple:
         return tuple(sorted(u for u, w in self.edges if w == v))
 
-    def children(self, v) -> tuple:
-        return tuple(sorted(w for u, w in self.edges if u == v))
-
     def adjacent(self, u, v) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges
 

@@ -23,11 +23,7 @@ from dataclasses import dataclass, field
 
 from .datagen import GOLD_STANDARDS, RngSeed, observed_sample, save_model
 from .graphs import Cpdag, cpdag_from_text, encode_edges
-from .oracle import (
-    inclusion_optimal_classes,
-    observed_margin,
-    parameter_optimal_classes,
-)
+from .oracle import observed_margin, optimal_classes
 from .scoring import ScoreConfig
 from .search import ALGORITHMS, SearchConfig, run_search
 
@@ -98,9 +94,10 @@ def class_from_compact(text, spec) -> Cpdag:
 
 def classify_outcome(learned: Cpdag, margin) -> str:
     """Compare a learned class against the margin's optimal class sets."""
-    if learned in parameter_optimal_classes(margin):
+    inclusion, parameter = optimal_classes(margin)
+    if learned in parameter:
         return "parameter_optimal"
-    if learned in inclusion_optimal_classes(margin):
+    if learned in inclusion:
         return "inclusion_optimal_only"
     return "not_inclusion_optimal"
 

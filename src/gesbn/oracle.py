@@ -270,32 +270,35 @@ def _including_classes(p, tol):
     return out
 
 
-def inclusion_optimal_classes(p: JointTable, tol=CI_TOL) -> tuple:
-    """Classes that include p with no strictly-included class also including it."""
-    if p.n > 4:
-        raise ValueError("optimality sweep limited to n <= 4")
-    incl = _including_classes(p, tol)
-    out = [
-        c
-        for c, ds in incl
-        if not any(ds2 > ds for _, ds2 in incl)
-    ]
-    return tuple(sorted(out, key=canonical_key))
+def optimal_classes(p: JointTable, spec=None, tol=CI_TOL) -> tuple:
+    """(inclusion-optimal, parameter-optimal) classes of p, from one sweep.
 
-
-def parameter_optimal_classes(p: JointTable, spec=None, tol=CI_TOL) -> tuple:
-    """Including classes of minimal parameter count."""
+    Inclusion-optimal: classes that include p with no strictly-included
+    class also including it. Parameter-optimal: including classes of
+    minimal parameter count (under spec, default p.spec).
+    """
     if p.n > 4:
         raise ValueError("optimality sweep limited to n <= 4")
     spec = spec if spec is not None else p.spec
     incl = _including_classes(p, tol)
-    if not incl:
-        return ()
+    inclusion = [c for c, ds in incl if not any(ds2 > ds for _, ds2 in incl)]
     counts = {c: parameter_count(class_representative(c), spec) for c, _ in incl}
-    best = min(counts.values())
-    return tuple(
-        sorted((c for c, d in counts.items() if d == best), key=canonical_key)
+    best = min(counts.values(), default=None)
+    parameter = [c for c, d in counts.items() if d == best]
+    return (
+        tuple(sorted(inclusion, key=canonical_key)),
+        tuple(sorted(parameter, key=canonical_key)),
     )
+
+
+def inclusion_optimal_classes(p: JointTable, tol=CI_TOL) -> tuple:
+    """Classes that include p with no strictly-included class also including it."""
+    return optimal_classes(p, tol=tol)[0]
+
+
+def parameter_optimal_classes(p: JointTable, spec=None, tol=CI_TOL) -> tuple:
+    """Including classes of minimal parameter count."""
+    return optimal_classes(p, spec, tol)[1]
 
 
 def transformation_sequence(g: Dag, h: Dag) -> list:

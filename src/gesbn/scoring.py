@@ -18,6 +18,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -51,7 +52,12 @@ class ScoreConfig:
 
 
 class CategoricalDataset:
-    """m records of integer-coded observations for the variables in spec."""
+    """m records of integer-coded observations for the variables in spec.
+
+    Tallies read the count table (the distinct records and how often each
+    occurs), built from the records once, on first use, so their cost
+    depends on the number of distinct records and not on m.
+    """
 
     def __init__(self, spec: VariableSpec, records):
         records = np.asarray(records, dtype=np.int64)
@@ -76,6 +82,24 @@ class CategoricalDataset:
             and self.spec == other.spec
             and np.array_equal(self.records, other.records)
         )
+
+    @cached_property
+    def count_table(self) -> tuple:
+        """(configs, counts): the k distinct records as a (k, n) array, and
+        the number of records equal to each."""
+        cards = self.spec.cards
+        size = math.prod(cards)
+        if size >= 2**63:  # a record's mixed-radix code would overflow int64
+            configs, counts = np.unique(self.records, axis=0, return_counts=True)
+            return configs, counts
+        code = config_indices(self.records, range(self.spec.n), cards)
+        if size <= self.m:
+            counts = np.bincount(code, minlength=size)
+            code = np.flatnonzero(counts)
+            counts = counts[code]
+        else:
+            code, counts = np.unique(code, return_counts=True)
+        return np.array(np.unravel_index(code, cards), dtype=np.int64).T, counts
 
 
 @dataclass(frozen=True)
@@ -120,13 +144,11 @@ def tally(data: CategoricalDataset, child, parents) -> SufficientStats:
         raise ValueError("child must not appear among its parents")
     q = data.spec.config_count(parents)
     r = cards[child]
-    if data.m == 0:
-        counts = np.zeros((q, r), dtype=np.int64)
-    else:
-        j = config_indices(data.records, parents, cards)
-        counts = np.bincount(j * r + data.records[:, child], minlength=q * r)
-        counts = counts.reshape(q, r)
-    return SufficientStats(int(child), parents, counts)
+    configs, weights = data.count_table
+    j = config_indices(configs, parents, cards)
+    # float64 weights sum exactly while every count stays below 2**53
+    counts = np.bincount(j * r + configs[:, child], weights=weights, minlength=q * r)
+    return SufficientStats(int(child), parents, counts.astype(np.int64).reshape(q, r))
 
 
 def bdeu_local(stats: SufficientStats, ess=10.0) -> float:

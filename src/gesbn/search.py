@@ -34,7 +34,6 @@ ALGORITHMS = ("fes", "bes", "ges", "uges")
 class SearchState:
     cpdag: Cpdag
     score: float
-    member_count_hint: int
 
 
 @dataclass(frozen=True)
@@ -128,10 +127,6 @@ def _both_neighbors(c: Cpdag) -> tuple:
     return tuple(sorted(merged, key=canonical_key))
 
 
-def _state(c: Cpdag, score) -> SearchState:
-    return SearchState(c, score, len(consistent_extensions(c)))
-
-
 def _move_desc(prev: Cpdag, new: Cpdag) -> str:
     added = sorted(new.skeleton() - prev.skeleton())
     removed = sorted(prev.skeleton() - new.skeleton())
@@ -151,7 +146,7 @@ def greedy_phase(start: Cpdag, neighbors_fn, class_scorer, phase="forward", max_
         max_steps = start.n * start.n + start.n
     cur = start
     cur_score = class_scorer(cur)
-    trace = SearchTrace([TraceStep(phase, _state(cur, cur_score), "start")])
+    trace = SearchTrace([TraceStep(phase, SearchState(cur, cur_score), "start")])
     moves = 0
     while True:
         best, best_score = None, None
@@ -166,7 +161,7 @@ def greedy_phase(start: Cpdag, neighbors_fn, class_scorer, phase="forward", max_
         if moves >= max_steps:
             trace.truncated = True
             break
-        step = TraceStep(phase, _state(best, best_score), _move_desc(cur, best))
+        step = TraceStep(phase, SearchState(best, best_score), _move_desc(cur, best))
         trace.steps.append(step)
         cur, cur_score = best, best_score
         moves += 1

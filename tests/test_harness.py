@@ -1,6 +1,7 @@
 """Experiment harness and CLI: file outputs, outcome classification,
 summaries, and byte-level determinism."""
 
+import hashlib
 import json
 import os
 
@@ -276,3 +277,24 @@ class TestCli:
         assert sorted(os.listdir(models)) == [
             "w_structure_m10_r0.json", "w_structure_m10_r1.json",
         ]
+
+
+# sha256 of results_csv for a small fixed plan per gold standard. The
+# sampler's seed -> records mapping, the search and the classification
+# together decide these bytes; only a change that declares a new random
+# stream or new output bytes, and reports its acceptance numbers before and
+# after, may update them.
+GOLDEN_SIZES = (10, 640, 40960)
+GOLDEN_CSV_SHA256 = {
+    "w_structure": "f0d1d73bf79726c0126c8d31c9213177b6f194f80054876a92a3368fd3dac719",
+    "four_cycle": "cfc86f9577dc2645fda5ec40b98bcf8b69a3da697b9359af17a530657a5aa6d3",
+}
+
+
+class TestGoldenResults:
+    @pytest.mark.parametrize("gold", sorted(GOLDEN_CSV_SHA256))
+    def test_results_csv_bytes(self, gold):
+        # six replicates, so that the w-structure rows hold all three outcomes
+        plan = ExperimentPlan(gold=gold, sizes=GOLDEN_SIZES, replicates=6, base_seed=0)
+        text = results_csv(run_experiment(plan))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CSV_SHA256[gold]
