@@ -8,10 +8,8 @@ import sys
 
 from .datagen import GOLD_STANDARDS, RngSeed, load_model, observed_sample, save_model
 from .graphs import (
-    complete_cpdag,
     consistent_extensions,
     cpdag_from_text,
-    empty_cpdag,
     encode_edges,
     parameter_count,
 )
@@ -22,9 +20,9 @@ from .harness import (
     run_experiment,
     write_results,
 )
-from .oracle import ci_holds, composition_holds, observed_margin
-from .scoring import ScoreConfig, load_dataset, save_dataset, save_schema, score
-from .search import SearchConfig, run_search
+from .oracle import ci_holds, composition_holds, observed_margin, optimal_classes
+from .scoring import CRITERIA, ScoreConfig, load_dataset, save_dataset, save_schema
+from .search import ALGORITHMS, SearchConfig, make_class_scorer, run_search
 
 GOLD_FLAGS = {"w": "w_structure", "cycle4": "four_cycle"}
 
@@ -33,10 +31,28 @@ def _score_config(args) -> ScoreConfig:
     return ScoreConfig(criterion=args.score, ess=args.ess)
 
 
-def _add_score_flags(p):
-    p.add_argument("--score", choices=("bdeu", "bic", "oracle"), default="bdeu")
+def _add_score_flags(p, criteria=CRITERIA):
+    p.add_argument("--score", choices=criteria, default="bdeu")
     p.add_argument("--ess", type=float, default=10.0,
                    help="equivalent sample size for bdeu (default 10)")
+
+
+def _int_at_least(low):
+    """argparse type: an integer no smaller than low."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
+def _sizes(text):
+    """argparse type for --sizes, checked as ExperimentPlan checks its sizes."""
+    try:
+        return ExperimentPlan(sizes=text.split(",")).sizes
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_generate(args) -> int:
@@ -60,18 +76,18 @@ def _load_learn_inputs(args):
         gold = load_model(args.joint)
         margin = observed_margin(gold)
         return None, margin, margin.spec
+    if args.joint:
+        raise SystemExit("--joint is scored only with --score oracle")
     if not args.data:
         raise SystemExit("--data is required unless --score oracle is used")
-    schema = args.schema if args.schema else None
-    data = load_dataset(args.data, schema=schema, infer_cards=args.infer_schema)
+    data = load_dataset(args.data, schema=args.schema, infer_cards=args.infer_schema)
     return data, None, data.spec
 
 
 def _resolve_start_flag(start, spec):
-    if start in (None, "empty"):
-        return empty_cpdag(spec.n)
-    if start == "complete":
-        return complete_cpdag(spec.n)
+    """--start as a SearchConfig start: anything but a class file passes through."""
+    if start in (None, "empty", "complete"):
+        return start
     with open(start) as fh:
         return cpdag_from_text(fh.read(), spec)
 
@@ -99,8 +115,8 @@ def cmd_score(args) -> int:
     data = load_dataset(args.data, schema=args.schema, infer_cards=args.infer_schema)
     with open(args.graph) as fh:
         c = cpdag_from_text(fh.read(), data.spec)
-    g = consistent_extensions(c)[0]
-    total = score(g, data, _score_config(args))
+    class_scorer, _ = make_class_scorer(_score_config(args), data=data)
+    total = class_scorer(c)
     print(f"{args.score} score: {total!r}")
     return 0
 
@@ -113,8 +129,6 @@ def _parse_ci_flag(text, spec):
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import optimal_classes
-
     gold = load_model(args.model)
     margin = observed_margin(gold)
     if margin.n > 4:
@@ -147,13 +161,9 @@ def cmd_experiment(args) -> int:
     if args.paper_scale:
         plan = paper_plan(gold, args.seed, score=score_cfg, algorithm=args.algorithm)
     else:
-        sizes = (
-            tuple(int(s) for s in args.sizes.split(","))
-            if args.sizes
-            else DESK_SIZES
-        )
         plan = ExperimentPlan(
-            gold, sizes, args.replicates, args.seed, score_cfg, args.algorithm
+            gold, args.sizes or DESK_SIZES, args.replicates, args.seed, score_cfg,
+            args.algorithm,
         )
     rows = run_experiment(plan, workers=args.workers, models_dir=args.save_models)
     write_results(args.out, rows, timings=args.timings)
@@ -171,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample a gold-standard model and dataset")
     p.add_argument("--gold", choices=tuple(GOLD_FLAGS), required=True)
-    p.add_argument("--m", type=int, required=True, help="number of observed records")
+    p.add_argument("--m", type=_int_at_least(0), required=True,
+                   help="number of observed records")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ess", type=float, default=10.0,
                    help="concentration of the generative parameter prior")
@@ -185,9 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="infer cardinalities as column max + 1")
     p.add_argument("--joint", help="model JSON; with --score oracle the exact margin is used")
     _add_score_flags(p)
-    p.add_argument("--algorithm", choices=("ges", "uges", "fes", "bes"), default="ges")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="ges")
     p.add_argument("--start", default=None,
-                   help="empty, complete, or a class file (default: per-algorithm)")
+                   help="empty, complete, or a class file "
+                        "(default: complete for bes, empty otherwise)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_learn)
 
@@ -196,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema")
     p.add_argument("--infer-schema", action="store_true")
     p.add_argument("--graph", required=True, help="class encoding text file")
-    _add_score_flags(p)
+    _add_score_flags(p, tuple(c for c in CRITERIA if c != "oracle"))  # data only
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("oracle", help="exact optimal classes and CI queries for a model")
@@ -207,13 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="replicated sweep over sample sizes")
     p.add_argument("--gold", choices=tuple(GOLD_FLAGS), required=True)
-    p.add_argument("--sizes", help="comma-separated sample sizes (default 10..163840)")
-    p.add_argument("--replicates", type=int, default=50)
-    p.add_argument("--paper-scale", action="store_true",
-                   help="published protocol: sizes up to 655360, 100 replicates")
+    scale = p.add_mutually_exclusive_group()
+    scale.add_argument("--sizes", type=_sizes,
+                       help="comma-separated sample sizes (default 10..163840)")
+    scale.add_argument("--paper-scale", action="store_true",
+                       help="published protocol: sizes up to 655360, 100 replicates")
+    p.add_argument("--replicates", type=_int_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
     _add_score_flags(p)
-    p.add_argument("--algorithm", choices=("ges", "uges", "fes", "bes"), default="ges")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="ges")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--timings", action="store_true",
                    help="record wall time per row (breaks byte-reproducibility)")

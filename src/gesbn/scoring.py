@@ -164,17 +164,21 @@ def bdeu_local(stats: SufficientStats, ess=10.0) -> float:
     return float(val)
 
 
+def _penalized_loglik(table, weight, size) -> float:
+    """weight * sum_jk t_jk log(t_jk / t_j) - (q * (r-1) / 2) * log size."""
+    rows = table.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = table * (np.log(table) - np.log(rows))
+    ll = float(np.where(table > 0, terms, 0.0).sum())
+    q, r = table.shape
+    return weight * ll - 0.5 * q * (r - 1) * math.log(size)
+
+
 def bic_local(stats: SufficientStats, m) -> float:
     """Maximized log likelihood minus (q * (r-1) / 2) * log m for one node."""
     if m < 1:
         raise ValueError("bic requires at least one record")
-    counts = stats.counts
-    n_row = counts.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = counts * (np.log(counts) - np.log(n_row))
-    ll = float(np.where(counts > 0, terms, 0.0).sum())
-    q, r = counts.shape
-    return ll - 0.5 * q * (r - 1) * math.log(m)
+    return _penalized_loglik(stats.counts, 1, m)
 
 
 def oracle_local(joint, child, parents, pseudo_m) -> float:
@@ -185,20 +189,13 @@ def oracle_local(joint, child, parents, pseudo_m) -> float:
     joint; zero-probability parent rows carry zero weight.
     """
     probs = joint.probs
-    cards = joint.spec.cards
     parents = tuple(sorted(parents))
     keep = sorted(set(parents) | {child})
     drop = tuple(i for i in range(probs.ndim) if i not in keep)
     marg = probs.sum(axis=drop) if drop else probs
     axes = [keep.index(p) for p in parents] + [keep.index(child)]
-    r = cards[child]
-    pjk = np.transpose(marg, axes).reshape(-1, r)
-    pj = pjk.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = pjk * (np.log(pjk) - np.log(pj))
-    ell = float(np.where(pjk > 0, terms, 0.0).sum())
-    q = pjk.shape[0]
-    return pseudo_m * ell - 0.5 * q * (r - 1) * math.log(pseudo_m)
+    pjk = np.transpose(marg, axes).reshape(-1, joint.spec.cards[child])
+    return _penalized_loglik(pjk, pseudo_m, pseudo_m)
 
 
 class LocalScoreCache:
@@ -244,32 +241,35 @@ class DecomposableScorer:
         return total + self.structure_prior
 
 
-def dataset_scorer(data: CategoricalDataset, cfg: ScoreConfig, cache=None):
+def make_scorer(cfg: ScoreConfig, data=None, joint=None, cache=None):
+    """A DecomposableScorer for cfg's criterion: oracle scores an exact
+    joint table, bdeu and bic a dataset; exactly one of them is given."""
+    if (data is None) == (joint is None):
+        raise ValueError("provide exactly one of data or joint")
+    if (cfg.criterion == "oracle") != (joint is not None):
+        needs = "a joint table" if cfg.criterion == "oracle" else "a dataset"
+        raise ValueError(f"the {cfg.criterion} criterion scores {needs}")
     if cfg.criterion == "bdeu":
         local = lambda child, parents: bdeu_local(tally(data, child, parents), cfg.ess)
     elif cfg.criterion == "bic":
         local = lambda child, parents: bic_local(tally(data, child, parents), data.m)
     else:
-        raise ValueError("oracle criterion scores a joint table, not a dataset")
+        local = lambda child, parents: oracle_local(
+            joint, child, parents, cfg.oracle_pseudo_m
+        )
     return DecomposableScorer(local, cfg.structure_prior, cache)
-
-
-def joint_scorer(joint, pseudo_m=1e6, structure_prior=0.0, cache=None):
-    local = lambda child, parents: oracle_local(joint, child, parents, pseudo_m)
-    return DecomposableScorer(local, structure_prior, cache)
 
 
 def score(g: Dag, data: CategoricalDataset, cfg=None, cache=None) -> float:
     """Total decomposable score of a DAG on a dataset (bdeu or bic)."""
     cfg = cfg if cfg is not None else ScoreConfig()
-    return dataset_scorer(data, cfg, cache).score_dag(g)
+    return make_scorer(cfg, data=data, cache=cache).score_dag(g)
 
 
 def oracle_score(g: Dag, joint, pseudo_m=1e6, cache=None) -> float:
     """Deterministic large-sample score of a DAG against an exact joint."""
-    if pseudo_m <= 0:
-        raise ValueError("pseudo_m must be positive")
-    return joint_scorer(joint, pseudo_m, cache=cache).score_dag(g)
+    cfg = ScoreConfig(criterion="oracle", oracle_pseudo_m=pseudo_m)
+    return make_scorer(cfg, joint=joint, cache=cache).score_dag(g)
 
 
 # ---------------------------------------------------------------------------

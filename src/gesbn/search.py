@@ -13,7 +13,7 @@ run is captured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .graphs import (
@@ -25,9 +25,7 @@ from .graphs import (
     dag_to_cpdag,
     empty_cpdag,
 )
-from .scoring import ScoreConfig, dataset_scorer, joint_scorer
-
-ALGORITHMS = ("fes", "bes", "ges", "uges")
+from .scoring import ScoreConfig, make_scorer
 
 
 @dataclass(frozen=True)
@@ -49,9 +47,6 @@ class SearchTrace:
 
     steps: list = field(default_factory=list)
     truncated: bool = False
-
-    def final(self) -> SearchState:
-        return self.steps[-1].state
 
     def scores(self) -> list:
         return [s.state.score for s in self.steps]
@@ -75,7 +70,8 @@ class SearchTrace:
 class SearchConfig:
     """Algorithm choice, start class, scoring setup and a step budget.
 
-    start is "empty", "complete", or an explicit Cpdag; max_steps = 0
+    start is "empty", "complete", an explicit Cpdag, or None for the
+    algorithm's default (complete for bes, empty otherwise); max_steps = 0
     selects the default budget of n^2 + n moves per phase.
     """
 
@@ -127,6 +123,16 @@ def _both_neighbors(c: Cpdag) -> tuple:
     return tuple(sorted(merged, key=canonical_key))
 
 
+# each algorithm's (phase name, neighbour map) pairs, run in order
+PHASES = {
+    "fes": (("forward", forward_neighbors),),
+    "bes": (("backward", backward_neighbors),),
+    "ges": (("forward", forward_neighbors), ("backward", backward_neighbors)),
+    "uges": (("bidirectional", _both_neighbors),),
+}
+ALGORITHMS = tuple(PHASES)
+
+
 def _move_desc(prev: Cpdag, new: Cpdag) -> str:
     added = sorted(new.skeleton() - prev.skeleton())
     removed = sorted(prev.skeleton() - new.skeleton())
@@ -168,32 +174,21 @@ def greedy_phase(start: Cpdag, neighbors_fn, class_scorer, phase="forward", max_
     return cur, trace
 
 
-def make_class_scorer(score_cfg: ScoreConfig = None, data=None, joint=None):
+def make_class_scorer(score_cfg: ScoreConfig, data=None, joint=None):
     """Build a Cpdag -> score callable from a dataset or an exact joint.
 
     Every class is scored through its canonical-first member DAG; the
     criteria in use are score equivalent, so the choice of member only
     pins floating-point determinism.
     """
-    score_cfg = score_cfg if score_cfg is not None else ScoreConfig()
-    if (data is None) == (joint is None):
-        raise ValueError("provide exactly one of data or joint")
-    if joint is not None:
-        scorer = joint_scorer(
-            joint, score_cfg.oracle_pseudo_m, score_cfg.structure_prior
-        )
-        n = joint.spec.n
-    else:
-        if score_cfg.criterion == "oracle":
-            raise ValueError("oracle criterion needs a joint table")
-        scorer = dataset_scorer(data, score_cfg)
-        n = data.spec.n
+    scorer = make_scorer(score_cfg, data, joint)
+    n = (data if joint is None else joint).spec.n
     return lambda c: scorer.score_dag(consistent_extensions(c)[0]), n
 
 
-def _resolve_start(start, n, default):
+def _start_class(start, algorithm, n) -> Cpdag:
     if start is None:
-        start = default
+        start = "complete" if algorithm == "bes" else "empty"
     if isinstance(start, Cpdag):
         return start
     if start == "empty":
@@ -203,54 +198,44 @@ def _resolve_start(start, n, default):
     raise ValueError(f"unknown start {start!r}")
 
 
+def run_search(cfg: SearchConfig, data=None, joint=None):
+    """Run cfg.algorithm's phases in turn from cfg.start; (Cpdag, SearchTrace).
+
+    The trace joins the phases' traces under one start line.
+    """
+    class_scorer, n = make_class_scorer(cfg.score, data, joint)
+    cur = _start_class(cfg.start, cfg.algorithm, n)
+    trace = SearchTrace()
+    for phase, neighbors_fn in PHASES[cfg.algorithm]:
+        cur, part = greedy_phase(
+            cur, neighbors_fn, class_scorer, phase, cfg.max_steps or None
+        )
+        trace.steps += part.steps[1:] if trace.steps else part.steps
+        trace.truncated = trace.truncated or part.truncated
+    return cur, trace
+
+
+def _config(algorithm, cfg: SearchConfig, start=None) -> SearchConfig:
+    cfg = cfg if cfg is not None else SearchConfig()
+    start = start if start is not None else cfg.start
+    return replace(cfg, algorithm=algorithm, start=start)
+
+
 def fes(data=None, joint=None, cfg: SearchConfig = None, start=None):
     """Forward equivalence search from the given class (default empty)."""
-    cfg = cfg if cfg is not None else SearchConfig(algorithm="fes")
-    class_scorer, n = make_class_scorer(cfg.score, data, joint)
-    start = _resolve_start(start if start is not None else cfg.start, n, "empty")
-    return greedy_phase(
-        start, forward_neighbors, class_scorer, "forward", cfg.max_steps or None
-    )
+    return run_search(_config("fes", cfg, start), data, joint)
 
 
 def bes(start=None, data=None, joint=None, cfg: SearchConfig = None):
     """Backward equivalence search from the given class (default complete)."""
-    cfg = cfg if cfg is not None else SearchConfig(algorithm="bes")
-    class_scorer, n = make_class_scorer(cfg.score, data, joint)
-    start = _resolve_start(start if start is not None else cfg.start, n, "complete")
-    return greedy_phase(
-        start, backward_neighbors, class_scorer, "backward", cfg.max_steps or None
-    )
+    return run_search(_config("bes", cfg, start), data, joint)
 
 
 def ges(data=None, joint=None, cfg: SearchConfig = None):
     """Forward phase to a local maximum, then backward phase, one trace."""
-    cfg = cfg if cfg is not None else SearchConfig()
-    class_scorer, n = make_class_scorer(cfg.score, data, joint)
-    start = _resolve_start(cfg.start, n, "empty")
-    budget = cfg.max_steps or None
-    mid, fwd = greedy_phase(start, forward_neighbors, class_scorer, "forward", budget)
-    out, bwd = greedy_phase(mid, backward_neighbors, class_scorer, "backward", budget)
-    trace = SearchTrace(fwd.steps + bwd.steps[1:], fwd.truncated or bwd.truncated)
-    return out, trace
+    return run_search(_config("ges", cfg), data, joint)
 
 
 def uges(data=None, joint=None, cfg: SearchConfig = None, start=None):
     """Greedy over forward and backward neighbors together at every step."""
-    cfg = cfg if cfg is not None else SearchConfig(algorithm="uges")
-    class_scorer, n = make_class_scorer(cfg.score, data, joint)
-    start = _resolve_start(start if start is not None else cfg.start, n, "empty")
-    return greedy_phase(
-        start, _both_neighbors, class_scorer, "bidirectional", cfg.max_steps or None
-    )
-
-
-def run_search(cfg: SearchConfig, data=None, joint=None):
-    """Dispatch on cfg.algorithm; returns (Cpdag, SearchTrace)."""
-    if cfg.algorithm == "fes":
-        return fes(data, joint, cfg)
-    if cfg.algorithm == "bes":
-        return bes(cfg.start, data, joint, cfg)
-    if cfg.algorithm == "ges":
-        return ges(data, joint, cfg)
-    return uges(data, joint, cfg)
+    return run_search(_config("uges", cfg, start), data, joint)

@@ -337,3 +337,16 @@ class TestCriterion10Determinism:
             10, "experiment CSV byte-identical (serial/parallel/rerun)", ok,
             f"{len(serial)} bytes",
         )
+
+
+class TestSweepsHaveNoErrorRows:
+    # error rows count in every fraction's denominator, so one would lower
+    # the numbers the criteria above read without failing any of them
+    @pytest.mark.parametrize("sweep_name", ["w_sweep", "cycle_sweep"])
+    def test_no_error_rows(self, sweep_name, request):
+        plan, rows = request.getfixturevalue(sweep_name)
+        errors = [
+            (r.m, r.replicate, r.encoded_class) for r in rows if r.outcome == "error"
+        ]
+        assert len(rows) == len(plan.sizes) * plan.replicates
+        assert not errors, f"{len(errors)} error rows, first: {errors[0]}"

@@ -278,6 +278,65 @@ class TestCli:
             "w_structure_m10_r0.json", "w_structure_m10_r1.json",
         ]
 
+    def test_learn_bes_default_start_is_complete(self, tmp_path):
+        gen = tmp_path / "gen"
+        main(["generate", "--gold", "w", "--m", "5000", "--seed", "4", "--out", str(gen)])
+        data = ["--data", str(gen / "data.csv"), "--schema", str(gen / "data.schema.json")]
+        outs = {}
+        for name, extra in (("default", []), ("complete", ["--start", "complete"])):
+            outs[name] = tmp_path / name
+            assert main(
+                ["learn", *data, "--algorithm", "bes", "--out", str(outs[name]), *extra]
+            ) == 0
+        for fname in ("class.txt", "trace.log"):
+            got = (outs["default"] / fname).read_bytes()
+            assert got == (outs["complete"] / fname).read_bytes()
+        assert (outs["default"] / "class.txt").read_text().count("\n") > 1
+        assert (outs["default"] / "trace.log").read_text().count("\n") > 1
+
+    def test_learn_joint_needs_oracle_score(self, tmp_path):
+        gen = tmp_path / "gen"
+        main(["generate", "--gold", "w", "--m", "10", "--seed", "3", "--out", str(gen)])
+        with pytest.raises(SystemExit, match="--joint is scored only with --score oracle"):
+            main([
+                "learn", "--data", str(gen / "data.csv"),
+                "--schema", str(gen / "data.schema.json"),
+                "--joint", str(gen / "model.json"), "--out", str(tmp_path / "out"),
+            ])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["score", "--data", "d.csv", "--graph", "g.txt", "--score", "oracle"],
+         "argument --score: invalid choice: 'oracle'"),
+        (["generate", "--gold", "w", "--m", "-1", "--out", "gen"],
+         "argument --m: must be at least 0, got -1"),
+        (["experiment", "--gold", "w", "--replicates", "0", "--out", "r.csv"],
+         "argument --replicates: must be at least 1, got 0"),
+        (["experiment", "--gold", "w", "--sizes", "10,abc", "--out", "r.csv"],
+         "argument --sizes: invalid literal for int() with base 10: 'abc'"),
+        (["experiment", "--gold", "w", "--sizes", "10,40,40", "--out", "r.csv"],
+         "argument --sizes: sample sizes must be strictly increasing"),
+        (["experiment", "--gold", "w", "--sizes", "0,10", "--out", "r.csv"],
+         "argument --sizes: sample sizes must be positive"),
+        (["experiment", "--gold", "w", "--paper-scale", "--sizes", "10",
+          "--out", "r.csv"],
+         "argument --sizes: not allowed with argument --paper-scale"),
+    ], ids=[
+        "score-oracle", "negative-m", "zero-replicates", "sizes-not-integers",
+        "sizes-not-increasing", "sizes-not-positive", "paper-scale-with-sizes",
+    ])
+    def test_bad_flags_exit_with_usage(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gesbn ")
+        assert message in err
+        assert not os.listdir(tmp_path)
+
 
 # sha256 of results_csv for a small fixed plan per gold standard. The
 # sampler's seed -> records mapping, the search and the classification

@@ -275,3 +275,250 @@ class TestRunSearch:
         data = CategoricalDataset(VariableSpec(("a",), (2,)), [[0]])
         with pytest.raises(ValueError):
             make_class_scorer(ScoreConfig(criterion="oracle"), data=data)
+
+
+# ---------------------------------------------------------------------------
+# differential test of the phase-table engine against copies of the four
+# algorithm bodies, the start resolver and the scorer builders it replaced
+
+import itertools
+import math
+from dataclasses import replace
+
+from gesbn.datagen import gold_four_cycle, observed_sample
+from gesbn.scoring import (
+    DecomposableScorer,
+    bdeu_local,
+    bic_local,
+    make_scorer,
+    oracle_local,
+    tally,
+)
+from gesbn.search import SearchTrace, _both_neighbors
+
+
+def ref_bic_local(stats, m):
+    if m < 1:
+        raise ValueError("bic requires at least one record")
+    counts = stats.counts
+    n_row = counts.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = counts * (np.log(counts) - np.log(n_row))
+    ll = float(np.where(counts > 0, terms, 0.0).sum())
+    q, r = counts.shape
+    return ll - 0.5 * q * (r - 1) * math.log(m)
+
+
+def ref_oracle_local(joint, child, parents, pseudo_m):
+    probs = joint.probs
+    cards = joint.spec.cards
+    parents = tuple(sorted(parents))
+    keep = sorted(set(parents) | {child})
+    drop = tuple(i for i in range(probs.ndim) if i not in keep)
+    marg = probs.sum(axis=drop) if drop else probs
+    axes = [keep.index(p) for p in parents] + [keep.index(child)]
+    r = cards[child]
+    pjk = np.transpose(marg, axes).reshape(-1, r)
+    pj = pjk.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = pjk * (np.log(pjk) - np.log(pj))
+    ell = float(np.where(pjk > 0, terms, 0.0).sum())
+    q = pjk.shape[0]
+    return pseudo_m * ell - 0.5 * q * (r - 1) * math.log(pseudo_m)
+
+
+def ref_make_class_scorer(score_cfg=None, data=None, joint=None):
+    score_cfg = score_cfg if score_cfg is not None else ScoreConfig()
+    if (data is None) == (joint is None):
+        raise ValueError("provide exactly one of data or joint")
+    if joint is not None:
+        pseudo_m = score_cfg.oracle_pseudo_m
+        local = lambda child, parents: ref_oracle_local(joint, child, parents, pseudo_m)
+        n = joint.spec.n
+    else:
+        if score_cfg.criterion == "bdeu":
+            local = lambda child, parents: bdeu_local(
+                tally(data, child, parents), score_cfg.ess
+            )
+        else:
+            local = lambda child, parents: ref_bic_local(
+                tally(data, child, parents), data.m
+            )
+        n = data.spec.n
+    scorer = DecomposableScorer(local, score_cfg.structure_prior)
+    return lambda c: scorer.score_dag(consistent_extensions(c)[0]), n
+
+
+def ref_resolve_start(start, n, default):
+    if start is None:
+        start = default
+    if isinstance(start, Cpdag):
+        return start
+    if start == "empty":
+        return empty_cpdag(n)
+    if start == "complete":
+        return complete_cpdag(n)
+    raise ValueError(f"unknown start {start!r}")
+
+
+def ref_fes(data=None, joint=None, cfg=None, start=None):
+    cfg = cfg if cfg is not None else SearchConfig(algorithm="fes")
+    class_scorer, n = ref_make_class_scorer(cfg.score, data, joint)
+    start = ref_resolve_start(start if start is not None else cfg.start, n, "empty")
+    return greedy_phase(
+        start, forward_neighbors, class_scorer, "forward", cfg.max_steps or None
+    )
+
+
+def ref_bes(start=None, data=None, joint=None, cfg=None):
+    cfg = cfg if cfg is not None else SearchConfig(algorithm="bes")
+    class_scorer, n = ref_make_class_scorer(cfg.score, data, joint)
+    start = ref_resolve_start(start if start is not None else cfg.start, n, "complete")
+    return greedy_phase(
+        start, backward_neighbors, class_scorer, "backward", cfg.max_steps or None
+    )
+
+
+def ref_ges(data=None, joint=None, cfg=None):
+    cfg = cfg if cfg is not None else SearchConfig()
+    class_scorer, n = ref_make_class_scorer(cfg.score, data, joint)
+    start = ref_resolve_start(cfg.start, n, "empty")
+    budget = cfg.max_steps or None
+    mid, fwd = greedy_phase(start, forward_neighbors, class_scorer, "forward", budget)
+    out, bwd = greedy_phase(mid, backward_neighbors, class_scorer, "backward", budget)
+    trace = SearchTrace(fwd.steps + bwd.steps[1:], fwd.truncated or bwd.truncated)
+    return out, trace
+
+
+def ref_uges(data=None, joint=None, cfg=None, start=None):
+    cfg = cfg if cfg is not None else SearchConfig(algorithm="uges")
+    class_scorer, n = ref_make_class_scorer(cfg.score, data, joint)
+    start = ref_resolve_start(start if start is not None else cfg.start, n, "empty")
+    return greedy_phase(
+        start, _both_neighbors, class_scorer, "bidirectional", cfg.max_steps or None
+    )
+
+
+def ref_run_search(cfg, data=None, joint=None):
+    if cfg.algorithm == "fes":
+        return ref_fes(data, joint, cfg)
+    if cfg.algorithm == "bes":
+        return ref_bes(cfg.start, data, joint, cfg)
+    if cfg.algorithm == "ges":
+        return ref_ges(data, joint, cfg)
+    return ref_uges(data, joint, cfg)
+
+
+GOLDS = {"w": gold_w, "cycle4": gold_four_cycle}
+MID_START = dag_to_cpdag(Dag(4, {(0, 1), (2, 1), (2, 3)}))
+
+
+@pytest.fixture(scope="module")
+def search_inputs():
+    """gold -> criterion -> (data, joint): m = 2000 samples and exact margins."""
+    out = {}
+    for name, gold_fn in GOLDS.items():
+        gold = gold_fn().with_parameters(seed=75)
+        data = observed_sample(gold, 2000, seed=76)
+        margin = observed_margin(gold)
+        out[name] = {
+            "bdeu": (data, None), "bic": (data, None), "oracle": (None, margin),
+        }
+    return out
+
+
+def _wrapper_runs(algorithm, cfg, data, joint):
+    """Each way the public wrappers take a start: in cfg, or as an argument."""
+    runs = {}
+    if algorithm == "fes":
+        runs["fes(cfg)"] = fes(data, joint, cfg)
+        runs["fes(start)"] = fes(data, joint, replace(cfg, start=None), cfg.start)
+    elif algorithm == "bes":
+        runs["bes(cfg)"] = bes(None, data, joint, cfg)
+        runs["bes(start)"] = bes(cfg.start, data, joint, replace(cfg, start=None))
+    elif algorithm == "ges":
+        runs["ges(cfg)"] = ges(data, joint, cfg)
+    else:
+        runs["uges(cfg)"] = uges(data, joint, cfg)
+        runs["uges(start)"] = uges(data, joint, replace(cfg, start=None), cfg.start)
+    return runs
+
+
+class TestEngineMatchesReference:
+    @pytest.mark.parametrize("gold", sorted(GOLDS))
+    @pytest.mark.parametrize("criterion", ["bdeu", "bic", "oracle"])
+    @pytest.mark.parametrize("algorithm", ["fes", "bes", "ges", "uges"])
+    def test_same_class_and_trace(self, search_inputs, gold, criterion, algorithm):
+        data, joint = search_inputs[gold][criterion]
+        score_cfg = ScoreConfig(criterion=criterion)
+        for start, max_steps in itertools.product(
+            (None, "empty", "complete", MID_START), (0, 1)
+        ):
+            cfg = SearchConfig(algorithm, start, score_cfg, max_steps)
+            want_out, want_trace = ref_run_search(cfg, data, joint)
+            runs = {"run_search": run_search(cfg, data, joint)}
+            runs.update(_wrapper_runs(algorithm, cfg, data, joint))
+            for how, (out, trace) in runs.items():
+                assert out == want_out, (how, start, max_steps)
+                assert trace.to_log() == want_trace.to_log(), (how, start, max_steps)
+
+    def test_step_budget_truncates_the_trace(self, search_inputs):
+        data, _ = search_inputs["w"]["bdeu"]
+        for algorithm, start in (("ges", None), ("bes", None), ("uges", "complete")):
+            cfg = SearchConfig(algorithm, start, max_steps=1)
+            _, trace = run_search(cfg, data)
+            assert trace.truncated
+            assert trace.to_log() == ref_run_search(cfg, data)[1].to_log()
+
+    def test_bes_defaults_to_complete_start(self, search_inputs):
+        data, _ = search_inputs["w"]["bdeu"]
+        out, trace = run_search(SearchConfig(algorithm="bes"), data=data)
+        assert trace.steps[0].state.cpdag == complete_cpdag(4)
+        twin = run_search(SearchConfig(algorithm="bes", start="complete"), data=data)
+        assert (out, trace.to_log()) == (twin[0], twin[1].to_log())
+        assert out != empty_cpdag(4)
+
+
+def _all_families(n):
+    for child in range(n):
+        others = [v for v in range(n) if v != child]
+        for k in range(n):
+            for parents in itertools.combinations(others, k):
+                yield child, parents
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("gold", sorted(GOLDS))
+    def test_oracle_local_bit_identical(self, search_inputs, gold):
+        _, margin = search_inputs[gold]["oracle"]
+        for pseudo_m in (1e6, 163840, 12.5):
+            for child, parents in _all_families(4):
+                got = oracle_local(margin, child, parents, pseudo_m)
+                assert got == ref_oracle_local(margin, child, parents, pseudo_m)
+
+    @pytest.mark.parametrize("gold", sorted(GOLDS))
+    def test_bic_local_bit_identical(self, search_inputs, gold):
+        data, _ = search_inputs[gold]["bic"]
+        for child, parents in _all_families(4):
+            stats = tally(data, child, parents)
+            assert bic_local(stats, data.m) == ref_bic_local(stats, data.m)
+
+
+class TestMakeScorerChecks:
+    def test_input_must_suit_criterion(self, search_inputs):
+        data, _ = search_inputs["w"]["bdeu"]
+        _, margin = search_inputs["w"]["oracle"]
+        cases = [
+            (ScoreConfig(), None, margin),
+            (ScoreConfig(criterion="bic"), None, margin),
+            (ScoreConfig(criterion="oracle"), data, None),
+            (ScoreConfig(), None, None),
+            (ScoreConfig(criterion="oracle"), None, None),
+            (ScoreConfig(), data, margin),
+            (ScoreConfig(criterion="oracle"), data, margin),
+        ]
+        for cfg, d, j in cases:
+            with pytest.raises(ValueError):
+                make_scorer(cfg, data=d, joint=j)
+            with pytest.raises(ValueError):
+                run_search(SearchConfig(score=cfg), data=d, joint=j)
