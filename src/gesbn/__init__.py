@@ -13,6 +13,7 @@ from .graphs import (
     SepQuery,
     VariableSpec,
     canonical_key,
+    canonical_member,
     complete_cpdag,
     consistent_extensions,
     d_separated,

@@ -8,7 +8,7 @@ import sys
 
 from .datagen import GOLD_STANDARDS, RngSeed, load_model, observed_sample, save_model
 from .graphs import (
-    consistent_extensions,
+    canonical_member,
     cpdag_from_text,
     encode_edges,
     parameter_count,
@@ -33,7 +33,7 @@ def _score_config(args) -> ScoreConfig:
 
 def _add_score_flags(p, criteria=CRITERIA):
     p.add_argument("--score", choices=criteria, default="bdeu")
-    p.add_argument("--ess", type=float, default=10.0,
+    p.add_argument("--ess", type=_positive, default=10.0,
                    help="equivalent sample size for bdeu (default 10)")
 
 
@@ -45,6 +45,17 @@ def _int_at_least(low):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     return integer
+
+
+def _positive(text):
+    """argparse type: a float above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _sizes(text):
@@ -137,7 +148,7 @@ def cmd_oracle(args) -> int:
     optimal, popt = optimal_classes(margin)
     print(f"inclusion-optimal classes: {len(optimal)}")
     for c in optimal:
-        rep = consistent_extensions(c)[0]
+        rep = canonical_member(c)
         d = parameter_count(rep, spec)
         tag = " (parameter optimal)" if c in popt else ""
         enc = "; ".join(encode_edges(c, spec).splitlines()) or "(empty)"
@@ -159,11 +170,13 @@ def cmd_experiment(args) -> int:
     gold = GOLD_FLAGS[args.gold]
     score_cfg = _score_config(args)
     if args.paper_scale:
+        if args.replicates is not None:
+            args.usage_error("argument --replicates: not allowed with argument --paper-scale")
         plan = paper_plan(gold, args.seed, score=score_cfg, algorithm=args.algorithm)
     else:
         plan = ExperimentPlan(
-            gold, args.sizes or DESK_SIZES, args.replicates, args.seed, score_cfg,
-            args.algorithm,
+            gold, args.sizes or DESK_SIZES, args.replicates or ExperimentPlan.replicates,
+            args.seed, score_cfg, args.algorithm,
         )
     rows = run_experiment(plan, workers=args.workers, models_dir=args.save_models)
     write_results(args.out, rows, timings=args.timings)
@@ -184,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_int_at_least(0), required=True,
                    help="number of observed records")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ess", type=float, default=10.0,
+    p.add_argument("--ess", type=_positive, default=10.0,
                    help="concentration of the generative parameter prior")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
@@ -224,17 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated sample sizes (default 10..163840)")
     scale.add_argument("--paper-scale", action="store_true",
                        help="published protocol: sizes up to 655360, 100 replicates")
-    p.add_argument("--replicates", type=_int_at_least(1), default=50)
+    p.add_argument("--replicates", type=_int_at_least(1),
+                   help="replicates per size (default 50; not with --paper-scale)")
     p.add_argument("--seed", type=int, default=0)
     _add_score_flags(p)
     p.add_argument("--algorithm", choices=ALGORITHMS, default="ges")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--timings", action="store_true",
                    help="record wall time per row (breaks byte-reproducibility)")
     p.add_argument("--save-models", metavar="DIR",
                    help="store each replicate's generative model JSON")
     p.add_argument("--out", required=True, help="results CSV path")
-    p.set_defaults(func=cmd_experiment)
+    p.set_defaults(func=cmd_experiment, usage_error=p.error)
 
     return ap
 

@@ -185,15 +185,19 @@ def _ancestral(bn: ParametricBn, draws, rng, rows=None) -> list:
     """States of `draws` ancestral draws, one column per node.
 
     Each node takes `draws` uniforms from rng, node by node in topological
-    order; with rows=k only the first k draws are turned into states, the
-    rest are drawn and dropped so the stream stays the same. Columns use
-    the smallest unsigned dtype that holds the node's states.
+    order; with rows=k only the first k draws are used, and the stream
+    skips past the rest so that it stays the same. Columns use the
+    smallest unsigned dtype that holds the node's states.
     """
     thresholds = _cdf_thresholds(bn)
     cards = bn.spec.cards
     cols = [None] * bn.spec.n
     for i in topological_order(bn.structure):
-        u = rng.random(draws)[:rows]
+        if rows is None:
+            u = rng.random(draws)
+        else:
+            u = rng.random(rows)
+            _skip_uniforms(rng, draws - rows)
         cfg = 0
         for p in bn.structure.parents(i):
             cfg = np.add(cfg * cards[p], cols[p], dtype=np.intp)
@@ -202,6 +206,15 @@ def _ancestral(bn: ParametricBn, draws, rng, rows=None) -> list:
             state += u > row[cfg]
         cols[i] = state
     return cols
+
+
+def _skip_uniforms(rng, k):
+    """Move rng past k uniforms: PCG64 spends one 64-bit output on each, so
+    it jumps ahead; any other bit generator draws them."""
+    if isinstance(rng.bit_generator, np.random.PCG64):
+        rng.bit_generator.advance(k)
+    else:
+        rng.random(k)
 
 
 def _records(cols, keep, rows=slice(None)) -> np.ndarray:

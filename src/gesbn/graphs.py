@@ -398,6 +398,73 @@ def consistent_extensions(c: Cpdag) -> tuple:
     return tuple(sorted(out, key=dag_key))
 
 
+def pdag_extension(n, directed: frozenset, undirected: frozenset):
+    """A DAG extension of a PDAG (Dor & Tarsi 1992), or None if it has none.
+
+    An extension keeps the skeleton, the directed edges and the
+    v-structures of the PDAG. Repeatedly pick a sink x of what is left
+    whose undirected neighbours are each adjacent to every other node
+    adjacent to x; orient x's undirected edges into x and remove x. The
+    PDAG has an extension exactly when no step gets stuck. Taking the
+    largest such x orients pairs from the smaller node where it can, as
+    canonical_member prefers. Not memoized: its callers are, and its
+    results would mostly sit unused.
+    """
+    parents = {v: set() for v in range(n)}
+    children = {v: set() for v in range(n)}
+    neigh = {v: set() for v in range(n)}
+    for u, v in directed:
+        parents[v].add(u)
+        children[u].add(v)
+    for u, v in undirected:
+        neigh[u].add(v)
+        neigh[v].add(u)
+    edges = set(directed)
+    remaining = set(range(n))
+    while remaining:
+        for x in sorted(remaining, reverse=True):
+            if children[x]:
+                continue
+            adj = parents[x] | neigh[x]
+            if all(
+                adj - {y} <= parents[y] | children[y] | neigh[y] for y in neigh[x]
+            ):
+                break
+        else:
+            return None
+        for y in neigh[x]:
+            edges.add((y, x))
+            neigh[y].discard(x)
+        for y in parents[x]:
+            children[y].discard(x)
+        remaining.discard(x)
+    return Dag(n, frozenset(edges))
+
+
+@lru_cache(maxsize=None)
+def canonical_member(c: Cpdag) -> Dag:
+    """The member DAG with the smallest sorted edge list, built directly.
+
+    Equals consistent_extensions(c)[0]. Sorted edge lists compare by the
+    first undirected pair (a, b), a < b, that two members orient apart, so
+    the pairs are fixed in sorted order: a -> b whenever some member agrees
+    with it and with every pair fixed before, b -> a otherwise.
+    """
+    member = pdag_extension(c.n, c.directed, c.undirected)
+    if member is None or dag_to_cpdag(member) != c:
+        raise GraphError("CPDAG has no consistent extension")
+    fixed = set(c.directed)
+    open_pairs = set(c.undirected)
+    for a, b in sorted(c.undirected):
+        open_pairs.discard((a, b))
+        if (a, b) not in member.edges:  # look for a member with a -> b
+            trial = pdag_extension(c.n, frozenset(fixed | {(a, b)}), frozenset(open_pairs))
+            if trial is not None and dag_to_cpdag(trial) == c:
+                member = trial
+        fixed.add((a, b) if (a, b) in member.edges else (b, a))
+    return member
+
+
 def parameter_count(g: Dag, spec: VariableSpec) -> int:
     """Free parameters of the full-table model: sum of (r_i - 1) * prod(r_pa)."""
     if spec.n != g.n:

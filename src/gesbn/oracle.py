@@ -30,7 +30,7 @@ from .graphs import (
     GraphError,
     VariableSpec,
     canonical_key,
-    consistent_extensions,
+    canonical_member,
     dag_key,
     dag_to_cpdag,
     dsep_triples,
@@ -234,7 +234,7 @@ def enumerate_classes(n) -> tuple:
 
 
 def class_representative(c: Cpdag) -> Dag:
-    return consistent_extensions(c)[0]
+    return canonical_member(c)
 
 
 def all_ci_triples(n):

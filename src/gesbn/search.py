@@ -1,10 +1,13 @@
 """Greedy searches over equivalence classes of DAGs.
 
-Neighborhoods are generated by enumerating the member DAGs of a class and
-applying every single-edge addition or deletion, deduplicating the
-resulting completed patterns. That is exponential in class size in the
-worst case but exact, and perfectly adequate at desk scale; both neighbor
-maps are memoized since the class space for fixed n is small.
+A search step moves to a class one edge addition or deletion away, with
+the Insert(X, Y, T) and Delete(X, Y, H) operators of Chickering (2002),
+"Optimal Structure Identification With Greedy Search". Their validity
+tests read the completed pattern only, and each move changes one node's
+parent set, so it is scored by a one-node local-score delta; only the
+best-scoring moves are turned into classes and scored in full. The
+brute-force neighbour maps, which enumerate every member DAG, stay as
+test oracles.
 
 Moves require strict score improvement, ties among equal-best improving
 neighbors are broken by canonical encoding, and the full trace of every
@@ -15,15 +18,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain, combinations
+from typing import NamedTuple
 
 from .graphs import (
     Cpdag,
     GraphError,
     canonical_key,
+    canonical_member,
     complete_cpdag,
     consistent_extensions,
     dag_to_cpdag,
     empty_cpdag,
+    pdag_extension,
 )
 from .scoring import ScoreConfig, make_scorer
 
@@ -107,13 +114,13 @@ def _single_edge_variants(c: Cpdag, add):
 
 @lru_cache(maxsize=None)
 def forward_neighbors(c: Cpdag) -> tuple:
-    """Classes reachable by adding one edge to some member DAG."""
+    """Classes reachable by adding one edge to some member DAG (brute force)."""
     return _single_edge_variants(c, add=True)
 
 
 @lru_cache(maxsize=None)
 def backward_neighbors(c: Cpdag) -> tuple:
-    """Classes reachable by deleting one edge from some member DAG."""
+    """Classes reachable by deleting one edge from some member DAG (brute force)."""
     return _single_edge_variants(c, add=False)
 
 
@@ -123,14 +130,196 @@ def _both_neighbors(c: Cpdag) -> tuple:
     return tuple(sorted(merged, key=canonical_key))
 
 
-# each algorithm's (phase name, neighbour map) pairs, run in order
+class Move(NamedTuple):
+    """One Insert(x, y, s) or Delete(x, y, s) operator on a class.
+
+    The move changes the parents of y from old to new in some member DAG
+    and leaves every other family alone, so it changes a decomposable
+    score by local(y, new) - local(y, old). s is T for an insert and H
+    for a delete.
+    """
+
+    insert: bool
+    x: int
+    y: int
+    s: tuple
+    old: tuple
+    new: tuple
+
+
+class _Adjacency:
+    """Directed parents and children, and undirected neighbours, per node."""
+
+    def __init__(self, c: Cpdag):
+        n = range(c.n)
+        self.parents = {v: set() for v in n}
+        self.children = {v: set() for v in n}
+        self.neigh = {v: set() for v in n}
+        for u, v in c.directed:
+            self.parents[v].add(u)
+            self.children[u].add(v)
+        for u, v in c.undirected:
+            self.neigh[u].add(v)
+            self.neigh[v].add(u)
+        self.adj = {v: self.parents[v] | self.children[v] | self.neigh[v] for v in n}
+
+    def is_clique(self, nodes) -> bool:
+        return all(b in self.adj[a] for a, b in combinations(nodes, 2))
+
+    def semi_directed_path(self, src, dst, blocked) -> bool:
+        """Is there a path src ... dst along u -> v or u -- v edges that
+        avoids the blocked nodes?"""
+        seen, frontier = {src}, [src]
+        while frontier:
+            u = frontier.pop()
+            for v in self.children[u] | self.neigh[u]:
+                if v == dst:
+                    return True
+                if v not in seen and v not in blocked:
+                    seen.add(v)
+                    frontier.append(v)
+        return False
+
+
+def _subsets(items):
+    items = sorted(items)
+    return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
+
+
+@lru_cache(maxsize=None)
+def insert_moves(c: Cpdag) -> tuple:
+    """The valid Insert(x, y, T) operators of Chickering (2002), Theorem
+    15, one per class they lead to.
+
+    x and y are non-adjacent, and T is a set of undirected neighbours of
+    y not adjacent to x. With NA the undirected neighbours of y adjacent
+    to x, the move is valid iff NA | T is a clique and every semi-directed
+    path from y to x meets NA | T. The new class keeps the skeleton plus
+    x -- y and the v-structures of c not shielded by x -- y, and adds
+    q -> y <- x for each q in T or a directed parent of y not adjacent to
+    x; moves that add the same v-structures lead to the same class.
+    """
+    g = _Adjacency(c)
+    out, seen = [], set()
+    for y in range(c.n):
+        for x in range(c.n):
+            if x == y or x in g.adj[y]:
+                continue
+            na = g.neigh[y] & g.adj[x]
+            for t in _subsets(g.neigh[y] - g.adj[x]):
+                cond = na | set(t)
+                if not g.is_clique(cond) or g.semi_directed_path(y, x, cond):
+                    continue
+                colliders = (g.parents[y] - g.adj[x]) | set(t)
+                key = (min(x, y), max(x, y), (y, frozenset(colliders)) if colliders else ())
+                if key in seen:
+                    continue
+                seen.add(key)
+                old = tuple(sorted(g.parents[y] | cond))
+                out.append(Move(True, x, y, t, old, tuple(sorted(old + (x,)))))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def delete_moves(c: Cpdag) -> tuple:
+    """The valid Delete(x, y, H) operators of Chickering (2002), Theorem
+    17, one per class they lead to.
+
+    x -> y or x -- y is an edge, and H is a set of undirected neighbours of
+    y adjacent to x (NA); the move is valid iff NA - H is a clique. The
+    new class drops x -- y and the v-structures through it, and adds
+    x -> h <- y for each common directed child h of x and y and each h in
+    H that the move orients out of x; moves on one pair that add the same
+    v-structures lead to the same class.
+    """
+    g = _Adjacency(c)
+    out, seen = [], set()
+    for y in range(c.n):
+        for x in sorted(g.parents[y] | g.neigh[y]):
+            na = g.neigh[y] & g.adj[x]
+            for h in _subsets(na):
+                rest = na - set(h)
+                if not g.is_clique(rest):
+                    continue
+                colliders = frozenset(v for v in h if v not in g.parents[x])
+                key = (min(x, y), max(x, y), colliders)
+                if key in seen:
+                    continue
+                seen.add(key)
+                new = tuple(sorted((g.parents[y] | rest) - {x}))
+                out.append(Move(False, x, y, h, tuple(sorted(new + (x,))), new))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def apply_move(c: Cpdag, move: Move) -> Cpdag:
+    """The class a valid move leads to: the PDAG after the move, extended
+    to a DAG and completed."""
+    x, y = move.x, move.y
+    directed, undirected = set(c.directed), set(c.undirected)
+    if move.insert:
+        directed.add((x, y))
+        for t in move.s:
+            undirected.discard((min(t, y), max(t, y)))
+            directed.add((t, y))
+    else:
+        directed.discard((x, y))
+        undirected.discard((min(x, y), max(x, y)))
+        for h in move.s:
+            undirected.discard((min(h, y), max(h, y)))
+            directed.add((y, h))
+            if (min(h, x), max(h, x)) in undirected:
+                undirected.discard((min(h, x), max(h, x)))
+                directed.add((x, h))
+    g = pdag_extension(c.n, frozenset(directed), frozenset(undirected))
+    if g is None:
+        raise GraphError(f"{move} leaves a PDAG with no extension")
+    return dag_to_cpdag(g)
+
+
+# the moves each phase may make; each algorithm runs its phases in order
+PHASE_MOVES = {
+    "forward": (insert_moves,),
+    "backward": (delete_moves,),
+    "bidirectional": (insert_moves, delete_moves),
+}
 PHASES = {
-    "fes": (("forward", forward_neighbors),),
-    "bes": (("backward", backward_neighbors),),
-    "ges": (("forward", forward_neighbors), ("backward", backward_neighbors)),
-    "uges": (("bidirectional", _both_neighbors),),
+    "fes": ("forward",),
+    "bes": ("backward",),
+    "ges": ("forward", "backward"),
+    "uges": ("bidirectional",),
 }
 ALGORITHMS = tuple(PHASES)
+
+
+def operator_neighbors(phase, scorer, class_scorer):
+    """A neighbour map for greedy_phase that scores moves by local deltas.
+
+    Each move of the phase is scored as cur + local(y, new) - local(y,
+    old), which is the exact class score up to rounding (the criteria
+    are score equivalent). With tol = 1e-9 * (1 + |cur|), the map returns
+    no class when no move scores above cur - tol, and otherwise only the
+    classes of moves within 2 * tol of the best one, in canonical order.
+    That set holds every strictly improving neighbour of the best exact
+    score, so greedy_phase picks what it would pick from all neighbours.
+    """
+    moves_fns = PHASE_MOVES[phase]
+
+    def neighbors(c: Cpdag) -> tuple:
+        cur = class_scorer(c)
+        tol = 1e-9 * (1 + abs(cur))
+        scored = [
+            (cur + scorer.local(m.y, m.new) - scorer.local(m.y, m.old), m)
+            for moves in moves_fns
+            for m in moves(c)
+        ]
+        best = max((s for s, _ in scored), default=None)
+        if best is None or best <= cur - tol:
+            return ()
+        near = {apply_move(c, m) for s, m in scored if s >= best - 2 * tol}
+        return tuple(sorted(near, key=canonical_key))
+
+    return neighbors
 
 
 def _move_desc(prev: Cpdag, new: Cpdag) -> str:
@@ -177,13 +366,27 @@ def greedy_phase(start: Cpdag, neighbors_fn, class_scorer, phase="forward", max_
 def make_class_scorer(score_cfg: ScoreConfig, data=None, joint=None):
     """Build a Cpdag -> score callable from a dataset or an exact joint.
 
-    Every class is scored through its canonical-first member DAG; the
-    criteria in use are score equivalent, so the choice of member only
-    pins floating-point determinism.
+    Every class is scored through its canonical member DAG; the criteria
+    in use are score equivalent, so the choice of member only pins
+    floating-point determinism.
     """
+    _, class_scorer, n = _scorers(score_cfg, data, joint)
+    return class_scorer, n
+
+
+def _scorers(score_cfg, data, joint):
+    """(DecomposableScorer, class scorer over it, n); the class scorer
+    remembers the score of each class it has scored."""
     scorer = make_scorer(score_cfg, data, joint)
     n = (data if joint is None else joint).spec.n
-    return lambda c: scorer.score_dag(consistent_extensions(c)[0]), n
+    scores = {}
+
+    def class_scorer(c: Cpdag) -> float:
+        if c not in scores:
+            scores[c] = scorer.score_dag(canonical_member(c))
+        return scores[c]
+
+    return scorer, class_scorer, n
 
 
 def _start_class(start, algorithm, n) -> Cpdag:
@@ -203,10 +406,11 @@ def run_search(cfg: SearchConfig, data=None, joint=None):
 
     The trace joins the phases' traces under one start line.
     """
-    class_scorer, n = make_class_scorer(cfg.score, data, joint)
+    scorer, class_scorer, n = _scorers(cfg.score, data, joint)
     cur = _start_class(cfg.start, cfg.algorithm, n)
     trace = SearchTrace()
-    for phase, neighbors_fn in PHASES[cfg.algorithm]:
+    for phase in PHASES[cfg.algorithm]:
+        neighbors_fn = operator_neighbors(phase, scorer, class_scorer)
         cur, part = greedy_phase(
             cur, neighbors_fn, class_scorer, phase, cfg.max_steps or None
         )

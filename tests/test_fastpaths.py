@@ -252,3 +252,19 @@ class TestTallyMatchesReference:
                     continue
                 got = tally(data, child, parents).counts
                 assert np.array_equal(got, ref_tally_counts(data, child, parents))
+
+
+class TestSkippedDraws:
+    """With hidden variables and no selection, only m of each node's
+    max(4m, 1024) uniforms become records; the rest are skipped, and the
+    generator must end where drawing them would have left it."""
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+    @pytest.mark.parametrize("m", [m for m in SIZES if m])  # m = 0 still draws a batch
+    def test_records_and_generator_state(self, bit_generator, m):
+        gold = CASES["w_structure"]
+        got_rng = np.random.Generator(bit_generator(m + 11))
+        want_rng = np.random.Generator(bit_generator(m + 11))
+        got = observed_sample(gold, m, got_rng).records
+        assert np.array_equal(got, ref_observed_records(gold, m, want_rng))
+        assert np.array_equal(got_rng.random(5), want_rng.random(5))

@@ -357,3 +357,116 @@ class TestGoldenResults:
         plan = ExperimentPlan(gold=gold, sizes=GOLDEN_SIZES, replicates=6, base_seed=0)
         text = results_csv(run_experiment(plan))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CSV_SHA256[gold]
+
+
+from gesbn.datagen import GoldStandard, RngSeed, observed_sample
+from gesbn.graphs import Dag, VariableSpec
+from gesbn.scoring import save_dataset, save_schema
+
+# sha256 of class.txt and trace.log from `gesbn learn` on m = 5000 records of
+# fixed sparse binary networks. The ges and uges hashes were recorded with
+# the brute-force neighbour maps; bes from the complete class is out of
+# their reach at these n, so its hashes were recorded with the operator
+# search and match a run that scores every operator neighbour in full.
+LEARN_SEED = 5
+GOLDEN_LEARN_SHA256 = {
+    (8, "ges"): (
+        "872099484e21999402c44b569ded1912d0788879d2d618dcfa4f5d43b45705a8",
+        "b93d4c9c863af40f6e55419a8b74f345b23a6726f7f72c022f43787c6665d26e",
+    ),
+    (8, "uges"): (
+        "872099484e21999402c44b569ded1912d0788879d2d618dcfa4f5d43b45705a8",
+        "0b8c2c91770bbdfbc0e996c8b123cf952ed9b68bf1ec130231fab73915d31677",
+    ),
+    (8, "bes"): (
+        "872099484e21999402c44b569ded1912d0788879d2d618dcfa4f5d43b45705a8",
+        "8faffb39f2291f836928668528e79ec6df0e895c8af68fb51285830983888afd",
+    ),
+    (10, "ges"): (
+        "8ce0d79092f917619caa8eae2016c8e0aa440761b2f285a42ecf8baebf7bf3dc",
+        "a6de2a18516fa26b9bf6522bb578abb3c39c9303d820d9d517b48f99c03e98f5",
+    ),
+    (10, "uges"): (
+        "8ce0d79092f917619caa8eae2016c8e0aa440761b2f285a42ecf8baebf7bf3dc",
+        "4d7dbe18aa3a821dde9f9c4a7c908f01d63cacf070f5902cefbaefe7bef5f094",
+    ),
+    (10, "bes"): (
+        "8ce0d79092f917619caa8eae2016c8e0aa440761b2f285a42ecf8baebf7bf3dc",
+        "050660bf3d433cee0a8ff0c6c9fbe31f28ff54cc3cb36dc50ae221fca7e392c5",
+    ),
+}
+
+
+def sparse_network(n, seed):
+    """A binary network on n nodes with n edges, each pointing forward in
+    a random node order, with parameters drawn at ess 10."""
+    rng = np.random.default_rng([seed, n])
+    order = rng.permutation(n)
+    pairs = [(int(order[i]), int(order[j])) for i in range(n) for j in range(i + 1, n)]
+    chosen = rng.choice(len(pairs), size=n, replace=False)
+    spec = VariableSpec(tuple(f"V{i}" for i in range(n)), (2,) * n)
+    gold = GoldStandard(Dag(n, {pairs[k] for k in chosen}), spec, observed=tuple(range(n)))
+    return gold.with_parameters(ess=10.0, seed=RngSeed(seed, n))
+
+
+class TestGoldenLearnOutputs:
+    @pytest.mark.parametrize("n,algorithm", sorted(GOLDEN_LEARN_SHA256))
+    def test_class_and_trace_bytes(self, tmp_path, n, algorithm):
+        gold = sparse_network(n, LEARN_SEED)
+        data = observed_sample(gold, 5000, RngSeed(LEARN_SEED, 100 + n))
+        save_dataset(data, tmp_path / "data.csv")
+        save_schema(data.spec, tmp_path / "data.schema.json")
+        start = ["--start", "complete"] if algorithm == "bes" else []
+        out = tmp_path / "out"
+        assert main([
+            "learn", "--data", str(tmp_path / "data.csv"),
+            "--schema", str(tmp_path / "data.schema.json"),
+            "--algorithm", algorithm, *start, "--out", str(out),
+        ]) == 0
+        got = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("class.txt", "trace.log")
+        )
+        assert got == GOLDEN_LEARN_SHA256[n, algorithm]
+
+
+class TestCliRejectsBadValues:
+    @pytest.mark.parametrize("argv,message", [
+        (["generate", "--gold", "w", "--m", "10", "--ess", "0", "--out", "gen"],
+         "argument --ess: must be positive, got 0"),
+        (["learn", "--data", "d.csv", "--ess", "-1", "--out", "out"],
+         "argument --ess: must be positive, got -1"),
+        (["score", "--data", "d.csv", "--graph", "g.txt", "--ess", "nan"],
+         "argument --ess: must be positive, got nan"),
+        (["experiment", "--gold", "w", "--ess", "0.0", "--out", "r.csv"],
+         "argument --ess: must be positive, got 0.0"),
+        (["learn", "--data", "d.csv", "--ess", "ten", "--out", "out"],
+         "argument --ess: invalid float value: 'ten'"),
+        (["experiment", "--gold", "w", "--paper-scale", "--replicates", "3",
+          "--out", "r.csv"],
+         "argument --replicates: not allowed with argument --paper-scale"),
+        (["experiment", "--gold", "w", "--workers", "0", "--out", "r.csv"],
+         "argument --workers: must be at least 1, got 0"),
+    ], ids=[
+        "generate-ess-zero", "learn-ess-negative", "score-ess-nan",
+        "experiment-ess-zero", "ess-not-a-number", "paper-scale-with-replicates",
+        "zero-workers",
+    ])
+    def test_exit_with_usage(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gesbn ")
+        assert message in err
+        assert not os.listdir(tmp_path)
+
+    def test_replicates_default_to_fifty(self, tmp_path, monkeypatch):
+        plans = []
+        monkeypatch.setattr(
+            "gesbn.cli.run_experiment", lambda plan, **kw: plans.append(plan) or []
+        )
+        for extra in ([], ["--replicates", "3"], ["--paper-scale"]):
+            main(["experiment", "--gold", "w", *extra, "--out", str(tmp_path / "r.csv")])
+        assert [p.replicates for p in plans] == [50, 3, 100]

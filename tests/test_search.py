@@ -522,3 +522,36 @@ class TestMakeScorerChecks:
                 make_scorer(cfg, data=d, joint=j)
             with pytest.raises(ValueError):
                 run_search(SearchConfig(score=cfg), data=d, joint=j)
+
+
+# ---------------------------------------------------------------------------
+# the operator search against the brute-force reference on n = 6 networks
+
+from gesbn.datagen import forward_sample, sample_parameters
+
+
+def _network_data(n, seed, m=3000):
+    """m records of a binary network on n nodes with n + 1 edges that point
+    forward in a random order; structure and parameters fixed by seed."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    pairs = [(int(order[i]), int(order[j])) for i in range(n) for j in range(i + 1, n)]
+    chosen = rng.choice(len(pairs), size=n + 1, replace=False)
+    spec = VariableSpec(tuple(f"V{i}" for i in range(n)), (2,) * n)
+    bn = sample_parameters(Dag(n, {pairs[k] for k in chosen}), spec, seed=seed)
+    return forward_sample(bn, m, seed)
+
+
+class TestOperatorSearchMatchesBruteForce:
+    @pytest.mark.parametrize("seed", [91, 92])
+    @pytest.mark.parametrize("algorithm,start", [
+        ("ges", None), ("bes", "complete"), ("uges", None),
+    ])
+    def test_n6_network(self, seed, algorithm, start):
+        data = _network_data(6, seed)
+        cfg = SearchConfig(algorithm, start)
+        out, trace = run_search(cfg, data)
+        want_out, want_trace = ref_run_search(cfg, data)
+        assert out == want_out
+        assert trace.to_log() == want_trace.to_log()
+        assert len(trace.steps) > 3
