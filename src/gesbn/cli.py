@@ -91,8 +91,30 @@ def _load_learn_inputs(args):
         raise SystemExit("--joint is scored only with --score oracle")
     if not args.data:
         raise SystemExit("--data is required unless --score oracle is used")
-    data = load_dataset(args.data, schema=args.schema, infer_cards=args.infer_schema)
+    data = _load_data_flag(args)
     return data, None, data.spec
+
+
+def _load_data_flag(args):
+    """The --data dataset; a file that cannot be read or scored exits 2
+    with one line that names it."""
+    if args.schema is None and not args.infer_schema:
+        _fail(args, "--schema or --infer-schema is required with --data")
+    try:
+        data = load_dataset(args.data, schema=args.schema, infer_cards=args.infer_schema)
+        if args.score == "bic" and data.m == 0:
+            raise ValueError("bic needs at least one record")
+    except OSError as exc:
+        _fail(args, f"{exc.filename or args.data}: {exc.strerror or exc}")
+    except ValueError as exc:
+        _fail(args, f"{args.data}: {exc}")
+    return data
+
+
+def _fail(args, message):
+    """Exit 2 with a one-line error, as argparse does for a bad flag."""
+    print(f"gesbn {args.command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _resolve_start_flag(start, spec):
@@ -123,7 +145,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_score(args) -> int:
-    data = load_dataset(args.data, schema=args.schema, infer_cards=args.infer_schema)
+    data = _load_data_flag(args)
     with open(args.graph) as fh:
         c = cpdag_from_text(fh.read(), data.spec)
     class_scorer, _ = make_class_scorer(_score_config(args), data=data)

@@ -18,7 +18,6 @@ import hashlib
 import io
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .datagen import GOLD_STANDARDS, RngSeed, observed_sample, save_model
@@ -149,6 +148,8 @@ def run_experiment(plan: ExperimentPlan, workers=1, models_dir=None) -> list:
         for rep in range(plan.replicates)
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: only parallel sweeps pay its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_replicate_job, jobs, chunksize=4))
     else:

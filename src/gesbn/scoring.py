@@ -15,13 +15,13 @@ one convention.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .graphs import Dag, VariableSpec
 
@@ -151,6 +151,11 @@ def tally(data: CategoricalDataset, child, parents) -> SufficientStats:
     return SufficientStats(int(child), parents, counts.astype(np.int64).reshape(q, r))
 
 
+def _lgamma(x) -> np.ndarray:
+    """Elementwise log-gamma of a float array, by math.lgamma."""
+    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def bdeu_local(stats: SufficientStats, ess=10.0) -> float:
     """Log marginal likelihood of one node under the uniform-BDeu prior."""
     if ess <= 0:
@@ -159,8 +164,8 @@ def bdeu_local(stats: SufficientStats, ess=10.0) -> float:
     a_row = ess / q
     a_cell = ess / (q * r)
     n_row = stats.counts.sum(axis=1)
-    val = np.sum(gammaln(a_row) - gammaln(a_row + n_row))
-    val += np.sum(gammaln(a_cell + stats.counts) - gammaln(a_cell))
+    val = (math.lgamma(a_row) - _lgamma(a_row + n_row)).sum()
+    val += (_lgamma(a_cell + stats.counts) - math.lgamma(a_cell)).sum()
     return float(val)
 
 
@@ -303,17 +308,31 @@ def save_dataset(data: CategoricalDataset, path):
 
 
 def load_dataset(path, schema=None, infer_cards=False) -> CategoricalDataset:
-    """Read a dataset CSV.
+    """Read a dataset CSV: a header row of names, then integer records.
 
     State counts come from the schema (a VariableSpec or a sidecar path);
     with infer_cards=True they are inferred as column max + 1 instead.
+    Blank lines are skipped; a malformed file raises ValueError.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[int(v) for v in row] for row in reader if row]
+        header = next(csv.reader(fh), None)
+        body = fh.read()
+    if header is None:
+        raise ValueError("no header row")
     names = tuple(h.strip() for h in header)
-    records = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(names))
+    if body.strip():
+        try:
+            records = np.loadtxt(
+                io.StringIO(body), delimiter=",", comments=None, dtype=np.int64, ndmin=2
+            )
+        except ValueError as exc:  # numpy's message, less its advice on usecols
+            raise ValueError(str(exc).partition(";")[0]) from None
+    else:
+        records = np.zeros((0, len(names)), dtype=np.int64)
+    if records.shape[1] != len(names):
+        raise ValueError(
+            f"records have {records.shape[1]} columns, the header has {len(names)}"
+        )
     if schema is not None:
         spec = schema if isinstance(schema, VariableSpec) else load_schema(schema)
         if spec.names != names:
@@ -321,7 +340,7 @@ def load_dataset(path, schema=None, infer_cards=False) -> CategoricalDataset:
                 f"schema names {spec.names} do not match CSV header {names}"
             )
     elif infer_cards:
-        maxes = records.max(axis=0) if len(rows) else np.zeros(len(names), int)
+        maxes = records.max(axis=0) if len(records) else np.zeros(len(names), int)
         spec = VariableSpec(names, tuple(int(v) + 1 for v in maxes))
     else:
         raise ValueError("need a schema, or pass infer_cards=True explicitly")

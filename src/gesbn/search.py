@@ -9,9 +9,9 @@ best-scoring moves are turned into classes and scored in full. The
 brute-force neighbour maps, which enumerate every member DAG, stay as
 test oracles.
 
-Moves require strict score improvement, ties among equal-best improving
-neighbors are broken by canonical encoding, and the full trace of every
-run is captured.
+Moves require strict score improvement, ties among float-equal best
+improving neighbors are broken by canonical encoding, and the full trace
+of every run is captured.
 """
 
 from __future__ import annotations
@@ -333,9 +333,12 @@ def _move_desc(prev: Cpdag, new: Cpdag) -> str:
 def greedy_phase(start: Cpdag, neighbors_fn, class_scorer, phase="forward", max_steps=None):
     """Repeatedly move to the best strictly-improving neighbor.
 
-    Returns (local maximum, SearchTrace). Ties among equal-best improving
-    neighbors go to the smallest canonical encoding; hitting max_steps
-    before convergence yields a truncated trace.
+    Returns (local maximum, SearchTrace). Ties among improving neighbors
+    whose float scores are equal go to the smallest canonical encoding.
+    Classes whose scores tie in exact arithmetic can still get float scores
+    that differ by rounding, and then the larger float wins, so a change in
+    the last bits of a local score can change which of them is picked.
+    Hitting max_steps before convergence yields a truncated trace.
     """
     if max_steps is None:
         max_steps = start.n * start.n + start.n

@@ -1,16 +1,22 @@
-"""Differential tests: the fast sampling and counting paths against the
-per-record code they replaced.
+"""Differential tests: the fast sampling, counting, scoring and loading
+paths against the code they replaced.
 
 The reference functions below are the record-by-record implementations:
 ancestral sampling that gathers and cumsums one CPT row per record,
 rejection sampling that builds every column of every batch, and tallies
 that re-read all m records. The fast paths must reproduce their output
 exactly, because a seed's records are part of the contract (see
-gesbn.datagen).
+gesbn.datagen). The BDeu kernel is checked against scipy's gammaln, which
+it replaced, within a relative 1e-12; the dataset loader against the
+csv-module loader it replaced, exactly.
 """
+
+import csv
+import itertools
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from gesbn.datagen import (
     GoldStandard,
@@ -26,7 +32,17 @@ from gesbn.datagen import (
     sample_parameters,
 )
 from gesbn.graphs import Dag, VariableSpec, topological_order
-from gesbn.scoring import CategoricalDataset, tally
+from gesbn.scoring import (
+    CategoricalDataset,
+    ScoreConfig,
+    bdeu_local,
+    load_dataset,
+    load_schema,
+    save_dataset,
+    save_schema,
+    score,
+    tally,
+)
 
 _REF_GUARD_MIN_DRAWS = 1_000_000
 
@@ -268,3 +284,138 @@ class TestSkippedDraws:
         got = observed_sample(gold, m, got_rng).records
         assert np.array_equal(got, ref_observed_records(gold, m, want_rng))
         assert np.array_equal(got_rng.random(5), want_rng.random(5))
+
+
+def ref_bdeu_local(stats, ess):
+    """BDeu local score with scipy's gammaln."""
+    q, r = stats.counts.shape
+    a_row = ess / q
+    a_cell = ess / (q * r)
+    n_row = stats.counts.sum(axis=1)
+    val = np.sum(gammaln(a_row) - gammaln(a_row + n_row))
+    val += np.sum(gammaln(a_cell + stats.counts) - gammaln(a_cell))
+    return float(val)
+
+
+def _assert_bdeu_matches(data, max_parents, ess=10.0):
+    n = data.spec.n
+    for child in range(n):
+        others = [v for v in range(n) if v != child]
+        for k in range(min(max_parents, len(others)) + 1):
+            for parents in itertools.combinations(others, k):
+                stats = tally(data, child, parents)
+                got, want = bdeu_local(stats, ess), ref_bdeu_local(stats, ess)
+                assert abs(got - want) <= 1e-12 * abs(want), (child, parents, got, want)
+
+
+class TestBdeuMatchesGammaln:
+    @pytest.mark.parametrize("name", ["w_structure", "four_cycle"])
+    @pytest.mark.parametrize("m", [0, 10, 1280, 163840])
+    def test_every_family_of_the_golds(self, name, m):
+        data = observed_sample(CASES[name], m, RngSeed(m, 1))
+        _assert_bdeu_matches(data, max_parents=3)
+        _assert_bdeu_matches(data, max_parents=3, ess=1.0)
+
+    def test_sparse_network_n10(self):
+        # learn_cold-sized: ten binary variables, ten edges, 5000 records
+        rng = np.random.default_rng(10)
+        order = rng.permutation(10)
+        pairs = [(int(order[i]), int(order[j])) for i in range(10) for j in range(i + 1, 10)]
+        chosen = rng.choice(len(pairs), size=10, replace=False)
+        spec = VariableSpec(tuple(f"V{i}" for i in range(10)), (2,) * 10)
+        bn = sample_parameters(Dag(10, {pairs[k] for k in chosen}), spec, seed=10)
+        _assert_bdeu_matches(forward_sample(bn, 5000, seed=3), max_parents=3)
+
+
+def ref_load_dataset(path, schema=None, infer_cards=False):
+    """The dataset loader before numpy parsed the records: csv rows, one
+    int() per cell."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [[int(v) for v in row] for row in reader if row]
+    names = tuple(h.strip() for h in header)
+    records = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(names))
+    if schema is not None:
+        spec = schema if isinstance(schema, VariableSpec) else load_schema(schema)
+        if spec.names != names:
+            raise ValueError(
+                f"schema names {spec.names} do not match CSV header {names}"
+            )
+    elif infer_cards:
+        maxes = records.max(axis=0) if len(rows) else np.zeros(len(names), int)
+        spec = VariableSpec(names, tuple(int(v) + 1 for v in maxes))
+    else:
+        raise ValueError("need a schema, or pass infer_cards=True explicitly")
+    return CategoricalDataset(spec, records)
+
+
+def _rewrite(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+_X12 = {"schema": VariableSpec(("X1", "X2"), (2, 2))}
+
+
+class TestLoaderMatchesReference:
+    @pytest.mark.parametrize("name", ["w_structure", "four_cycle"])
+    @pytest.mark.parametrize("m", [0, 1, 5000])
+    @pytest.mark.parametrize("layout", ["lf", "crlf", "trailing-blank-line"])
+    def test_generated_datasets(self, tmp_path, name, m, layout):
+        data = observed_sample(CASES[name], m, RngSeed(m, 1))
+        path, schema = tmp_path / "d.csv", tmp_path / "d.schema.json"
+        save_dataset(data, path)
+        save_schema(data.spec, schema)
+        text = path.read_text()
+        if layout == "crlf":
+            _rewrite(path, text.replace("\n", "\r\n"))
+        elif layout == "trailing-blank-line":
+            _rewrite(path, text + "\n")
+        for kw in ({"schema": schema}, {"schema": data.spec}, {"infer_cards": True}):
+            got = load_dataset(path, **kw)
+            want = ref_load_dataset(path, **kw)
+            assert got == want
+            assert got.records.dtype == want.records.dtype == np.int64
+            assert got.records.shape == (m, data.spec.n)
+        assert load_dataset(path, schema=schema) == data
+
+    def test_header_only_file_does_not_warn(self, tmp_path, recwarn):
+        path = tmp_path / "d.csv"
+        _rewrite(path, "A,B,C\n")
+        got = load_dataset(path, infer_cards=True)
+        assert got.records.shape == (0, 3)
+        assert got == ref_load_dataset(path, infer_cards=True)
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("text,kw", [
+        ("X1,X2\n0,1\n0,5\n", _X12),  # value out of range
+        ("X1,X2\n0,1\n0,a\n", _X12),  # non-integer cell
+        ("X1,X2\n0,1\n0\n", _X12),  # ragged row
+        ("X1,X2\n0,1\n# 0,1\n", _X12),  # no comment lines
+        ("X1,X2\n0,1,1\n", {"infer_cards": True}),  # more columns than header names
+        ("Y1,Y2\n0,1\n", _X12),  # header names not in the schema
+        ("X1,X2\n0,1\n", {}),  # neither schema nor infer_cards
+    ], ids=["out-of-range", "non-integer", "ragged", "comment", "wide-rows", "names",
+            "no-schema"])
+    def test_bad_files_raise_value_error(self, tmp_path, text, kw):
+        path = tmp_path / "d.csv"
+        _rewrite(path, text)
+        with pytest.raises(ValueError):
+            ref_load_dataset(path, **kw)
+        with pytest.raises(ValueError):
+            load_dataset(path, **kw)
+
+    def test_missing_file_and_empty_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_dataset(tmp_path / "missing.csv", infer_cards=True)
+        _rewrite(tmp_path / "zero.csv", "")
+        with pytest.raises(ValueError, match="no header row"):
+            load_dataset(tmp_path / "zero.csv", infer_cards=True)
+
+    def test_bic_on_zero_records_raises_value_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        _rewrite(path, "X1,X2\n")
+        data = load_dataset(path, infer_cards=True)
+        with pytest.raises(ValueError, match="at least one record"):
+            score(Dag(2, set()), data, ScoreConfig(criterion="bic"))

@@ -1,10 +1,18 @@
 """Property tests on random DAGs with up to five nodes: CPDAG completion
-is a canonical form of the equivalence class."""
+is a canonical form of the equivalence class. And on random datasets:
+tallies read off the count table equal a count made record by record."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gesbn.graphs import Dag, consistent_extensions, dag_to_cpdag, equivalent
+from gesbn.graphs import (
+    Dag,
+    VariableSpec,
+    consistent_extensions,
+    dag_to_cpdag,
+    equivalent,
+)
+from gesbn.scoring import CategoricalDataset, tally
 
 # fixed examples, and no example database written next to the sources
 PROPERTY_SETTINGS = settings(
@@ -56,3 +64,35 @@ def test_completion_idempotent_on_members(data):
 def test_equal_completions_iff_equivalent(pair):
     g1, g2 = pair
     assert (dag_to_cpdag(g1) == dag_to_cpdag(g2)) == equivalent(g1, g2)
+
+
+@st.composite
+def datasets(draw):
+    """Up to 40 records over one to five variables of one to four states."""
+    cards = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    record = st.tuples(*(st.integers(0, c - 1) for c in cards))
+    records = draw(st.lists(record, max_size=40))
+    spec = VariableSpec(tuple(f"V{i}" for i in range(len(cards))), tuple(cards))
+    return CategoricalDataset(spec, records)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_tally_equals_per_record_count(data):
+    ds = data.draw(datasets())
+    n, cards = ds.spec.n, ds.spec.cards
+    child = data.draw(st.integers(0, n - 1))
+    others = [v for v in range(n) if v != child]
+    parents = data.draw(st.lists(st.sampled_from(others), unique=True) if others else st.just([]))
+    q = 1
+    for p in sorted(parents):
+        q *= cards[p]
+    want = [[0] * cards[child] for _ in range(q)]
+    for rec in ds.records.tolist():
+        j = 0
+        for p in sorted(parents):  # lowest index most significant
+            j = j * cards[p] + rec[p]
+        want[j][rec[child]] += 1
+    got = tally(ds, child, parents)
+    assert got.counts.tolist() == want
+    assert got.parents == tuple(sorted(parents))
