@@ -29,9 +29,7 @@ from .graphs import (
 )
 from .scoring import (
     CategoricalDataset,
-    LocalScoreCache,
     ScoreConfig,
-    SufficientStats,
     bdeu_local,
     bic_local,
     load_dataset,

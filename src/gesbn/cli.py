@@ -21,8 +21,15 @@ from .harness import (
     write_results,
 )
 from .oracle import ci_holds, composition_holds, observed_margin, optimal_classes
-from .scoring import CRITERIA, ScoreConfig, load_dataset, save_dataset, save_schema
-from .search import ALGORITHMS, SearchConfig, make_class_scorer, run_search
+from .scoring import (
+    CRITERIA,
+    ScoreConfig,
+    load_dataset,
+    make_scorer,
+    save_dataset,
+    save_schema,
+)
+from .search import ALGORITHMS, SearchConfig, run_search
 
 GOLD_FLAGS = {"w": "w_structure", "cycle4": "four_cycle"}
 
@@ -83,32 +90,41 @@ def _load_learn_inputs(args):
     """Dataset or exact margin, plus the observable spec, per the flags."""
     if args.score == "oracle":
         if not args.joint:
-            raise SystemExit("--score oracle requires --joint <model file>")
-        gold = load_model(args.joint)
-        margin = observed_margin(gold)
+            _fail(args, "--score oracle requires --joint <model file>")
+        margin = observed_margin(_read(args, args.joint, load_model))
         return None, margin, margin.spec
     if args.joint:
-        raise SystemExit("--joint is scored only with --score oracle")
+        _fail(args, "--joint is scored only with --score oracle")
     if not args.data:
-        raise SystemExit("--data is required unless --score oracle is used")
+        _fail(args, "--data is required unless --score oracle is used")
     data = _load_data_flag(args)
     return data, None, data.spec
 
 
 def _load_data_flag(args):
-    """The --data dataset; a file that cannot be read or scored exits 2
-    with one line that names it."""
+    """The --data dataset, checked for the --score criterion."""
     if args.schema is None and not args.infer_schema:
         _fail(args, "--schema or --infer-schema is required with --data")
-    try:
-        data = load_dataset(args.data, schema=args.schema, infer_cards=args.infer_schema)
-        if args.score == "bic" and data.m == 0:
-            raise ValueError("bic needs at least one record")
-    except OSError as exc:
-        _fail(args, f"{exc.filename or args.data}: {exc.strerror or exc}")
-    except ValueError as exc:
-        _fail(args, f"{args.data}: {exc}")
+    data = _read(args, args.data, load_dataset, args.schema, args.infer_schema)
+    if args.score == "bic" and data.m == 0:
+        _fail(args, f"{args.data}: bic needs at least one record")
     return data
+
+
+def _load_class(path, spec):
+    with open(path) as fh:
+        return cpdag_from_text(fh.read(), spec)
+
+
+def _read(args, path, load, *extra):
+    """load(path, *extra); a file that cannot be read or parsed exits 2
+    with one line that names it."""
+    try:
+        return load(path, *extra)
+    except OSError as exc:
+        _fail(args, f"{exc.filename or path}: {exc.strerror or exc}")
+    except (ValueError, KeyError) as exc:  # str(KeyError) would quote the message
+        _fail(args, f"{path}: {exc.args[0] if isinstance(exc, KeyError) else exc}")
 
 
 def _fail(args, message):
@@ -117,19 +133,18 @@ def _fail(args, message):
     raise SystemExit(2)
 
 
-def _resolve_start_flag(start, spec):
+def _resolve_start_flag(args, spec):
     """--start as a SearchConfig start: anything but a class file passes through."""
-    if start in (None, "empty", "complete"):
-        return start
-    with open(start) as fh:
-        return cpdag_from_text(fh.read(), spec)
+    if args.start in (None, "empty", "complete"):
+        return args.start
+    return _read(args, args.start, _load_class, spec)
 
 
 def cmd_learn(args) -> int:
     data, joint, spec = _load_learn_inputs(args)
     cfg = SearchConfig(
         algorithm=args.algorithm,
-        start=_resolve_start_flag(args.start, spec),
+        start=_resolve_start_flag(args, spec),
         score=_score_config(args),
     )
     learned, trace = run_search(cfg, data=data, joint=joint)
@@ -146,10 +161,8 @@ def cmd_learn(args) -> int:
 
 def cmd_score(args) -> int:
     data = _load_data_flag(args)
-    with open(args.graph) as fh:
-        c = cpdag_from_text(fh.read(), data.spec)
-    class_scorer, _ = make_class_scorer(_score_config(args), data=data)
-    total = class_scorer(c)
+    c = _read(args, args.graph, _load_class, data.spec)
+    total = make_scorer(_score_config(args), data=data).score_class(c)
     print(f"{args.score} score: {total!r}")
     return 0
 
@@ -162,12 +175,12 @@ def _parse_ci_flag(text, spec):
 
 
 def cmd_oracle(args) -> int:
-    gold = load_model(args.model)
-    margin = observed_margin(gold)
-    if margin.n > 4:
-        raise SystemExit("oracle sweeps are limited to 4 observable variables")
+    margin = observed_margin(_read(args, args.model, load_model))
     spec = margin.spec
-    optimal, popt = optimal_classes(margin)
+    try:
+        optimal, popt = optimal_classes(margin)
+    except ValueError as exc:  # more observables than the sweep allows
+        _fail(args, str(exc))
     print(f"inclusion-optimal classes: {len(optimal)}")
     for c in optimal:
         rep = canonical_member(c)

@@ -260,17 +260,20 @@ def d_separated(g: Dag, q: SepQuery) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def dsep_triples(g: Dag) -> frozenset:
-    """All held d-separation statements (x, y, z) with x < y, z over the rest."""
-    out = set()
-    for x, y in combinations(range(g.n), 2):
-        rest = [v for v in range(g.n) if v != x and v != y]
+def pair_queries(n):
+    """All singleton-pair queries (x, y, z) on n nodes: x < y, and z a
+    frozenset over the rest."""
+    for x, y in combinations(range(n), 2):
+        rest = [v for v in range(n) if v != x and v != y]
         for k in range(len(rest) + 1):
             for z in combinations(rest, k):
-                if d_separated(g, SepQuery(x, y, frozenset(z))):
-                    out.add((x, y, frozenset(z)))
-    return frozenset(out)
+                yield x, y, frozenset(z)
+
+
+@lru_cache(maxsize=None)
+def dsep_triples(g: Dag) -> frozenset:
+    """The pair_queries (x, y, z) of g that hold as d-separations."""
+    return frozenset(t for t in pair_queries(g.n) if d_separated(g, SepQuery(*t)))
 
 
 def is_covered(g: Dag, edge) -> bool:

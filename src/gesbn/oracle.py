@@ -25,7 +25,6 @@ import numpy as np
 
 from .datagen import GoldStandard, ParametricBn
 from .graphs import (
-    Cpdag,
     Dag,
     GraphError,
     VariableSpec,
@@ -35,6 +34,7 @@ from .graphs import (
     dag_to_cpdag,
     dsep_triples,
     included_in,
+    pair_queries,
     parameter_count,
 )
 
@@ -142,8 +142,8 @@ def _as_set(v) -> frozenset:
     return frozenset(int(i) for i in v)
 
 
-def ci_holds(p: JointTable, x, y, z=(), tol=CI_TOL) -> bool:
-    """True iff max_z-config |p(x,y|z) - p(x|z) p(y|z)| <= tol.
+def ci_holds(p: JointTable, x, y, z=()) -> bool:
+    """True iff max_z-config |p(x,y|z) - p(x|z) p(y|z)| <= CI_TOL.
 
     Configurations of z with zero probability are skipped.
     """
@@ -175,10 +175,10 @@ def ci_holds(p: JointTable, x, y, z=(), tol=CI_TOL) -> bool:
     pyz = tm.sum(axis=1)
     resid = tm * pz[:, None, None] - pxz[:, :, None] * pyz[:, None, :]
     rel = np.abs(resid) / (pz ** 2)[:, None, None]
-    return bool(rel.max() <= tol)
+    return bool(rel.max() <= CI_TOL)
 
 
-def composition_holds(p: JointTable, tol=CI_TOL) -> CompositionResult:
+def composition_holds(p: JointTable) -> CompositionResult:
     """Check the composition property over every (singleton, set, set) triple.
 
     Dependence of X on a set Y given Z must be witnessed by some singleton
@@ -193,9 +193,9 @@ def composition_holds(p: JointTable, tol=CI_TOL) -> CompositionResult:
                 others = [v for v in rest if v not in yset]
                 for zsize in range(len(others) + 1):
                     for zset in combinations(others, zsize):
-                        if ci_holds(p, x, yset, zset, tol):
+                        if ci_holds(p, x, yset, zset):
                             continue
-                        if all(ci_holds(p, x, (y,), zset, tol) for y in yset):
+                        if all(ci_holds(p, x, (y,), zset) for y in yset):
                             stmt = CiStatement(
                                 frozenset((x,)), frozenset(yset), frozenset(zset), False
                             )
@@ -233,56 +233,41 @@ def enumerate_classes(n) -> tuple:
     return tuple(sorted(seen, key=canonical_key))
 
 
-def class_representative(c: Cpdag) -> Dag:
-    return canonical_member(c)
+def ci_triple_set(p: JointTable) -> frozenset:
+    """The pair_queries (x, y, z) that hold in p as conditional
+    independencies."""
+    return frozenset(t for t in pair_queries(p.n) if ci_holds(p, *t))
 
 
-def all_ci_triples(n):
-    """All (x, y, z) singleton-pair queries, x < y, z over the rest."""
-    for x, y in combinations(range(n), 2):
-        rest = [v for v in range(n) if v != x and v != y]
-        for k in range(len(rest) + 1):
-            for z in combinations(rest, k):
-                yield x, y, frozenset(z)
-
-
-def ci_triple_set(p: JointTable, tol=CI_TOL) -> frozenset:
-    """The singleton-pair conditional independencies that hold in p."""
-    return frozenset(
-        (x, y, z) for x, y, z in all_ci_triples(p.n) if ci_holds(p, x, y, z, tol)
-    )
-
-
-def includes(g: Dag, p: JointTable, tol=CI_TOL) -> bool:
+def includes(g: Dag, p: JointTable) -> bool:
     """True iff every d-separation of g is a conditional independence of p."""
     if g.n != p.n:
         raise ValueError("graph and joint table sizes differ")
-    return all(ci_holds(p, x, y, z, tol) for x, y, z in dsep_triples(g))
+    return all(ci_holds(p, *t) for t in dsep_triples(g))
 
 
-def _including_classes(p, tol):
-    ci = ci_triple_set(p, tol)
+def _including_classes(p):
+    ci = ci_triple_set(p)
     out = []
     for c in enumerate_classes(p.n):
-        ds = dsep_triples(class_representative(c))
+        ds = dsep_triples(canonical_member(c))
         if ds <= ci:
             out.append((c, ds))
     return out
 
 
-def optimal_classes(p: JointTable, spec=None, tol=CI_TOL) -> tuple:
+def optimal_classes(p: JointTable) -> tuple:
     """(inclusion-optimal, parameter-optimal) classes of p, from one sweep.
 
     Inclusion-optimal: classes that include p with no strictly-included
     class also including it. Parameter-optimal: including classes of
-    minimal parameter count (under spec, default p.spec).
+    minimal parameter count under p.spec.
     """
     if p.n > 4:
         raise ValueError("optimality sweep limited to n <= 4")
-    spec = spec if spec is not None else p.spec
-    incl = _including_classes(p, tol)
+    incl = _including_classes(p)
     inclusion = [c for c, ds in incl if not any(ds2 > ds for _, ds2 in incl)]
-    counts = {c: parameter_count(class_representative(c), spec) for c, _ in incl}
+    counts = {c: parameter_count(canonical_member(c), p.spec) for c, _ in incl}
     best = min(counts.values(), default=None)
     parameter = [c for c, d in counts.items() if d == best]
     return (
@@ -291,14 +276,14 @@ def optimal_classes(p: JointTable, spec=None, tol=CI_TOL) -> tuple:
     )
 
 
-def inclusion_optimal_classes(p: JointTable, tol=CI_TOL) -> tuple:
+def inclusion_optimal_classes(p: JointTable) -> tuple:
     """Classes that include p with no strictly-included class also including it."""
-    return optimal_classes(p, tol=tol)[0]
+    return optimal_classes(p)[0]
 
 
-def parameter_optimal_classes(p: JointTable, spec=None, tol=CI_TOL) -> tuple:
+def parameter_optimal_classes(p: JointTable) -> tuple:
     """Including classes of minimal parameter count."""
-    return optimal_classes(p, spec, tol)[1]
+    return optimal_classes(p)[1]
 
 
 def transformation_sequence(g: Dag, h: Dag) -> list:

@@ -3,8 +3,9 @@
 BDeu and BIC local scores computed from contingency counts, plus a
 deterministic "oracle" criterion that scores a structure directly against
 an exact joint distribution (the large-sample limit of the penalized
-likelihood). All criteria decompose per node, so totals are assembled from
-cached local terms.
+likelihood). All criteria decompose per node, so totals are sums of
+memoized local terms, and the criteria are score equivalent, so a class is
+scored through one member DAG.
 
 Parent-configuration indexing is mixed-radix over the parent list sorted
 ascending, lowest index most significant. Every consumer of conditional
@@ -23,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Dag, VariableSpec
+from .graphs import Cpdag, Dag, VariableSpec, canonical_member
 
 CRITERIA = ("bdeu", "bic", "oracle")
 
@@ -32,14 +33,12 @@ CRITERIA = ("bdeu", "bic", "oracle")
 class ScoreConfig:
     """Which criterion to use and its knobs.
 
-    ess is the BDeu equivalent sample size; structure_prior is a constant
-    added to every total (it cancels in comparisons); oracle_pseudo_m is
-    the effective sample size of the oracle criterion.
+    ess is the BDeu equivalent sample size; oracle_pseudo_m is the
+    effective sample size of the oracle criterion.
     """
 
     criterion: str = "bdeu"
     ess: float = 10.0
-    structure_prior: float = 0.0
     oracle_pseudo_m: float = 1e6
 
     def __post_init__(self):
@@ -102,28 +101,6 @@ class CategoricalDataset:
         return np.array(np.unravel_index(code, cards), dtype=np.int64).T, counts
 
 
-@dataclass(frozen=True)
-class SufficientStats:
-    """Contingency counts for one child given an ordered parent set.
-
-    counts has shape (q, r): q parent configurations by r child states.
-    """
-
-    child: int
-    parents: tuple
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "parents", tuple(self.parents))
-
-    @property
-    def m(self) -> int:
-        return int(self.counts.sum())
-
-
 def config_indices(records, parents, cards) -> np.ndarray:
     """Mixed-radix configuration index of each record's parent values."""
     m = records.shape[0]
@@ -133,8 +110,9 @@ def config_indices(records, parents, cards) -> np.ndarray:
     return idx
 
 
-def tally(data: CategoricalDataset, child, parents) -> SufficientStats:
-    """Exact contingency counts of the child against its parent set."""
+def tally(data: CategoricalDataset, child, parents) -> np.ndarray:
+    """Exact contingency counts of the child against its parent set: an
+    int64 array of q parent configurations by r child states."""
     parents = tuple(sorted(int(p) for p in parents))
     cards = data.spec.cards
     for v in (child, *parents):
@@ -148,7 +126,7 @@ def tally(data: CategoricalDataset, child, parents) -> SufficientStats:
     j = config_indices(configs, parents, cards)
     # float64 weights sum exactly while every count stays below 2**53
     counts = np.bincount(j * r + configs[:, child], weights=weights, minlength=q * r)
-    return SufficientStats(int(child), parents, counts.astype(np.int64).reshape(q, r))
+    return counts.astype(np.int64).reshape(q, r)
 
 
 def _lgamma(x) -> np.ndarray:
@@ -156,16 +134,17 @@ def _lgamma(x) -> np.ndarray:
     return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def bdeu_local(stats: SufficientStats, ess=10.0) -> float:
-    """Log marginal likelihood of one node under the uniform-BDeu prior."""
+def bdeu_local(counts: np.ndarray, ess=10.0) -> float:
+    """Log marginal likelihood of one node's (q, r) counts under the
+    uniform-BDeu prior."""
     if ess <= 0:
         raise ValueError("ess must be positive")
-    q, r = stats.counts.shape
+    q, r = counts.shape
     a_row = ess / q
     a_cell = ess / (q * r)
-    n_row = stats.counts.sum(axis=1)
+    n_row = counts.sum(axis=1)
     val = (math.lgamma(a_row) - _lgamma(a_row + n_row)).sum()
-    val += (_lgamma(a_cell + stats.counts) - math.lgamma(a_cell)).sum()
+    val += (_lgamma(a_cell + counts) - math.lgamma(a_cell)).sum()
     return float(val)
 
 
@@ -179,11 +158,12 @@ def _penalized_loglik(table, weight, size) -> float:
     return weight * ll - 0.5 * q * (r - 1) * math.log(size)
 
 
-def bic_local(stats: SufficientStats, m) -> float:
-    """Maximized log likelihood minus (q * (r-1) / 2) * log m for one node."""
+def bic_local(counts: np.ndarray, m) -> float:
+    """Maximized log likelihood of one node's (q, r) counts minus
+    (q * (r-1) / 2) * log m."""
     if m < 1:
         raise ValueError("bic requires at least one record")
-    return _penalized_loglik(stats.counts, 1, m)
+    return _penalized_loglik(counts, 1, m)
 
 
 def oracle_local(joint, child, parents, pseudo_m) -> float:
@@ -203,50 +183,37 @@ def oracle_local(joint, child, parents, pseudo_m) -> float:
     return _penalized_loglik(pjk, pseudo_m, pseudo_m)
 
 
-class LocalScoreCache:
-    """Map from (child, parent set) to local score.
+class DecomposableScorer:
+    """DAG and class scores from one local-score function.
 
-    Insert-if-absent semantics: concurrent duplicate computation is
-    harmless, inconsistent values are not (first write wins).
+    Each local score is computed once and kept in locals, keyed by
+    (child, sorted parents); each class score is kept too.
     """
 
-    def __init__(self):
-        self._store = {}
-
-    def local(self, child, parents, compute) -> float:
-        key = (child, tuple(parents))
-        val = self._store.get(key)
-        if val is None:
-            val = self._store.setdefault(key, compute())
-        return val
-
-    def __len__(self):
-        return len(self._store)
-
-    def items(self):
-        return self._store.items()
-
-
-class DecomposableScorer:
-    """Total-score evaluator backed by a local-score cache."""
-
-    def __init__(self, local_fn, structure_prior=0.0, cache=None):
+    def __init__(self, local_fn):
         self._local_fn = local_fn
-        self.structure_prior = structure_prior
-        self.cache = cache if cache is not None else LocalScoreCache()
+        self.locals = {}
+        self._classes = {}
 
     def local(self, child, parents) -> float:
-        parents = tuple(sorted(parents))
-        return self.cache.local(
-            child, parents, lambda: self._local_fn(child, parents)
-        )
+        key = (child, tuple(sorted(parents)))
+        if key not in self.locals:
+            self.locals[key] = self._local_fn(*key)
+        return self.locals[key]
 
     def score_dag(self, g: Dag) -> float:
-        total = sum(self.local(i, g.parents(i)) for i in range(g.n))
-        return total + self.structure_prior
+        return sum((self.local(i, g.parents(i)) for i in range(g.n)), 0.0)
+
+    def score_class(self, c: Cpdag) -> float:
+        """The score of c's canonical member. The criteria are score
+        equivalent, so the choice of member only pins floating-point
+        determinism."""
+        if c not in self._classes:
+            self._classes[c] = self.score_dag(canonical_member(c))
+        return self._classes[c]
 
 
-def make_scorer(cfg: ScoreConfig, data=None, joint=None, cache=None):
+def make_scorer(cfg: ScoreConfig, data=None, joint=None) -> DecomposableScorer:
     """A DecomposableScorer for cfg's criterion: oracle scores an exact
     joint table, bdeu and bic a dataset; exactly one of them is given."""
     if (data is None) == (joint is None):
@@ -262,19 +229,19 @@ def make_scorer(cfg: ScoreConfig, data=None, joint=None, cache=None):
         local = lambda child, parents: oracle_local(
             joint, child, parents, cfg.oracle_pseudo_m
         )
-    return DecomposableScorer(local, cfg.structure_prior, cache)
+    return DecomposableScorer(local)
 
 
-def score(g: Dag, data: CategoricalDataset, cfg=None, cache=None) -> float:
+def score(g: Dag, data: CategoricalDataset, cfg=None) -> float:
     """Total decomposable score of a DAG on a dataset (bdeu or bic)."""
     cfg = cfg if cfg is not None else ScoreConfig()
-    return make_scorer(cfg, data=data, cache=cache).score_dag(g)
+    return make_scorer(cfg, data=data).score_dag(g)
 
 
-def oracle_score(g: Dag, joint, pseudo_m=1e6, cache=None) -> float:
+def oracle_score(g: Dag, joint, pseudo_m=1e6) -> float:
     """Deterministic large-sample score of a DAG against an exact joint."""
     cfg = ScoreConfig(criterion="oracle", oracle_pseudo_m=pseudo_m)
-    return make_scorer(cfg, joint=joint, cache=cache).score_dag(g)
+    return make_scorer(cfg, joint=joint).score_dag(g)
 
 
 # ---------------------------------------------------------------------------

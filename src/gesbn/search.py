@@ -5,9 +5,10 @@ the Insert(X, Y, T) and Delete(X, Y, H) operators of Chickering (2002),
 "Optimal Structure Identification With Greedy Search". Their validity
 tests read the completed pattern only, and each move changes one node's
 parent set, so it is scored by a one-node local-score delta; only the
-best-scoring moves are turned into classes and scored in full. The
-brute-force neighbour maps, which enumerate every member DAG, stay as
-test oracles.
+best-scoring moves are turned into classes and scored in full. One
+scoring.DecomposableScorer per run serves both, and memoizes every local
+and class score. The brute-force neighbour maps, which enumerate every
+member DAG, stay as test oracles.
 
 Moves require strict score improvement, ties among float-equal best
 improving neighbors are broken by canonical encoding, and the full trace
@@ -25,7 +26,6 @@ from .graphs import (
     Cpdag,
     GraphError,
     canonical_key,
-    canonical_member,
     complete_cpdag,
     consistent_extensions,
     dag_to_cpdag,
@@ -292,7 +292,7 @@ PHASES = {
 ALGORITHMS = tuple(PHASES)
 
 
-def operator_neighbors(phase, scorer, class_scorer):
+def operator_neighbors(phase, scorer):
     """A neighbour map for greedy_phase that scores moves by local deltas.
 
     Each move of the phase is scored as cur + local(y, new) - local(y,
@@ -306,7 +306,7 @@ def operator_neighbors(phase, scorer, class_scorer):
     moves_fns = PHASE_MOVES[phase]
 
     def neighbors(c: Cpdag) -> tuple:
-        cur = class_scorer(c)
+        cur = scorer.score_class(c)
         tol = 1e-9 * (1 + abs(cur))
         scored = [
             (cur + scorer.local(m.y, m.new) - scorer.local(m.y, m.old), m)
@@ -366,32 +366,6 @@ def greedy_phase(start: Cpdag, neighbors_fn, class_scorer, phase="forward", max_
     return cur, trace
 
 
-def make_class_scorer(score_cfg: ScoreConfig, data=None, joint=None):
-    """Build a Cpdag -> score callable from a dataset or an exact joint.
-
-    Every class is scored through its canonical member DAG; the criteria
-    in use are score equivalent, so the choice of member only pins
-    floating-point determinism.
-    """
-    _, class_scorer, n = _scorers(score_cfg, data, joint)
-    return class_scorer, n
-
-
-def _scorers(score_cfg, data, joint):
-    """(DecomposableScorer, class scorer over it, n); the class scorer
-    remembers the score of each class it has scored."""
-    scorer = make_scorer(score_cfg, data, joint)
-    n = (data if joint is None else joint).spec.n
-    scores = {}
-
-    def class_scorer(c: Cpdag) -> float:
-        if c not in scores:
-            scores[c] = scorer.score_dag(canonical_member(c))
-        return scores[c]
-
-    return scorer, class_scorer, n
-
-
 def _start_class(start, algorithm, n) -> Cpdag:
     if start is None:
         start = "complete" if algorithm == "bes" else "empty"
@@ -409,13 +383,14 @@ def run_search(cfg: SearchConfig, data=None, joint=None):
 
     The trace joins the phases' traces under one start line.
     """
-    scorer, class_scorer, n = _scorers(cfg.score, data, joint)
+    scorer = make_scorer(cfg.score, data, joint)
+    n = (data if joint is None else joint).spec.n
     cur = _start_class(cfg.start, cfg.algorithm, n)
     trace = SearchTrace()
     for phase in PHASES[cfg.algorithm]:
-        neighbors_fn = operator_neighbors(phase, scorer, class_scorer)
         cur, part = greedy_phase(
-            cur, neighbors_fn, class_scorer, phase, cfg.max_steps or None
+            cur, operator_neighbors(phase, scorer), scorer.score_class, phase,
+            cfg.max_steps or None,
         )
         trace.steps += part.steps[1:] if trace.steps else part.steps
         trace.truncated = trace.truncated or part.truncated

@@ -163,12 +163,12 @@ class TestObservedSample:
             base = tally(data, child, tuple(others))
             ext = tally(data, child, tuple(sorted((*others, 2))))
             ll = lambda s: np.where(
-                s.counts > 0,
-                s.counts * (np.log(s.counts) - np.log(s.counts.sum(1, keepdims=True))),
+                s > 0,
+                s * (np.log(s) - np.log(s.sum(1, keepdims=True))),
                 0.0,
             ).sum()
-            df_base = base.counts.shape[0] * (base.counts.shape[1] - 1)
-            df_ext = ext.counts.shape[0] * (ext.counts.shape[1] - 1)
+            df_base = base.shape[0] * (base.shape[1] - 1)
+            df_ext = ext.shape[0] * (ext.shape[1] - 1)
             return 2 * (ll(ext) - ll(base)), df_ext - df_base
 
         g_good, df_good = g_stat(0, (1, 3))

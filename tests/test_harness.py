@@ -12,7 +12,7 @@ import pytest
 
 import gesbn.harness as harness
 from gesbn.cli import main
-from gesbn.datagen import load_model
+from gesbn.datagen import load_model, save_model
 from gesbn.graphs import cpdag_from_text, empty_cpdag
 from gesbn.harness import (
     DESK_SIZES,
@@ -296,15 +296,18 @@ class TestCli:
         assert (outs["default"] / "class.txt").read_text().count("\n") > 1
         assert (outs["default"] / "trace.log").read_text().count("\n") > 1
 
-    def test_learn_joint_needs_oracle_score(self, tmp_path):
+    def test_learn_joint_needs_oracle_score(self, tmp_path, capsys):
         gen = tmp_path / "gen"
         main(["generate", "--gold", "w", "--m", "10", "--seed", "3", "--out", str(gen)])
-        with pytest.raises(SystemExit, match="--joint is scored only with --score oracle"):
+        with pytest.raises(SystemExit) as exc:
             main([
                 "learn", "--data", str(gen / "data.csv"),
                 "--schema", str(gen / "data.schema.json"),
                 "--joint", str(gen / "model.json"), "--out", str(tmp_path / "out"),
             ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == "gesbn learn: error: --joint is scored only with --score oracle\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv,message", [
@@ -435,6 +438,50 @@ class TestGoldenLearnOutputs:
         assert got == GOLDEN_LEARN_SHA256[n, algorithm]
 
 
+# sha256 of the stdout of `gesbn oracle --model` and of `gesbn score` (bdeu and
+# bic) on the model and dataset that `gesbn generate --m 2000 --seed 3` writes
+# for each gold standard; score reads one fixed class. Recorded before the
+# class scorer moved into scoring.DecomposableScorer.
+GOLDEN_CLASS = "X1 -- X2\nX2 -> X3\nX4 -> X3\n"
+GOLDEN_STDOUT_SHA256 = {
+    ("cycle4", "bdeu"): "089c542eeaf88c44a4e18bf3edee9d6f6074f79c235140b947f36b1e98d3eaee",
+    ("cycle4", "bic"): "349d6e863d3c64bc384573232b9b3e4d9c4a2792952de8e109e2183f9d099dc1",
+    ("cycle4", "oracle"): "67691e4b37adac6d48aee1edbd4a51d208dc61093737289bc8ec4e8457a12e4c",
+    ("w", "bdeu"): "37e9a555428a4813763e19e1132869fc4c6b82f2b65cc6f997297b965f842015",
+    ("w", "bic"): "0ea05d62df860ae3cb7450e5d668067f8cdc455bffb1156285b3352a3f3b7905",
+    ("w", "oracle"): "38dfee5060fd08e93f3e9ef70c1ca01678bab18437fac96db6d9501e0c04f2a4",
+}
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """gold flag -> directory with model.json, data.csv, its schema and class.txt."""
+    out = {}
+    for gold in ("cycle4", "w"):
+        gen = tmp_path_factory.mktemp(gold)
+        main(["generate", "--gold", gold, "--m", "2000", "--seed", "3", "--out", str(gen)])
+        (gen / "class.txt").write_text(GOLDEN_CLASS)
+        out[gold] = gen
+    return out
+
+
+class TestGoldenCliOutputs:
+    @pytest.mark.parametrize("gold,command", sorted(GOLDEN_STDOUT_SHA256))
+    def test_stdout_bytes(self, generated, capsys, gold, command):
+        gen = generated[gold]
+        if command == "oracle":
+            argv = ["oracle", "--model", str(gen / "model.json"),
+                    "--ci", "X1,X3|X2", "--ci", "X1,X4"]
+        else:
+            argv = ["score", "--data", str(gen / "data.csv"),
+                    "--schema", str(gen / "data.schema.json"),
+                    "--score", command, "--graph", str(gen / "class.txt")]
+        capsys.readouterr()
+        assert main(argv) == 0
+        got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == GOLDEN_STDOUT_SHA256[gold, command]
+
+
 class TestCliRejectsBadValues:
     @pytest.mark.parametrize("argv,message", [
         (["generate", "--gold", "w", "--m", "10", "--ess", "0", "--out", "gen"],
@@ -512,6 +559,43 @@ class TestCliRejectsBadData:
         assert err.startswith(f"gesbn {command}: error: d.csv: ")
         assert message in err
         assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("argv,message", [
+        (["score", "--data", "d.csv", "--schema", "s.json", "--graph", "missing.txt"],
+         "missing.txt: No such file or directory"),
+        (["score", "--data", "d.csv", "--schema", "s.json", "--graph", "unknown.txt"],
+         "unknown.txt: unknown variable 'Q'"),
+        (["learn", "--data", "d.csv", "--schema", "s.json", "--start", "missing.txt",
+          "--out", "out"],
+         "missing.txt: No such file or directory"),
+        (["learn", "--score", "oracle", "--joint", "missing.json", "--out", "out"],
+         "missing.json: No such file or directory"),
+        (["learn", "--score", "oracle", "--out", "out"],
+         "--score oracle requires --joint <model file>"),
+        (["learn", "--out", "out"], "--data is required unless --score oracle is used"),
+        (["oracle", "--model", "missing.json"], "missing.json: No such file or directory"),
+        (["oracle", "--model", "five.json"], "optimality sweep limited to n <= 4"),
+    ], ids=[
+        "score-graph-missing", "score-graph-unknown-variable", "learn-start-missing",
+        "learn-joint-missing", "learn-oracle-without-joint", "learn-without-data",
+        "oracle-model-missing", "oracle-five-observables",
+    ])
+    def test_other_inputs_exit_with_one_line(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.json").write_text(self.SCHEMA)
+        (tmp_path / "d.csv").write_text("X1,X2\n0,1\n1,2\n")
+        (tmp_path / "unknown.txt").write_text("X1 -- Q\n")
+        spec = VariableSpec(tuple(f"V{i}" for i in range(5)), (2,) * 5)
+        five = GoldStandard(Dag(5), spec, observed=tuple(range(5))).with_parameters()
+        save_model(five, tmp_path / "five.json")
+        before = sorted(os.listdir(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"gesbn {argv[0]}: error: {message}\n"
         assert sorted(os.listdir(tmp_path)) == before
 
     def test_missing_schema_names_the_schema(self, tmp_path, capsys):

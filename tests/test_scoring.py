@@ -1,20 +1,20 @@
 """Scoring criteria: contingency tallies, BDeu/BIC locals, decomposable
-totals, the exact-joint oracle criterion, and the local-score cache."""
+totals, the exact-joint oracle criterion, and the scorer's memos."""
 
 import math
 
 import numpy as np
 import pytest
 
-from gesbn.graphs import Dag, VariableSpec
+from gesbn.graphs import Cpdag, Dag, VariableSpec, canonical_member
 from gesbn.scoring import (
     CategoricalDataset,
-    LocalScoreCache,
     ScoreConfig,
     bdeu_local,
     bic_local,
     load_dataset,
     load_schema,
+    make_scorer,
     oracle_score,
     save_dataset,
     save_schema,
@@ -30,24 +30,22 @@ YX_DATA = CategoricalDataset(YX, [(0, 0), (0, 1), (1, 1), (1, 1)])
 
 class TestTally:
     def test_child_with_parent(self):
-        stats = tally(YX_DATA, 1, (0,))
-        assert stats.counts.tolist() == [[1, 1], [0, 2]]
+        assert tally(YX_DATA, 1, (0,)).tolist() == [[1, 1], [0, 2]]
 
     def test_child_without_parents(self):
-        stats = tally(YX_DATA, 1, ())
-        assert stats.counts.tolist() == [[1, 3]]
+        assert tally(YX_DATA, 1, ()).tolist() == [[1, 3]]
 
     def test_empty_dataset(self):
         empty = CategoricalDataset(YX, np.zeros((0, 2), int))
-        assert tally(empty, 1, (0,)).counts.tolist() == [[0, 0], [0, 0]]
+        assert tally(empty, 1, (0,)).tolist() == [[0, 0], [0, 0]]
 
     def test_mixed_radix_order(self):
         # lowest-indexed parent most significant
         spec = VariableSpec(("a", "b", "c"), (2, 3, 2))
         data = CategoricalDataset(spec, [(1, 2, 0)])
-        stats = tally(data, 2, (0, 1))
-        assert stats.counts.shape == (6, 2)
-        assert stats.counts[1 * 3 + 2, 0] == 1
+        counts = tally(data, 2, (0, 1))
+        assert counts.shape == (6, 2)
+        assert counts[1 * 3 + 2, 0] == 1
 
     def test_out_of_range_variable(self):
         with pytest.raises(ValueError):
@@ -129,26 +127,25 @@ class TestTotalScore:
             data = random_dataset(rng)
             assert score(chain, data) == pytest.approx(score(rev, data), abs=1e-9)
 
-    def test_structure_prior_is_additive_constant(self):
-        cfg = ScoreConfig(structure_prior=-3.5)
-        assert score(Dag(2), YX_DATA, cfg) == pytest.approx(
-            score(Dag(2), YX_DATA) - 3.5, abs=1e-12
-        )
-
     def test_cache_coherence_warm_equals_cold(self):
         g = Dag(2, {(0, 1)})
-        cfg = ScoreConfig()
-        cold = score(g, YX_DATA, cfg, cache=LocalScoreCache())
-        cache = LocalScoreCache()
-        score(Dag(2), YX_DATA, cfg, cache=cache)
-        warm = score(g, YX_DATA, cfg, cache=cache)
+        cold = make_scorer(ScoreConfig(), data=YX_DATA).score_dag(g)
+        scorer = make_scorer(ScoreConfig(), data=YX_DATA)
+        scorer.score_dag(Dag(2))
+        warm = scorer.score_dag(g)
         assert warm == cold  # bit for bit
 
     def test_cache_contains_evaluated_pairs(self):
-        cache = LocalScoreCache()
-        score(Dag(2, {(0, 1)}), YX_DATA, ScoreConfig(), cache=cache)
-        keys = {k for k, _ in cache.items()}
-        assert keys == {(0, ()), (1, (0,))}
+        scorer = make_scorer(ScoreConfig(), data=YX_DATA)
+        scorer.score_dag(Dag(2, {(0, 1)}))
+        assert set(scorer.locals) == {(0, ()), (1, (0,))}
+
+    def test_class_score_is_canonical_member_score(self):
+        c = Cpdag(2, undirected={(0, 1)})
+        scorer = make_scorer(ScoreConfig(), data=YX_DATA)
+        first = scorer.score_class(c)
+        assert first == score(canonical_member(c), YX_DATA)  # bit for bit
+        assert scorer.score_class(c) is first
 
 
 class TestOracleScore:

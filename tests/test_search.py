@@ -20,7 +20,7 @@ from gesbn.oracle import (
     inclusion_optimal_classes,
     observed_margin,
 )
-from gesbn.scoring import CategoricalDataset, ScoreConfig
+from gesbn.scoring import CategoricalDataset, ScoreConfig, make_scorer
 from gesbn.search import (
     SearchConfig,
     backward_neighbors,
@@ -29,7 +29,6 @@ from gesbn.search import (
     forward_neighbors,
     ges,
     greedy_phase,
-    make_class_scorer,
     run_search,
     uges,
 )
@@ -175,10 +174,10 @@ class TestUges:
     def test_ges_output_is_uges_local_maximum(self):
         margin = observed_margin(gold_w().with_parameters(seed=51))
         out, _ = ges(joint=margin, cfg=ORACLE_CFG)
-        class_scorer, _ = make_class_scorer(ORACLE_CFG.score, joint=margin)
-        final = class_scorer(out)
+        scorer = make_scorer(ORACLE_CFG.score, joint=margin)
+        final = scorer.score_class(out)
         neighbors = set(forward_neighbors(out)) | set(backward_neighbors(out))
-        assert all(class_scorer(c) <= final for c in neighbors)
+        assert all(scorer.score_class(c) <= final for c in neighbors)
         again, _ = uges(joint=margin, cfg=ORACLE_CFG, start=out)
         assert again == out
 
@@ -265,16 +264,16 @@ class TestRunSearch:
 
     def test_requires_exactly_one_input(self):
         with pytest.raises(ValueError):
-            make_class_scorer(ScoreConfig())
+            make_scorer(ScoreConfig())
         margin = observed_margin(gold_w().with_parameters(seed=73))
         data = CategoricalDataset(margin.spec, np.zeros((0, 4), int))
         with pytest.raises(ValueError):
-            make_class_scorer(ScoreConfig(), data=data, joint=margin)
+            make_scorer(ScoreConfig(), data=data, joint=margin)
 
     def test_oracle_criterion_needs_joint(self):
         data = CategoricalDataset(VariableSpec(("a",), (2,)), [[0]])
         with pytest.raises(ValueError):
-            make_class_scorer(ScoreConfig(criterion="oracle"), data=data)
+            make_scorer(ScoreConfig(criterion="oracle"), data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +289,15 @@ from gesbn.scoring import (
     DecomposableScorer,
     bdeu_local,
     bic_local,
-    make_scorer,
     oracle_local,
     tally,
 )
 from gesbn.search import SearchTrace, _both_neighbors
 
 
-def ref_bic_local(stats, m):
+def ref_bic_local(counts, m):
     if m < 1:
         raise ValueError("bic requires at least one record")
-    counts = stats.counts
     n_row = counts.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = counts * (np.log(counts) - np.log(n_row))
@@ -345,7 +342,7 @@ def ref_make_class_scorer(score_cfg=None, data=None, joint=None):
                 tally(data, child, parents), data.m
             )
         n = data.spec.n
-    scorer = DecomposableScorer(local, score_cfg.structure_prior)
+    scorer = DecomposableScorer(local)
     return lambda c: scorer.score_dag(consistent_extensions(c)[0]), n
 
 
@@ -500,8 +497,8 @@ class TestKernelMatchesReference:
     def test_bic_local_bit_identical(self, search_inputs, gold):
         data, _ = search_inputs[gold]["bic"]
         for child, parents in _all_families(4):
-            stats = tally(data, child, parents)
-            assert bic_local(stats, data.m) == ref_bic_local(stats, data.m)
+            counts = tally(data, child, parents)
+            assert bic_local(counts, data.m) == ref_bic_local(counts, data.m)
 
 
 class TestMakeScorerChecks:
