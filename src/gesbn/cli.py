@@ -167,16 +167,26 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _parse_ci_flag(text, spec):
+def _parse_ci_flag(args, text, spec):
+    """A --ci 'X,Y|Z1,Z2' query as (x, y, z); a malformed one exits 2."""
     lhs, _, zpart = text.partition("|")
-    xname, yname = (s.strip() for s in lhs.split(","))
-    z = [spec.index(s.strip()) for s in zpart.split(",") if s.strip()]
-    return spec.index(xname), spec.index(yname), frozenset(z)
+    try:
+        names = [s.strip() for s in lhs.split(",")]
+        if len(names) != 2:
+            raise ValueError("expected 'X,Y' or 'X,Y|Z1,Z2'")
+        x, y = (spec.index(s) for s in names)
+        z = frozenset(spec.index(s.strip()) for s in zpart.split(",") if s.strip())
+        if x == y or {x, y} & z:
+            raise ValueError("x, y, z must be pairwise disjoint")
+    except (ValueError, KeyError) as exc:
+        _fail(args, f"--ci {text!r}: {exc.args[0]}")
+    return x, y, z
 
 
 def cmd_oracle(args) -> int:
     margin = observed_margin(_read(args, args.model, load_model))
     spec = margin.spec
+    queries = [(ci, _parse_ci_flag(args, ci, spec)) for ci in args.ci or ()]
     try:
         optimal, popt = optimal_classes(margin)
     except ValueError as exc:  # more observables than the sweep allows
@@ -194,8 +204,7 @@ def cmd_oracle(args) -> int:
         cx = comp.counterexample
         names = lambda vs: "{" + ",".join(spec.names[v] for v in sorted(vs)) + "}"
         print(f"  counterexample: {names(cx.x)} dep {names(cx.y)} | {names(cx.z)}")
-    for ci in args.ci or ():
-        x, y, z = _parse_ci_flag(ci, spec)
+    for ci, (x, y, z) in queries:
         verdict = "independent" if ci_holds(margin, x, y, z) else "dependent"
         print(f"ci {ci}: {verdict}")
     return 0

@@ -150,7 +150,8 @@ def sample_parameters(structure: Dag, spec: VariableSpec, ess=10.0, seed=0) -> P
     """Draw every CPT row from a Dirichlet with a shifted basis mean.
 
     Row j (1-based) of node i uses mean shifted_mean(basis_mean(r_i), j)
-    and concentration ess; rows are built from per-component Gamma draws.
+    and concentration ess; rows are built from per-component Gamma draws,
+    one call per node over its (q, r) alpha matrix, drawn row by row.
     Deterministic given (structure, spec, ess, seed).
     """
     if ess <= 0:
@@ -160,13 +161,10 @@ def sample_parameters(structure: Dag, spec: VariableSpec, ess=10.0, seed=0) -> P
     for i in range(spec.n):
         r = spec.cards[i]
         q = spec.config_count(structure.parents(i))
-        base = basis_mean(r)
-        rows = np.empty((q, r))
-        for cfg in range(q):
-            alpha = ess * shifted_mean(base, cfg + 1)
-            draw = rng.standard_gamma(alpha)
-            rows[cfg] = draw / draw.sum()
-        cpts.append(rows)
+        # entry k of shifted_mean(base, j) is base[(k - j) % r]
+        shift = (np.arange(r) - np.arange(1, q + 1)[:, None]) % r
+        draws = rng.standard_gamma(ess * basis_mean(r)[shift])
+        cpts.append(draws / draws.sum(axis=1, keepdims=True))
     return ParametricBn(structure, spec, cpts)
 
 

@@ -19,6 +19,7 @@ import io
 import os
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .datagen import GOLD_STANDARDS, RngSeed, observed_sample, save_model
 from .graphs import Cpdag, cpdag_from_text, encode_edges
@@ -82,8 +83,10 @@ def replicate_seed(base_seed, m, replicate) -> int:
     return (int.from_bytes(digest[:8], "big") ^ base_seed) & _MASK64
 
 
+@lru_cache(maxsize=None)
 def compact_class(c: Cpdag, spec) -> str:
-    """Single-line canonical class encoding for CSV cells."""
+    """Single-line canonical class encoding for CSV cells; memoized, so
+    the rows of equal classes share one string."""
     return ";".join(encode_edges(c, spec).split("\n")).strip(";")
 
 

@@ -142,6 +142,29 @@ def _as_set(v) -> frozenset:
     return frozenset(int(i) for i in v)
 
 
+def _subset_masks(x, y, z) -> tuple:
+    """Bitmasks of the variable subsets x|y|z, z, x|z and y|z."""
+    xm, ym, zm = (sum(1 << v for v in vs) for vs in (x, y, z))
+    return xm | ym | zm, zm, xm | zm, ym | zm
+
+
+def _marginals(p: JointTable, subsets) -> np.ndarray:
+    """One row per variable subset (a bitmask): its marginal, broadcast
+    over every joint cell."""
+    out = np.empty((len(subsets), *p.probs.shape))
+    for row, s in zip(out, subsets):
+        drop = tuple(v for v in range(p.n) if not s >> v & 1)
+        row[...] = p.probs.sum(axis=drop, keepdims=True)
+    return out.reshape(len(subsets), -1)
+
+
+def _independent(pxyz, pz, pxz, pyz):
+    """max |p(xyz) p(z) - p(xz) p(yz)| / p(z)^2 <= CI_TOL along the last
+    axis. Zero-probability z-configurations give 0 / 1, so are skipped."""
+    denom = np.where(pz > 0, pz, 1.0)
+    return (np.abs(pxyz * pz - pxz * pyz) / (denom * denom)).max(axis=-1) <= CI_TOL
+
+
 def ci_holds(p: JointTable, x, y, z=()) -> bool:
     """True iff max_z-config |p(x,y|z) - p(x|z) p(y|z)| <= CI_TOL.
 
@@ -152,30 +175,9 @@ def ci_holds(p: JointTable, x, y, z=()) -> bool:
         raise ValueError("x and y must be nonempty")
     if x & y or x & z or y & z:
         raise ValueError("x, y, z must be pairwise disjoint")
-    keep = sorted(x | y | z)
-    if keep and (keep[0] < 0 or keep[-1] >= p.n):
+    if min(x | y | z) < 0 or max(x | y | z) >= p.n:
         raise ValueError("variable index out of range")
-    drop = tuple(i for i in range(p.n) if i not in keep)
-    marg = p.probs.sum(axis=drop) if drop else p.probs
-    pos = {v: i for i, v in enumerate(keep)}
-    zax = [pos[v] for v in sorted(z)]
-    xax = [pos[v] for v in sorted(x)]
-    yax = [pos[v] for v in sorted(y)]
-    cards = p.spec.cards
-    nz = int(np.prod([cards[v] for v in sorted(z)])) if z else 1
-    nx = int(np.prod([cards[v] for v in sorted(x)]))
-    ny = int(np.prod([cards[v] for v in sorted(y)]))
-    tm = marg.transpose(zax + xax + yax).reshape(nz, nx, ny)
-    pz = tm.sum(axis=(1, 2))
-    mask = pz > 0
-    if not mask.any():
-        return True
-    tm, pz = tm[mask], pz[mask]
-    pxz = tm.sum(axis=2)
-    pyz = tm.sum(axis=1)
-    resid = tm * pz[:, None, None] - pxz[:, :, None] * pyz[:, None, :]
-    rel = np.abs(resid) / (pz ** 2)[:, None, None]
-    return bool(rel.max() <= CI_TOL)
+    return bool(_independent(*_marginals(p, _subset_masks(x, y, z))))
 
 
 def composition_holds(p: JointTable) -> CompositionResult:
@@ -233,10 +235,26 @@ def enumerate_classes(n) -> tuple:
     return tuple(sorted(seen, key=canonical_key))
 
 
+@lru_cache(maxsize=None)
+def _query_plan(n) -> tuple:
+    """pair_queries(n), and the _subset_masks of each query as the
+    columns of a (4, queries) index array."""
+    queries = tuple(pair_queries(n))
+    masks = [_subset_masks((x,), (y,), z) for x, y, z in queries]
+    return queries, np.array(masks, dtype=np.intp).reshape(-1, 4).T
+
+
 def ci_triple_set(p: JointTable) -> frozenset:
     """The pair_queries (x, y, z) that hold in p as conditional
-    independencies."""
-    return frozenset(t for t in pair_queries(p.n) if ci_holds(p, *t))
+    independencies. Each variable subset's marginal is computed once, and
+    the queries go in blocks of 2**n, so that no block holds more rows
+    than the marginal table."""
+    queries, plan = _query_plan(p.n)
+    table = _marginals(p, range(1 << p.n))
+    holds = []
+    for lo in range(0, len(queries), len(table)):
+        holds += _independent(*table[plan[:, lo:lo + len(table)]]).tolist()
+    return frozenset(t for t, ok in zip(queries, holds) if ok)
 
 
 def includes(g: Dag, p: JointTable) -> bool:
@@ -246,14 +264,20 @@ def includes(g: Dag, p: JointTable) -> bool:
     return all(ci_holds(p, *t) for t in dsep_triples(g))
 
 
-def _including_classes(p):
-    ci = ci_triple_set(p)
-    out = []
-    for c in enumerate_classes(p.n):
-        ds = dsep_triples(canonical_member(c))
-        if ds <= ci:
-            out.append((c, ds))
-    return out
+@lru_cache(maxsize=None)
+def _class_table(n) -> tuple:
+    """enumerate_classes(n), each class's d-separations as an int bitmask
+    over the pair_queries(n) index, and the bit of each query."""
+    bit = {t: 1 << k for k, t in enumerate(pair_queries(n))}
+    classes = enumerate_classes(n)
+    masks = tuple(sum(bit[t] for t in dsep_triples(canonical_member(c))) for c in classes)
+    return classes, masks, bit
+
+
+@lru_cache(maxsize=None)
+def _parameter_counts(spec: VariableSpec) -> tuple:
+    """parameter_count of each class of enumerate_classes(spec.n) under spec."""
+    return tuple(parameter_count(canonical_member(c), spec) for c in enumerate_classes(spec.n))
 
 
 def optimal_classes(p: JointTable) -> tuple:
@@ -261,19 +285,20 @@ def optimal_classes(p: JointTable) -> tuple:
 
     Inclusion-optimal: classes that include p with no strictly-included
     class also including it. Parameter-optimal: including classes of
-    minimal parameter count under p.spec.
+    minimal parameter count under p.spec. Both keep canonical_key order.
     """
     if p.n > 4:
         raise ValueError("optimality sweep limited to n <= 4")
-    incl = _including_classes(p)
-    inclusion = [c for c, ds in incl if not any(ds2 > ds for _, ds2 in incl)]
-    counts = {c: parameter_count(canonical_member(c), p.spec) for c, _ in incl}
-    best = min(counts.values(), default=None)
-    parameter = [c for c, d in counts.items() if d == best]
-    return (
-        tuple(sorted(inclusion, key=canonical_key)),
-        tuple(sorted(parameter, key=canonical_key)),
+    classes, masks, bit = _class_table(p.n)
+    ci = sum(bit[t] for t in ci_triple_set(p))
+    counts = _parameter_counts(p.spec)
+    incl = [k for k, m in enumerate(masks) if m & ~ci == 0]
+    inclusion = tuple(
+        classes[k] for k in incl
+        if not any(masks[j] != masks[k] and masks[j] & masks[k] == masks[k] for j in incl)
     )
+    best = min((counts[k] for k in incl), default=None)
+    return inclusion, tuple(classes[k] for k in incl if counts[k] == best)
 
 
 def inclusion_optimal_classes(p: JointTable) -> tuple:

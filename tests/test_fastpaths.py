@@ -8,11 +8,14 @@ that re-read all m records. The fast paths must reproduce their output
 exactly, because a seed's records are part of the contract (see
 gesbn.datagen). The BDeu kernel is checked against scipy's gammaln, which
 it replaced, within a relative 1e-12; the dataset loader against the
-csv-module loader it replaced, exactly.
+csv-module loader it replaced, exactly. The batched CI pass, the bitmask
+class table and the one-call parameter draw are checked against the
+per-query, per-class and per-row code they replaced, exactly.
 """
 
 import csv
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,13 +28,34 @@ from gesbn.datagen import (
     RngSeed,
     _ancestral,
     _rng,
+    basis_mean,
     forward_sample,
     gold_four_cycle,
     gold_w,
     observed_sample,
     sample_parameters,
+    shifted_mean,
 )
-from gesbn.graphs import Dag, VariableSpec, topological_order
+from gesbn.graphs import (
+    Dag,
+    VariableSpec,
+    canonical_key,
+    canonical_member,
+    dag_to_cpdag,
+    dsep_triples,
+    pair_queries,
+    parameter_count,
+    topological_order,
+)
+from gesbn.oracle import (
+    CI_TOL,
+    ci_holds,
+    ci_triple_set,
+    enumerate_classes,
+    joint_from_bn,
+    observed_margin,
+    optimal_classes,
+)
 from gesbn.scoring import (
     CategoricalDataset,
     ScoreConfig,
@@ -419,3 +443,234 @@ class TestLoaderMatchesReference:
         data = load_dataset(path, infer_cards=True)
         with pytest.raises(ValueError, match="at least one record"):
             score(Dag(2, set()), data, ScoreConfig(criterion="bic"))
+
+
+def ref_sample_parameters(structure, spec, ess=10.0, seed=0):
+    """The parameter draw before it took one Gamma call per node: one
+    np.roll and one call per CPT row."""
+    if ess <= 0:
+        raise ValueError("ess must be positive")
+    rng = _rng(seed)
+    cpts = []
+    for i in range(spec.n):
+        r = spec.cards[i]
+        q = spec.config_count(structure.parents(i))
+        base = basis_mean(r)
+        rows = np.empty((q, r))
+        for cfg in range(q):
+            alpha = ess * shifted_mean(base, cfg + 1)
+            draw = rng.standard_gamma(alpha)
+            rows[cfg] = draw / draw.sum()
+        cpts.append(rows)
+    return ParametricBn(structure, spec, cpts)
+
+
+def ref_ci_holds(p, x, y, z=()):
+    """The CI test before the shared subset-marginal kernel: one
+    transposed (z, x, y) marginal per query, zero-probability z rows
+    dropped."""
+    x, y, z = frozenset(x), frozenset(y), frozenset(z)
+    keep = sorted(x | y | z)
+    drop = tuple(i for i in range(p.n) if i not in keep)
+    marg = p.probs.sum(axis=drop) if drop else p.probs
+    pos = {v: i for i, v in enumerate(keep)}
+    zax = [pos[v] for v in sorted(z)]
+    xax = [pos[v] for v in sorted(x)]
+    yax = [pos[v] for v in sorted(y)]
+    cards = p.spec.cards
+    nz = int(np.prod([cards[v] for v in sorted(z)])) if z else 1
+    nx = int(np.prod([cards[v] for v in sorted(x)]))
+    ny = int(np.prod([cards[v] for v in sorted(y)]))
+    tm = marg.transpose(zax + xax + yax).reshape(nz, nx, ny)
+    pz = tm.sum(axis=(1, 2))
+    mask = pz > 0
+    if not mask.any():
+        return True
+    tm, pz = tm[mask], pz[mask]
+    pxz = tm.sum(axis=2)
+    pyz = tm.sum(axis=1)
+    resid = tm * pz[:, None, None] - pxz[:, :, None] * pyz[:, None, :]
+    rel = np.abs(resid) / (pz ** 2)[:, None, None]
+    return bool(rel.max() <= CI_TOL)
+
+
+def ref_ci_triple_set(p):
+    """The CI set before the batched pass: one CI test per query."""
+    return frozenset(t for t in pair_queries(p.n) if ref_ci_holds(p, (t[0],), (t[1],), t[2]))
+
+
+def ref_including_classes(p):
+    ci = ref_ci_triple_set(p)
+    out = []
+    for c in enumerate_classes(p.n):
+        ds = dsep_triples(canonical_member(c))
+        if ds <= ci:
+            out.append((c, ds))
+    return out
+
+
+def ref_optimal_classes(p):
+    """The optimality sweep before the bitmask class table: every class's
+    d-separation frozenset against the CI set, compared pairwise."""
+    if p.n > 4:
+        raise ValueError("optimality sweep limited to n <= 4")
+    incl = ref_including_classes(p)
+    inclusion = [c for c, ds in incl if not any(ds2 > ds for _, ds2 in incl)]
+    counts = {c: parameter_count(canonical_member(c), p.spec) for c, _ in incl}
+    best = min(counts.values(), default=None)
+    parameter = [c for c, d in counts.items() if d == best]
+    return (
+        tuple(sorted(inclusion, key=canonical_key)),
+        tuple(sorted(parameter, key=canonical_key)),
+    )
+
+
+PARAMETER_SEEDS = range(200)
+
+
+@pytest.fixture(scope="module")
+def gold_margins():
+    """Both golds' exact margins at 200 parameter seeds each."""
+    return [
+        observed_margin(make().with_parameters(ess=10.0, seed=RngSeed(seed, 0)))
+        for make in (gold_w, gold_four_cycle)
+        for seed in PARAMETER_SEEDS
+    ]
+
+
+def _random_network(rng, n, max_card=3):
+    order = rng.permutation(n)
+    edges = {
+        (int(order[i]), int(order[j]))
+        for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5
+    }
+    cards = tuple(int(c) for c in rng.integers(1, max_card + 1, size=n))
+    spec = VariableSpec(tuple(f"V{i}" for i in range(n)), cards)
+    g = Dag(n, edges)
+    return sample_parameters(g, spec, seed=int(rng.integers(2**32)))
+
+
+def _deterministic_rows(rng, bn, share=0.4):
+    """bn with a share of its CPT rows replaced by point masses, so some
+    configurations of the joint have probability zero."""
+    cpts = []
+    for table in bn.cpts:
+        table = table.copy()
+        for row in range(table.shape[0]):
+            if rng.random() < share:
+                table[row] = np.eye(table.shape[1])[rng.integers(table.shape[1])]
+        cpts.append(table)
+    return ParametricBn(bn.structure, bn.spec, cpts)
+
+
+def _subsets(items, low=0):
+    return [
+        c for k in range(low, len(items) + 1) for c in itertools.combinations(items, k)
+    ]
+
+
+def _random_joints(n, count, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        joint_from_bn(_deterministic_rows(rng, _random_network(rng, n)))
+        for _ in range(count)
+    ]
+
+
+class TestCiTripleSetMatchesReference:
+    def test_gold_margins(self, gold_margins):
+        for margin in gold_margins:
+            assert ci_triple_set(margin) == ref_ci_triple_set(margin)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_joints_with_zero_probability_configurations(self, n):
+        joints = _random_joints(n, 60, seed=n)
+        assert sum((p.probs == 0).any() for p in joints) >= 20
+        for p in joints:
+            assert ci_triple_set(p) == ref_ci_triple_set(p)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_set_queries_with_zero_probability_configurations(self, n):
+        # ci_holds on a y set, as composition_holds asks it, for every z
+        for p in _random_joints(n, 30, seed=300 + n):
+            for x in range(n):
+                rest = [v for v in range(n) if v != x]
+                for ys in _subsets(rest, low=1):
+                    for zs in _subsets([v for v in rest if v not in ys]):
+                        assert ci_holds(p, x, ys, zs) == ref_ci_holds(p, (x,), ys, zs)
+
+    def test_memory_stays_within_a_multiple_of_the_marginal_table(self):
+        # the marginal table holds one row of joint cells per variable
+        # subset; testing all 1792 queries at n = 8 in one block would
+        # need ~50 times as much
+        n = 8
+        spec = VariableSpec(tuple(f"V{i}" for i in range(n)), (2,) * n)
+        chain = Dag(n, {(i, i + 1) for i in range(n - 1)})
+        p = joint_from_bn(sample_parameters(chain, spec, seed=1))
+        want = ci_triple_set(p)  # memoizes the query plan outside the trace
+        tracemalloc.start()
+        try:
+            assert ci_triple_set(p) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * (2**n * p.probs.size * 8)
+
+
+class TestOptimalClassesMatchReference:
+    def test_gold_margins(self, gold_margins):
+        for margin in gold_margins:
+            assert optimal_classes(margin) == ref_optimal_classes(margin)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_all_observed_networks(self, n):
+        # a joint drawn on a DAG has that DAG as a perfect map, so its
+        # class is the one optimal class
+        rng = np.random.default_rng(100 + n)
+        for _ in range(40):
+            bn = _random_network(rng, n)
+            p = joint_from_bn(bn)
+            got = optimal_classes(p)
+            assert got == ref_optimal_classes(p)
+            if min(bn.spec.cards) > 1:
+                assert got == ((dag_to_cpdag(bn.structure),),) * 2
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_joints_with_zero_probability_configurations(self, n):
+        for p in _random_joints(n, 40, seed=200 + n):
+            assert optimal_classes(p) == ref_optimal_classes(p)
+
+
+def _parameter_cases():
+    w, cycle = gold_w(), gold_four_cycle()
+    ones = VariableSpec(("a", "b", "c", "d", "e"), (1, 3, 1, 2, 9))
+    return {
+        "w_structure": (w.structure, w.spec),
+        "four_cycle": (cycle.structure, cycle.spec),
+        "cards_one_and_nine": (Dag(5, {(0, 1), (1, 2), (2, 4), (3, 4), (0, 3)}), ones),
+        "chain": (Dag(3, {(0, 1), (1, 2), (0, 2)}), VariableSpec(("a", "b", "c"), (3, 2, 4))),
+    }
+
+
+PARAMETER_CASES = _parameter_cases()
+
+
+class TestSampleParametersMatchesReference:
+    @pytest.mark.parametrize("name", sorted(PARAMETER_CASES))
+    @pytest.mark.parametrize("ess", [0.5, 10.0])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, RngSeed(3, 0), RngSeed(3, 5)])
+    def test_int_and_rng_seed(self, name, ess, seed):
+        structure, spec = PARAMETER_CASES[name]
+        got = sample_parameters(structure, spec, ess, seed).cpts
+        want = ref_sample_parameters(structure, spec, ess, seed).cpts
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+    @pytest.mark.parametrize("name", sorted(PARAMETER_CASES))
+    @pytest.mark.parametrize("ess", [0.5, 10.0])
+    def test_generator_cpts_and_final_state(self, name, ess):
+        structure, spec = PARAMETER_CASES[name]
+        rng_new, rng_ref = RngSeed(11, 2).generator(), RngSeed(11, 2).generator()
+        got = sample_parameters(structure, spec, ess, rng_new).cpts
+        want = ref_sample_parameters(structure, spec, ess, rng_ref).cpts
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state

@@ -12,8 +12,8 @@ import pytest
 
 import gesbn.harness as harness
 from gesbn.cli import main
-from gesbn.datagen import load_model, save_model
-from gesbn.graphs import cpdag_from_text, empty_cpdag
+from gesbn.datagen import GOLD_STANDARDS, load_model, save_model
+from gesbn.graphs import cpdag_from_text, empty_cpdag, encode_edges
 from gesbn.harness import (
     DESK_SIZES,
     PAPER_SIZES,
@@ -27,7 +27,7 @@ from gesbn.harness import (
     run_experiment,
     summarize,
 )
-from gesbn.oracle import observed_margin
+from gesbn.oracle import enumerate_classes, observed_margin
 from gesbn.scoring import load_dataset
 
 TINY = ExperimentPlan(
@@ -598,6 +598,26 @@ class TestCliRejectsBadData:
         assert capsys.readouterr().err == f"gesbn {argv[0]}: error: {message}\n"
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("query,reason", [
+        ("X1,X1", "x, y, z must be pairwise disjoint"),
+        ("X1,X2|X1", "x, y, z must be pairwise disjoint"),
+        ("X1", "expected 'X,Y' or 'X,Y|Z1,Z2'"),
+        ("X1,X2,X3", "expected 'X,Y' or 'X,Y|Z1,Z2'"),
+        ("X1,Q9", "unknown variable 'Q9'"),
+        ("X1,X2|Q9", "unknown variable 'Q9'"),
+    ], ids=["x-equals-y", "x-in-z", "one-variable", "three-variables",
+            "unknown-y", "unknown-z"])
+    def test_oracle_bad_ci_exits_before_printing(self, tmp_path, capsys, query, reason):
+        main(["generate", "--gold", "w", "--m", "10", "--seed", "11", "--out", str(tmp_path)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--model", str(tmp_path / "model.json"),
+                  "--ci", "X1,X4", "--ci", query])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"gesbn oracle: error: --ci {query!r}: {reason}\n"
+
     def test_missing_schema_names_the_schema(self, tmp_path, capsys):
         (tmp_path / "d.csv").write_text("X1,X2\n0,1\n")
         with pytest.raises(SystemExit) as exc:
@@ -630,3 +650,29 @@ def test_cli_import_leaves_out_scipy_and_the_process_pool():
         check=True, timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_oracle_memos_empty():
+    # the class table costs ~70 ms to build; only a call that classifies
+    # should pay for it, not every CLI start
+    probe = (
+        "import gesbn.cli, gesbn.harness as h, gesbn.oracle as o; "
+        "print([f.cache_info().currsize for f in "
+        "(o._query_plan, o._class_table, o._parameter_counts, h.compact_class)])"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[0, 0, 0, 0]"
+
+
+@pytest.mark.parametrize("gold", ["w_structure", "four_cycle"])
+def test_compact_class_memo_equals_the_joined_encoding(gold):
+    spec = GOLD_STANDARDS[gold]().observed_spec
+    for c in enumerate_classes(4):
+        want = ";".join(encode_edges(c, spec).split("\n")).strip(";")
+        assert harness.compact_class(c, spec) == want
+        assert harness.compact_class(c, spec) is harness.compact_class(c, spec)
