@@ -73,8 +73,12 @@ def _sizes(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _make_dir(path):
+    os.makedirs(path, exist_ok=True)
+
+
 def cmd_generate(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    _checked(args, args.out, _make_dir)
     gold = GOLD_STANDARDS[GOLD_FLAGS[args.gold]]().with_parameters(
         ess=args.ess, seed=RngSeed(args.seed, 0)
     )
@@ -91,7 +95,7 @@ def _load_learn_inputs(args):
     if args.score == "oracle":
         if not args.joint:
             _fail(args, "--score oracle requires --joint <model file>")
-        margin = observed_margin(_read(args, args.joint, load_model))
+        margin = _checked(args, args.joint, _load_margin)
         return None, margin, margin.spec
     if args.joint:
         _fail(args, "--joint is scored only with --score oracle")
@@ -105,22 +109,29 @@ def _load_data_flag(args):
     """The --data dataset, checked for the --score criterion."""
     if args.schema is None and not args.infer_schema:
         _fail(args, "--schema or --infer-schema is required with --data")
-    data = _read(args, args.data, load_dataset, args.schema, args.infer_schema)
+    data = _checked(args, args.data, load_dataset, args.schema, args.infer_schema)
     if args.score == "bic" and data.m == 0:
         _fail(args, f"{args.data}: bic needs at least one record")
     return data
 
 
 def _load_class(path, spec):
+    """A class file, checked to encode a completed class."""
     with open(path) as fh:
-        return cpdag_from_text(fh.read(), spec)
+        c = cpdag_from_text(fh.read(), spec)
+    canonical_member(c)  # raises unless c is a completed class; memoized
+    return c
 
 
-def _read(args, path, load, *extra):
-    """load(path, *extra); a file that cannot be read or parsed exits 2
-    with one line that names it."""
+def _load_margin(path):
+    return observed_margin(load_model(path))
+
+
+def _checked(args, path, action, *extra):
+    """action(path, *extra); a path that cannot be read, parsed or written
+    exits 2 with one line that names it."""
     try:
-        return load(path, *extra)
+        return action(path, *extra)
     except OSError as exc:
         _fail(args, f"{exc.filename or path}: {exc.strerror or exc}")
     except (ValueError, KeyError) as exc:  # str(KeyError) would quote the message
@@ -137,7 +148,7 @@ def _resolve_start_flag(args, spec):
     """--start as a SearchConfig start: anything but a class file passes through."""
     if args.start in (None, "empty", "complete"):
         return args.start
-    return _read(args, args.start, _load_class, spec)
+    return _checked(args, args.start, _load_class, spec)
 
 
 def cmd_learn(args) -> int:
@@ -147,8 +158,8 @@ def cmd_learn(args) -> int:
         start=_resolve_start_flag(args, spec),
         score=_score_config(args),
     )
+    _checked(args, args.out, _make_dir)
     learned, trace = run_search(cfg, data=data, joint=joint)
-    os.makedirs(args.out, exist_ok=True)
     class_path = os.path.join(args.out, "class.txt")
     with open(class_path, "w") as fh:
         fh.write("# vars: " + " ".join(spec.names) + "\n")
@@ -161,7 +172,7 @@ def cmd_learn(args) -> int:
 
 def cmd_score(args) -> int:
     data = _load_data_flag(args)
-    c = _read(args, args.graph, _load_class, data.spec)
+    c = _checked(args, args.graph, _load_class, data.spec)
     total = make_scorer(_score_config(args), data=data).score_class(c)
     print(f"{args.score} score: {total!r}")
     return 0
@@ -184,7 +195,7 @@ def _parse_ci_flag(args, text, spec):
 
 
 def cmd_oracle(args) -> int:
-    margin = observed_margin(_read(args, args.model, load_model))
+    margin = _checked(args, args.model, _load_margin)
     spec = margin.spec
     queries = [(ci, _parse_ci_flag(args, ci, spec)) for ci in args.ci or ()]
     try:
@@ -222,8 +233,15 @@ def cmd_experiment(args) -> int:
             gold, args.sizes or DESK_SIZES, args.replicates or ExperimentPlan.replicates,
             args.seed, score_cfg, args.algorithm,
         )
+    # a results path that cannot be written fails before the sweep runs
+    if os.path.isdir(args.out):
+        _fail(args, f"{args.out}: Is a directory")
+    if not os.path.isdir(os.path.dirname(args.out) or os.curdir):
+        _fail(args, f"{args.out}: No such file or directory")
+    if args.save_models is not None:
+        _checked(args, args.save_models, _make_dir)
     rows = run_experiment(plan, workers=args.workers, models_dir=args.save_models)
-    write_results(args.out, rows, timings=args.timings)
+    _checked(args, args.out, write_results, rows, args.timings)
     errors = sum(1 for r in rows if r.outcome == "error")
     print(f"wrote {len(rows)} rows to {args.out}" + (f" ({errors} errors)" if errors else ""))
     return 0

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphs import Dag, VariableSpec, topological_order
-from .scoring import CategoricalDataset
+from .scoring import CategoricalDataset, config_indices
 
 ROW_SUM_TOL = 1e-12
 
@@ -196,13 +196,12 @@ def _ancestral(bn: ParametricBn, draws, rng, rows=None) -> list:
         else:
             u = rng.random(rows)
             _skip_uniforms(rng, draws - rows)
-        cfg = 0
-        for p in bn.structure.parents(i):
-            cfg = np.add(cfg * cards[p], cols[p], dtype=np.intp)
+        cfg = config_indices(cols, bn.structure.parents(i), cards)
         state = np.zeros(u.shape[0], dtype=np.min_scalar_type(cards[i] - 1))
         for row in thresholds[i]:
             state += u > row[cfg]
         cols[i] = state
+        del u, cfg  # tens of MB each at large m: free them before the next node's
     return cols
 
 

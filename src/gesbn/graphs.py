@@ -5,8 +5,10 @@ and the equivalence / inclusion relations between DAG models. Variable
 names and cardinalities live in :class:`VariableSpec`; graphs themselves
 only know node indices, which keeps them cheap to hash and compare.
 
-Everything here is an immutable value; all operations are pure functions,
-several of them memoized.
+Every graph here is an immutable value and every operation a pure
+function, several of them memoized, except :class:`Pdag`: the one mutable
+working graph that completion, extension and the search operators' tests
+build, change and read.
 """
 
 from __future__ import annotations
@@ -67,11 +69,8 @@ class VariableSpec:
 
 def _toposort(n, edges):
     """Topological order with smallest-index-first tie-breaking."""
-    children = {u: [] for u in range(n)}
-    indeg = [0] * n
-    for u, v in edges:
-        children[u].append(v)
-        indeg[v] += 1
+    g = Pdag(n, edges)
+    indeg = [len(ps) for ps in g.parents]
     order = []
     remaining = set(range(n))
     while remaining:
@@ -81,7 +80,7 @@ def _toposort(n, edges):
         u = ready[0]
         remaining.discard(u)
         order.append(u)
-        for v in children[u]:
+        for v in g.children[u]:
             indeg[v] -= 1
     return order
 
@@ -179,6 +178,49 @@ def complete_cpdag(n) -> Cpdag:
     return Cpdag(n, undirected=frozenset(combinations(range(n), 2)))
 
 
+class Pdag:
+    """Mutable partially directed graph over nodes 0..n-1: per node its
+    directed parents and children and its undirected neighbours."""
+
+    def __init__(self, n, directed=(), undirected=()):
+        self.n = n
+        self.parents = [set() for _ in range(n)]
+        self.children = [set() for _ in range(n)]
+        self.neigh = [set() for _ in range(n)]
+        for u, v in directed:
+            self.parents[v].add(u)
+            self.children[u].add(v)
+        for u, v in undirected:
+            self.neigh[u].add(v)
+            self.neigh[v].add(u)
+
+    def adj(self, v) -> set:
+        return self.parents[v] | self.children[v] | self.neigh[v]
+
+    def is_clique(self, nodes) -> bool:
+        return all(b in self.adj(a) for a, b in combinations(nodes, 2))
+
+    def orient(self, a, b) -> bool:
+        """Turn a -- b into a -> b and return True; return False if the
+        edge already is a -> b, and raise if it is b -> a or absent."""
+        if b in self.children[a]:
+            return False
+        if b not in self.neigh[a]:
+            raise GraphError(f"orientation conflict at {a} -> {b}")
+        self.neigh[a].discard(b)
+        self.neigh[b].discard(a)
+        self.children[a].add(b)
+        self.parents[b].add(a)
+        return True
+
+    def edges(self) -> tuple:
+        """The directed edges, and the undirected ones as (min, max) pairs."""
+        return (
+            frozenset((u, v) for v in range(self.n) for u in self.parents[v]),
+            frozenset((u, v) for u in range(self.n) for v in self.neigh[u] if u < v),
+        )
+
+
 def canonical_key(c: Cpdag) -> tuple:
     """Total order on classes of equal n, used for deterministic tie-breaks."""
     return (tuple(sorted(c.directed)), tuple(sorted(c.undirected)))
@@ -209,20 +251,22 @@ def topological_order(g: Dag) -> list:
     return _toposort(g.n, g.edges)
 
 
+def reachable(sources, step, blocked=()) -> set:
+    """The sources plus every node reached from them by following step(v),
+    the successors of v, through nodes outside blocked."""
+    seen = set(sources)
+    frontier = list(seen)
+    while frontier:
+        for w in step(frontier.pop()):
+            if w not in seen and w not in blocked:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
 def ancestors(g: Dag, nodes) -> set:
     """Ancestral closure of the given nodes (includes the nodes themselves)."""
-    closed = set(nodes)
-    frontier = list(closed)
-    parents_of = {}
-    for u, v in g.edges:
-        parents_of.setdefault(v, []).append(u)
-    while frontier:
-        v = frontier.pop()
-        for u in parents_of.get(v, ()):
-            if u not in closed:
-                closed.add(u)
-                frontier.append(u)
-    return closed
+    return reachable(nodes, Pdag(g.n, g.edges).parents.__getitem__)
 
 
 def d_separated(g: Dag, q: SepQuery) -> bool:
@@ -235,29 +279,14 @@ def d_separated(g: Dag, q: SepQuery) -> bool:
     for v in (q.x, q.y, *q.z):
         if not (0 <= v < g.n):
             raise GraphError(f"node {v} out of range for n={g.n}")
-    anc = ancestors(g, {q.x, q.y} | q.z)
-    neigh = {v: set() for v in anc}
-    for u, v in g.edges:
-        if u in anc and v in anc:
-            neigh[u].add(v)
-            neigh[v].add(u)
-    for w in anc:
-        ps = [u for u, v in g.edges if v == w and u in anc]
-        for a, b in combinations(ps, 2):
-            neigh[a].add(b)
-            neigh[b].add(a)
-    # BFS from x, avoiding z
-    seen = {q.x}
-    frontier = [q.x]
-    while frontier:
-        v = frontier.pop()
-        for w in neigh[v]:
-            if w == q.y:
-                return False
-            if w not in seen and w not in q.z:
-                seen.add(w)
-                frontier.append(w)
-    return True
+    dag = Pdag(g.n, g.edges)
+    anc = reachable({q.x, q.y} | q.z, dag.parents.__getitem__)
+
+    def moral_neighbours(v):  # parents, children and co-parents within anc
+        kids = dag.children[v] & anc
+        return dag.parents[v].union(kids, *(dag.parents[c] for c in kids))
+
+    return q.y not in reachable({q.x}, moral_neighbours, q.z)
 
 
 def pair_queries(n):
@@ -319,62 +348,29 @@ def included_in(g: Dag, h: Dag) -> bool:
 def dag_to_cpdag(g: Dag) -> Cpdag:
     """Canonical class representative: keep v-structure orientations, close
     under the three orientation-propagation rules, leave the rest undirected."""
-    skel = g.skeleton()
-    adj = {v: set() for v in range(g.n)}
-    for u, v in skel:
-        adj[u].add(v)
-        adj[v].add(u)
-    orient = {}  # (min,max) pair -> None or (tail, head)
-
-    def _set(a, b):
-        pair = (min(a, b), max(a, b))
-        cur = orient[pair]
-        if cur == (b, a):
-            raise GraphError("orientation conflict while completing pattern")
-        changed = cur is None
-        orient[pair] = (a, b)
-        return changed
-
-    def _dir(a, b):
-        return orient[(min(a, b), max(a, b))] == (a, b)
-
-    def _undir(a, b):
-        return orient[(min(a, b), max(a, b))] is None
-
-    for pair in skel:
-        orient[pair] = None
+    p = Pdag(g.n, undirected=g.edges)
     for a, c, b in _vstructures(g):
-        _set(a, c)
-        _set(b, c)
-
+        p.orient(a, c)
+        p.orient(b, c)
+    adj = [p.adj(v) for v in range(g.n)]  # orienting keeps the skeleton
     changed = True
     while changed:
         changed = False
         for b in range(g.n):
-            for a in adj[b]:
-                if not _dir(a, b):
-                    continue
+            for a in p.parents[b]:
                 # R1: a -> b -- c with a,c non-adjacent  =>  b -> c
-                for c in adj[b]:
-                    if c != a and _undir(b, c) and c not in adj[a]:
-                        changed |= _set(b, c)
+                for c in p.neigh[b] - adj[a]:
+                    changed |= p.orient(b, c)
                 # R2: a -> b -> c with a -- c  =>  a -> c
-                for c in adj[b]:
-                    if c != a and _dir(b, c) and c in adj[a] and _undir(a, c):
-                        changed |= _set(a, c)
+                for c in p.children[b] & p.neigh[a]:
+                    changed |= p.orient(a, c)
         # R3: a -- b, a -- c, a -- d, c -> b, d -> b, c,d non-adjacent  =>  a -> b
         for a in range(g.n):
-            for b in adj[a]:
-                if not _undir(a, b):
-                    continue
-                into_b = [c for c in adj[b] if c != a and c in adj[a] and _dir(c, b) and _undir(a, c)]
-                for c, d in combinations(into_b, 2):
-                    if c not in adj[d]:
-                        changed |= _set(a, b)
-                        break
-    directed = frozenset(e for e in orient.values() if e is not None)
-    undirected = frozenset(p for p, e in orient.items() if e is None)
-    return Cpdag(g.n, directed, undirected)
+            for b in tuple(p.neigh[a]):
+                into_b = p.parents[b] & p.neigh[a]
+                if any(d not in adj[c] for c, d in combinations(into_b, 2)):
+                    changed |= p.orient(a, b)
+    return Cpdag(g.n, *p.edges())
 
 
 @lru_cache(maxsize=None)
@@ -413,33 +409,23 @@ def pdag_extension(n, directed: frozenset, undirected: frozenset):
     canonical_member prefers. Not memoized: its callers are, and its
     results would mostly sit unused.
     """
-    parents = {v: set() for v in range(n)}
-    children = {v: set() for v in range(n)}
-    neigh = {v: set() for v in range(n)}
-    for u, v in directed:
-        parents[v].add(u)
-        children[u].add(v)
-    for u, v in undirected:
-        neigh[u].add(v)
-        neigh[v].add(u)
+    p = Pdag(n, directed, undirected)
     edges = set(directed)
     remaining = set(range(n))
     while remaining:
         for x in sorted(remaining, reverse=True):
-            if children[x]:
+            if p.children[x]:
                 continue
-            adj = parents[x] | neigh[x]
-            if all(
-                adj - {y} <= parents[y] | children[y] | neigh[y] for y in neigh[x]
-            ):
+            adj = p.adj(x)
+            if all(adj - {y} <= p.adj(y) for y in p.neigh[x]):
                 break
         else:
             return None
-        for y in neigh[x]:
+        for y in p.neigh[x]:
             edges.add((y, x))
-            neigh[y].discard(x)
-        for y in parents[x]:
-            children[y].discard(x)
+            p.neigh[y].discard(x)
+        for y in p.parents[x]:
+            p.children[y].discard(x)
         remaining.discard(x)
     return Dag(n, frozenset(edges))
 

@@ -37,6 +37,7 @@ from .graphs import (
     pair_queries,
     parameter_count,
 )
+from .scoring import config_indices
 
 CI_TOL = 1e-10
 MAX_JOINT_CELLS = 10_000_000
@@ -96,9 +97,7 @@ def joint_from_bn(bn: ParametricBn) -> JointTable:
     idx = np.indices(cards)
     probs = np.ones(cards)
     for i in range(bn.spec.n):
-        cfg = np.zeros(cards, dtype=np.int64)
-        for p in bn.structure.parents(i):
-            cfg = cfg * cards[p] + idx[p]
+        cfg = config_indices(idx, bn.structure.parents(i), cards)
         probs = probs * bn.cpts[i][cfg, idx[i]]
     return JointTable(bn.spec, probs)
 

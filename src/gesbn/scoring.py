@@ -91,7 +91,7 @@ class CategoricalDataset:
         if size >= 2**63:  # a record's mixed-radix code would overflow int64
             configs, counts = np.unique(self.records, axis=0, return_counts=True)
             return configs, counts
-        code = config_indices(self.records, range(self.spec.n), cards)
+        code = config_indices(self.records.T, range(self.spec.n), cards)
         if size <= self.m:
             counts = np.bincount(code, minlength=size)
             code = np.flatnonzero(counts)
@@ -101,12 +101,12 @@ class CategoricalDataset:
         return np.array(np.unravel_index(code, cards), dtype=np.int64).T, counts
 
 
-def config_indices(records, parents, cards) -> np.ndarray:
-    """Mixed-radix configuration index of each record's parent values."""
-    m = records.shape[0]
-    idx = np.zeros(m, dtype=np.int64)
+def config_indices(columns, parents, cards):
+    """Mixed-radix configuration index of the parents' values, as int64,
+    where columns[v] holds the values of v; 0 for no parents."""
+    idx = 0
     for p in parents:
-        idx = idx * cards[p] + records[:, p]
+        idx = np.add(idx * cards[p], columns[p], dtype=np.int64)
     return idx
 
 
@@ -123,7 +123,7 @@ def tally(data: CategoricalDataset, child, parents) -> np.ndarray:
     q = data.spec.config_count(parents)
     r = cards[child]
     configs, weights = data.count_table
-    j = config_indices(configs, parents, cards)
+    j = config_indices(configs.T, parents, cards)
     # float64 weights sum exactly while every count stays below 2**53
     counts = np.bincount(j * r + configs[:, child], weights=weights, minlength=q * r)
     return counts.astype(np.int64).reshape(q, r)

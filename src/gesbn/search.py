@@ -25,12 +25,14 @@ from typing import NamedTuple
 from .graphs import (
     Cpdag,
     GraphError,
+    Pdag,
     canonical_key,
     complete_cpdag,
     consistent_extensions,
     dag_to_cpdag,
     empty_cpdag,
     pdag_extension,
+    reachable,
 )
 from .scoring import ScoreConfig, make_scorer
 
@@ -147,40 +149,6 @@ class Move(NamedTuple):
     new: tuple
 
 
-class _Adjacency:
-    """Directed parents and children, and undirected neighbours, per node."""
-
-    def __init__(self, c: Cpdag):
-        n = range(c.n)
-        self.parents = {v: set() for v in n}
-        self.children = {v: set() for v in n}
-        self.neigh = {v: set() for v in n}
-        for u, v in c.directed:
-            self.parents[v].add(u)
-            self.children[u].add(v)
-        for u, v in c.undirected:
-            self.neigh[u].add(v)
-            self.neigh[v].add(u)
-        self.adj = {v: self.parents[v] | self.children[v] | self.neigh[v] for v in n}
-
-    def is_clique(self, nodes) -> bool:
-        return all(b in self.adj[a] for a, b in combinations(nodes, 2))
-
-    def semi_directed_path(self, src, dst, blocked) -> bool:
-        """Is there a path src ... dst along u -> v or u -- v edges that
-        avoids the blocked nodes?"""
-        seen, frontier = {src}, [src]
-        while frontier:
-            u = frontier.pop()
-            for v in self.children[u] | self.neigh[u]:
-                if v == dst:
-                    return True
-                if v not in seen and v not in blocked:
-                    seen.add(v)
-                    frontier.append(v)
-        return False
-
-
 def _subsets(items):
     items = sorted(items)
     return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
@@ -199,18 +167,22 @@ def insert_moves(c: Cpdag) -> tuple:
     q -> y <- x for each q in T or a directed parent of y not adjacent to
     x; moves that add the same v-structures lead to the same class.
     """
-    g = _Adjacency(c)
+    g = Pdag(c.n, c.directed, c.undirected)
+    semi_directed = lambda u: g.children[u] | g.neigh[u]
     out, seen = [], set()
     for y in range(c.n):
+        adj_y = g.adj(y)
         for x in range(c.n):
-            if x == y or x in g.adj[y]:
+            if x == y or x in adj_y:
                 continue
-            na = g.neigh[y] & g.adj[x]
-            for t in _subsets(g.neigh[y] - g.adj[x]):
+            adj_x = g.adj(x)
+            na = g.neigh[y] & adj_x
+            for t in _subsets(g.neigh[y] - adj_x):
                 cond = na | set(t)
-                if not g.is_clique(cond) or g.semi_directed_path(y, x, cond):
+                # x is not in cond, so reaching it means a path avoids cond
+                if not g.is_clique(cond) or x in reachable({y}, semi_directed, cond):
                     continue
-                colliders = (g.parents[y] - g.adj[x]) | set(t)
+                colliders = (g.parents[y] - adj_x) | set(t)
                 key = (min(x, y), max(x, y), (y, frozenset(colliders)) if colliders else ())
                 if key in seen:
                     continue
@@ -232,11 +204,11 @@ def delete_moves(c: Cpdag) -> tuple:
     H that the move orients out of x; moves on one pair that add the same
     v-structures lead to the same class.
     """
-    g = _Adjacency(c)
+    g = Pdag(c.n, c.directed, c.undirected)
     out, seen = [], set()
     for y in range(c.n):
         for x in sorted(g.parents[y] | g.neigh[y]):
-            na = g.neigh[y] & g.adj[x]
+            na = g.neigh[y] & g.adj(x)
             for h in _subsets(na):
                 rest = na - set(h)
                 if not g.is_clique(rest):
@@ -256,22 +228,17 @@ def apply_move(c: Cpdag, move: Move) -> Cpdag:
     """The class a valid move leads to: the PDAG after the move, extended
     to a DAG and completed."""
     x, y = move.x, move.y
-    directed, undirected = set(c.directed), set(c.undirected)
     if move.insert:
-        directed.add((x, y))
+        p = Pdag(c.n, c.directed | {(x, y)}, c.undirected)
         for t in move.s:
-            undirected.discard((min(t, y), max(t, y)))
-            directed.add((t, y))
+            p.orient(t, y)
     else:
-        directed.discard((x, y))
-        undirected.discard((min(x, y), max(x, y)))
+        p = Pdag(c.n, c.directed - {(x, y)}, c.undirected - {(min(x, y), max(x, y))})
         for h in move.s:
-            undirected.discard((min(h, y), max(h, y)))
-            directed.add((y, h))
-            if (min(h, x), max(h, x)) in undirected:
-                undirected.discard((min(h, x), max(h, x)))
-                directed.add((x, h))
-    g = pdag_extension(c.n, frozenset(directed), frozenset(undirected))
+            p.orient(y, h)
+            if h in p.neigh[x]:
+                p.orient(x, h)
+    g = pdag_extension(c.n, *p.edges())
     if g is None:
         raise GraphError(f"{move} leaves a PDAG with no extension")
     return dag_to_cpdag(g)

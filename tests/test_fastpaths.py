@@ -10,7 +10,9 @@ gesbn.datagen). The BDeu kernel is checked against scipy's gammaln, which
 it replaced, within a relative 1e-12; the dataset loader against the
 csv-module loader it replaced, exactly. The batched CI pass, the bitmask
 class table and the one-call parameter draw are checked against the
-per-query, per-class and per-row code they replaced, exactly.
+per-query, per-class and per-row code they replaced, exactly, and so is
+the graph code on graphs.Pdag and graphs.reachable against the per-caller
+dicts and walks it replaced.
 """
 
 import csv
@@ -19,7 +21,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
+
+from gesbn import search
 
 from gesbn.datagen import (
     GoldStandard,
@@ -37,14 +43,22 @@ from gesbn.datagen import (
     shifted_mean,
 )
 from gesbn.graphs import (
+    Cpdag,
     Dag,
+    GraphError,
+    Pdag,
+    SepQuery,
     VariableSpec,
+    _vstructures,
+    ancestors,
     canonical_key,
     canonical_member,
+    d_separated,
     dag_to_cpdag,
     dsep_triples,
     pair_queries,
     parameter_count,
+    pdag_extension,
     topological_order,
 )
 from gesbn.oracle import (
@@ -52,10 +66,12 @@ from gesbn.oracle import (
     ci_holds,
     ci_triple_set,
     enumerate_classes,
+    enumerate_dags,
     joint_from_bn,
     observed_margin,
     optimal_classes,
 )
+from gesbn.search import delete_moves, insert_moves
 from gesbn.scoring import (
     CategoricalDataset,
     ScoreConfig,
@@ -674,3 +690,305 @@ class TestSampleParametersMatchesReference:
         want = ref_sample_parameters(structure, spec, ess, rng_ref).cpts
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+# the graph code before Pdag and reachable: a pair -> orientation dict in
+# CPDAG completion, hand-built dicts in the extension, d-separation and
+# the search operators, and one breadth-first loop per caller
+
+
+def ref_ancestors(g, nodes):
+    closed = set(nodes)
+    frontier = list(closed)
+    parents_of = {}
+    for u, v in g.edges:
+        parents_of.setdefault(v, []).append(u)
+    while frontier:
+        v = frontier.pop()
+        for u in parents_of.get(v, ()):
+            if u not in closed:
+                closed.add(u)
+                frontier.append(u)
+    return closed
+
+
+def ref_d_separated(g, q):
+    for v in (q.x, q.y, *q.z):
+        if not (0 <= v < g.n):
+            raise GraphError(f"node {v} out of range for n={g.n}")
+    anc = ref_ancestors(g, {q.x, q.y} | q.z)
+    neigh = {v: set() for v in anc}
+    for u, v in g.edges:
+        if u in anc and v in anc:
+            neigh[u].add(v)
+            neigh[v].add(u)
+    for w in anc:
+        ps = [u for u, v in g.edges if v == w and u in anc]
+        for a, b in itertools.combinations(ps, 2):
+            neigh[a].add(b)
+            neigh[b].add(a)
+    seen = {q.x}
+    frontier = [q.x]
+    while frontier:
+        v = frontier.pop()
+        for w in neigh[v]:
+            if w == q.y:
+                return False
+            if w not in seen and w not in q.z:
+                seen.add(w)
+                frontier.append(w)
+    return True
+
+
+def ref_dag_to_cpdag(g):
+    skel = g.skeleton()
+    adj = {v: set() for v in range(g.n)}
+    for u, v in skel:
+        adj[u].add(v)
+        adj[v].add(u)
+    orient = {}  # (min,max) pair -> None or (tail, head)
+
+    def _set(a, b):
+        pair = (min(a, b), max(a, b))
+        cur = orient[pair]
+        if cur == (b, a):
+            raise GraphError("orientation conflict while completing pattern")
+        changed = cur is None
+        orient[pair] = (a, b)
+        return changed
+
+    def _dir(a, b):
+        return orient[(min(a, b), max(a, b))] == (a, b)
+
+    def _undir(a, b):
+        return orient[(min(a, b), max(a, b))] is None
+
+    for pair in skel:
+        orient[pair] = None
+    for a, c, b in _vstructures(g):
+        _set(a, c)
+        _set(b, c)
+
+    changed = True
+    while changed:
+        changed = False
+        for b in range(g.n):
+            for a in adj[b]:
+                if not _dir(a, b):
+                    continue
+                for c in adj[b]:
+                    if c != a and _undir(b, c) and c not in adj[a]:
+                        changed |= _set(b, c)
+                for c in adj[b]:
+                    if c != a and _dir(b, c) and c in adj[a] and _undir(a, c):
+                        changed |= _set(a, c)
+        for a in range(g.n):
+            for b in adj[a]:
+                if not _undir(a, b):
+                    continue
+                into_b = [c for c in adj[b] if c != a and c in adj[a] and _dir(c, b) and _undir(a, c)]
+                for c, d in itertools.combinations(into_b, 2):
+                    if c not in adj[d]:
+                        changed |= _set(a, b)
+                        break
+    directed = frozenset(e for e in orient.values() if e is not None)
+    undirected = frozenset(p for p, e in orient.items() if e is None)
+    return Cpdag(g.n, directed, undirected)
+
+
+def ref_pdag_extension(n, directed, undirected):
+    parents = {v: set() for v in range(n)}
+    children = {v: set() for v in range(n)}
+    neigh = {v: set() for v in range(n)}
+    for u, v in directed:
+        parents[v].add(u)
+        children[u].add(v)
+    for u, v in undirected:
+        neigh[u].add(v)
+        neigh[v].add(u)
+    edges = set(directed)
+    remaining = set(range(n))
+    while remaining:
+        for x in sorted(remaining, reverse=True):
+            if children[x]:
+                continue
+            adj = parents[x] | neigh[x]
+            if all(
+                adj - {y} <= parents[y] | children[y] | neigh[y] for y in neigh[x]
+            ):
+                break
+        else:
+            return None
+        for y in neigh[x]:
+            edges.add((y, x))
+            neigh[y].discard(x)
+        for y in parents[x]:
+            children[y].discard(x)
+        remaining.discard(x)
+    return Dag(n, frozenset(edges))
+
+
+class RefAdjacency:
+    def __init__(self, c):
+        n = range(c.n)
+        self.parents = {v: set() for v in n}
+        self.children = {v: set() for v in n}
+        self.neigh = {v: set() for v in n}
+        for u, v in c.directed:
+            self.parents[v].add(u)
+            self.children[u].add(v)
+        for u, v in c.undirected:
+            self.neigh[u].add(v)
+            self.neigh[v].add(u)
+        self.adj = {v: self.parents[v] | self.children[v] | self.neigh[v] for v in n}
+
+    def is_clique(self, nodes):
+        return all(b in self.adj[a] for a, b in itertools.combinations(nodes, 2))
+
+    def semi_directed_path(self, src, dst, blocked):
+        seen, frontier = {src}, [src]
+        while frontier:
+            u = frontier.pop()
+            for v in self.children[u] | self.neigh[u]:
+                if v == dst:
+                    return True
+                if v not in seen and v not in blocked:
+                    seen.add(v)
+                    frontier.append(v)
+        return False
+
+
+def ref_insert_moves(c):
+    g = RefAdjacency(c)
+    out, seen = [], set()
+    for y in range(c.n):
+        for x in range(c.n):
+            if x == y or x in g.adj[y]:
+                continue
+            na = g.neigh[y] & g.adj[x]
+            for t in search._subsets(g.neigh[y] - g.adj[x]):
+                cond = na | set(t)
+                if not g.is_clique(cond) or g.semi_directed_path(y, x, cond):
+                    continue
+                colliders = (g.parents[y] - g.adj[x]) | set(t)
+                key = (min(x, y), max(x, y), (y, frozenset(colliders)) if colliders else ())
+                if key in seen:
+                    continue
+                seen.add(key)
+                old = tuple(sorted(g.parents[y] | cond))
+                out.append(search.Move(True, x, y, t, old, tuple(sorted(old + (x,)))))
+    return tuple(out)
+
+
+def ref_delete_moves(c):
+    g = RefAdjacency(c)
+    out, seen = [], set()
+    for y in range(c.n):
+        for x in sorted(g.parents[y] | g.neigh[y]):
+            na = g.neigh[y] & g.adj[x]
+            for h in search._subsets(na):
+                rest = na - set(h)
+                if not g.is_clique(rest):
+                    continue
+                colliders = frozenset(v for v in h if v not in g.parents[x])
+                key = (min(x, y), max(x, y), colliders)
+                if key in seen:
+                    continue
+                seen.add(key)
+                new = tuple(sorted((g.parents[y] | rest) - {x}))
+                out.append(search.Move(False, x, y, h, tuple(sorted(new + (x,))), new))
+    return tuple(out)
+
+
+def _every_pdag(n):
+    """Each pair of n nodes absent, directed either way or undirected."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for kinds in itertools.product(range(4), repeat=len(pairs)):
+        directed = {(u, v) if k == 1 else (v, u) for (u, v), k in zip(pairs, kinds) if k in (1, 2)}
+        undirected = {p for p, k in zip(pairs, kinds) if k == 3}
+        yield frozenset(directed), frozenset(undirected)
+
+
+def _assert_graph_code_matches(g):
+    """Completion, extension, pair queries and operators on g and its class."""
+    c = dag_to_cpdag.__wrapped__(g)
+    assert c == ref_dag_to_cpdag(g)
+    assert pdag_extension(g.n, c.directed, c.undirected) == ref_pdag_extension(
+        g.n, c.directed, c.undirected
+    )
+    for x, y, z in pair_queries(g.n):
+        q = SepQuery(x, y, z)
+        assert d_separated(g, q) == ref_d_separated(g, q)
+    assert insert_moves.__wrapped__(c) == ref_insert_moves(c)
+    assert delete_moves.__wrapped__(c) == ref_delete_moves(c)
+
+
+class TestPdagCodeMatchesReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_completion_of_every_dag(self, n):
+        for g in enumerate_dags(n):  # the memo holds only this code's results
+            assert dag_to_cpdag(g) == ref_dag_to_cpdag(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_extension_of_every_class(self, n):
+        for c in enumerate_classes(n):
+            want = ref_pdag_extension(n, c.directed, c.undirected)
+            assert pdag_extension(n, c.directed, c.undirected) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_extension_of_every_pdag(self, n):
+        # cyclic and unextendable ones included, where both give None
+        results = [pdag_extension(n, *pd) for pd in _every_pdag(n)]
+        assert results == [ref_pdag_extension(n, *pd) for pd in _every_pdag(n)]
+        assert n < 3 or None in results
+
+    def test_extension_of_every_move_at_n4(self, monkeypatch):
+        calls = []
+
+        def both(n, directed, undirected):
+            got = pdag_extension(n, directed, undirected)
+            assert got == ref_pdag_extension(n, directed, undirected)
+            calls.append(got)
+            return got
+
+        monkeypatch.setattr(search, "pdag_extension", both)
+        for c in enumerate_classes(4):
+            for m in insert_moves(c) + delete_moves(c):
+                search.apply_move.__wrapped__(c, m)
+        assert len(calls) > 1000 and None not in calls
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pair_queries_on_every_dag(self, n):
+        for g in enumerate_dags(n):
+            for x, y, z in pair_queries(n):
+                q = SepQuery(x, y, z)
+                assert d_separated(g, q) == ref_d_separated(g, q)
+                assert ancestors(g, {x} | z) == ref_ancestors(g, {x} | z)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_operators_on_every_class(self, n):
+        for c in enumerate_classes(n):
+            assert insert_moves.__wrapped__(c) == ref_insert_moves(c)
+            assert delete_moves.__wrapped__(c) == ref_delete_moves(c)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_dags_with_six_to_eight_nodes(self, data):
+        n = data.draw(st.integers(6, 8))
+        order = data.draw(st.permutations(range(n)))
+        pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        _assert_graph_code_matches(Dag(n, frozenset(p for p, k in zip(pairs, keep) if k)))
+
+
+def test_orient_raises_on_a_reversed_pair():
+    p = Pdag(3, directed={(0, 1)}, undirected={(1, 2)})
+    assert p.orient(0, 1) is False
+    with pytest.raises(GraphError, match="orientation conflict"):
+        p.orient(1, 0)
+    assert p.orient(2, 1) is True
+    with pytest.raises(GraphError, match="orientation conflict"):
+        p.orient(1, 2)
+    with pytest.raises(GraphError, match="orientation conflict"):
+        p.orient(0, 2)  # not adjacent
+    assert p.edges() == ({(0, 1), (2, 1)}, frozenset())

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -364,7 +365,7 @@ class TestGoldenResults:
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CSV_SHA256[gold]
 
 
-from gesbn.datagen import GoldStandard, RngSeed, observed_sample
+from gesbn.datagen import GoldStandard, ParametricBn, RngSeed, observed_sample
 from gesbn.graphs import Dag, VariableSpec
 from gesbn.scoring import save_dataset, save_schema
 
@@ -576,10 +577,23 @@ class TestCliRejectsBadData:
         (["learn", "--out", "out"], "--data is required unless --score oracle is used"),
         (["oracle", "--model", "missing.json"], "missing.json: No such file or directory"),
         (["oracle", "--model", "five.json"], "optimality sweep limited to n <= 4"),
+        (["score", "--data", "d.csv", "--schema", "s.json", "--graph", "arc.txt"],
+         "arc.txt: CPDAG has no consistent extension"),
+        (["learn", "--score", "oracle", "--joint", "cycle.json", "--start", "square.txt",
+          "--out", "out"],
+         "square.txt: CPDAG has no consistent extension"),
+        (["oracle", "--model", "bare.json"],
+         "bare.json: gold standard carries no parameters; call with_parameters"),
+        (["learn", "--score", "oracle", "--joint", "bare.json", "--out", "out"],
+         "bare.json: gold standard carries no parameters; call with_parameters"),
+        (["oracle", "--model", "unselectable.json"],
+         "unselectable.json: zero-probability conditioning event"),
     ], ids=[
         "score-graph-missing", "score-graph-unknown-variable", "learn-start-missing",
         "learn-joint-missing", "learn-oracle-without-joint", "learn-without-data",
-        "oracle-model-missing", "oracle-five-observables",
+        "oracle-model-missing", "oracle-five-observables", "score-graph-not-completed",
+        "learn-start-undirected-four-cycle", "oracle-model-without-cpts",
+        "learn-joint-without-cpts", "oracle-zero-probability-selection",
     ])
     def test_other_inputs_exit_with_one_line(
         self, tmp_path, capsys, monkeypatch, argv, message
@@ -588,9 +602,47 @@ class TestCliRejectsBadData:
         (tmp_path / "s.json").write_text(self.SCHEMA)
         (tmp_path / "d.csv").write_text("X1,X2\n0,1\n1,2\n")
         (tmp_path / "unknown.txt").write_text("X1 -- Q\n")
+        (tmp_path / "arc.txt").write_text("X1 -> X2\n")
+        (tmp_path / "square.txt").write_text("X1 -- X2\nX2 -- X3\nX3 -- X4\nX1 -- X4\n")
         spec = VariableSpec(tuple(f"V{i}" for i in range(5)), (2,) * 5)
         five = GoldStandard(Dag(5), spec, observed=tuple(range(5))).with_parameters()
         save_model(five, tmp_path / "five.json")
+        cycle = GOLD_STANDARDS["four_cycle"]().with_parameters(seed=3)
+        save_model(cycle, tmp_path / "cycle.json")
+        save_model(GOLD_STANDARDS["four_cycle"](), tmp_path / "bare.json")
+        cpts = list(cycle.bn.cpts)
+        cpts[4] = np.tile([1.0, 0.0], (len(cpts[4]), 1))  # S = 1 never happens
+        unselectable = replace(cycle, bn=ParametricBn(cycle.structure, cycle.spec, cpts))
+        save_model(unselectable, tmp_path / "unselectable.json")
+        before = sorted(os.listdir(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"gesbn {argv[0]}: error: {message}\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("argv,message", [
+        (["generate", "--gold", "w", "--m", "10", "--out", "taken"], "taken: File exists"),
+        (["learn", "--data", "d.csv", "--schema", "s.json", "--out", "taken"],
+         "taken: File exists"),
+        (["experiment", "--gold", "w", "--save-models", "taken", "--out", "r.csv"],
+         "taken: File exists"),
+        (["experiment", "--gold", "w", "--out", "folder"], "folder: Is a directory"),
+        (["experiment", "--gold", "w", "--out", "missing/r.csv"],
+         "missing/r.csv: No such file or directory"),
+    ], ids=["generate-out-is-a-file", "learn-out-is-a-file",
+            "experiment-save-models-is-a-file", "experiment-out-is-a-directory",
+            "experiment-out-in-missing-directory"])
+    def test_unwritable_outputs_exit_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.json").write_text(self.SCHEMA)
+        (tmp_path / "d.csv").write_text("X1,X2\n0,1\n1,2\n")
+        (tmp_path / "taken").write_text("")
+        (tmp_path / "folder").mkdir()
+        for name in ("run_search", "run_experiment", "observed_sample"):
+            monkeypatch.setattr(f"gesbn.cli.{name}", lambda *a, **kw: pytest.fail("ran"))
         before = sorted(os.listdir(tmp_path))
         with pytest.raises(SystemExit) as exc:
             main(argv)
