@@ -9,11 +9,10 @@ from gesbn import (
     encode_edges,
     gold_four_cycle,
     gold_w,
-    inclusion_optimal_classes,
     observed_margin,
     observed_sample,
+    optimal_classes,
     parameter_count,
-    parameter_optimal_classes,
 )
 
 for name, gold in [("w-structure", gold_w()), ("selection four-cycle", gold_four_cycle())]:
@@ -25,8 +24,7 @@ for name, gold in [("w-structure", gold_w()), ("selection four-cycle", gold_four
     print("hidden:", [gold.spec.names[v] for v in gold.hidden],
           " selection:", {gold.spec.names[v]: s for v, s in gold.selection})
 
-    opt = inclusion_optimal_classes(margin)
-    popt = set(parameter_optimal_classes(margin))
+    opt, popt = optimal_classes(margin)
     print(f"inclusion-optimal classes of the observable margin: {len(opt)}")
     for c in opt:
         rep = consistent_extensions(c)[0]

@@ -4,46 +4,44 @@ the trace, and the optimality guarantees under the exact score."""
 from gesbn import (
     ScoreConfig,
     SearchConfig,
-    bes,
     consistent_extensions,
     encode_edges,
-    ges,
     gold_w,
-    inclusion_optimal_classes,
     observed_margin,
     observed_sample,
+    optimal_classes,
     parameter_count,
-    uges,
+    run_search,
 )
 
 gold = gold_w().with_parameters(ess=10.0, seed=0)
 margin = observed_margin(gold)
 spec = margin.spec
-oracle_cfg = SearchConfig(score=ScoreConfig(criterion="oracle", oracle_pseudo_m=1e6))
+exact = ScoreConfig(criterion="oracle", oracle_pseudo_m=1e6)
 
 print("GES with the exact large-sample score on the w-structure margin:")
-learned, trace = ges(joint=margin, cfg=oracle_cfg)
+learned, trace = run_search(SearchConfig("ges", score=exact), joint=margin)
 for step in trace.steps:
-    print(f"  {step.phase:<9} {step.move:<14} score={step.state.score:.2f}")
+    print(f"  {step.phase:<9} {step.move:<14} score={step.score:.2f}")
 d = parameter_count(consistent_extensions(learned)[0], spec)
-optimal = inclusion_optimal_classes(margin)
+optimal = optimal_classes(margin)[0]
 print(f"landed on a {d}-parameter class; inclusion-optimal? {learned in optimal}")
 
 print("\nBES walking down from the complete class:")
-out, trace = bes(start="complete", joint=margin, cfg=oracle_cfg)
+out, trace = run_search(SearchConfig("bes", "complete", exact), joint=margin)
 print(f"  {len(trace.steps) - 1} deletions, final class "
       + "; ".join(encode_edges(out, spec).splitlines()))
 print("  inclusion-optimal?", out in optimal)
 
 print("\nUGES from both extremes:")
 for start in ("empty", "complete"):
-    out, _ = uges(joint=margin, cfg=oracle_cfg, start=start)
+    out, _ = run_search(SearchConfig("uges", start, exact), joint=margin)
     print(f"  start={start:<9} -> inclusion-optimal? {out in optimal}")
 
 print("\nGES on finite data (BDeu, ess=10):")
 for m in (100, 1000, 10_000, 100_000):
     data = observed_sample(gold, m, seed=42)
-    out, _ = ges(data=data)
+    out, _ = run_search(SearchConfig(), data=data)
     verdict = "inclusion-optimal" if out in optimal else "not optimal"
     enc = "; ".join(encode_edges(out, spec).splitlines()) or "(empty)"
     print(f"  m={m:>6}: {verdict:<19} {enc}")

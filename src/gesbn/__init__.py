@@ -33,7 +33,7 @@ from .scoring import (
     bdeu_local,
     bic_local,
     load_dataset,
-    oracle_score,
+    make_scorer,
     save_dataset,
     score,
     tally,
@@ -61,24 +61,18 @@ from .oracle import (
     enumerate_classes,
     enumerate_dags,
     includes,
-    inclusion_optimal_classes,
     joint_from_bn,
     observed_margin,
     optimal_classes,
-    parameter_optimal_classes,
     transformation_sequence,
 )
 from .search import (
     SearchConfig,
     SearchTrace,
     backward_neighbors,
-    bes,
-    fes,
     forward_neighbors,
-    ges,
     greedy_phase,
     run_search,
-    uges,
 )
 from .harness import (
     ExperimentPlan,

@@ -25,6 +25,7 @@ from .scoring import (
     CRITERIA,
     ScoreConfig,
     load_dataset,
+    load_schema,
     make_scorer,
     save_dataset,
     save_schema,
@@ -109,7 +110,8 @@ def _load_data_flag(args):
     """The --data dataset, checked for the --score criterion."""
     if args.schema is None and not args.infer_schema:
         _fail(args, "--schema or --infer-schema is required with --data")
-    data = _checked(args, args.data, load_dataset, args.schema, args.infer_schema)
+    schema = args.schema and _checked(args, args.schema, load_schema)
+    data = _checked(args, args.data, load_dataset, schema, args.infer_schema)
     if args.score == "bic" and data.m == 0:
         _fail(args, f"{args.data}: bic needs at least one record")
     return data
@@ -124,7 +126,10 @@ def _load_class(path, spec):
 
 
 def _load_margin(path):
-    return observed_margin(load_model(path))
+    gold = load_model(path)
+    if gold.bn is None:
+        raise ValueError('the model has no "cpts" field')
+    return observed_margin(gold)
 
 
 def _checked(args, path, action, *extra):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphs import Dag, VariableSpec, topological_order
-from .scoring import CategoricalDataset, config_indices
+from .scoring import CategoricalDataset, config_indices, read_variables
 
 ROW_SUM_TOL = 1e-12
 
@@ -154,7 +154,7 @@ def sample_parameters(structure: Dag, spec: VariableSpec, ess=10.0, seed=0) -> P
     one call per node over its (q, r) alpha matrix, drawn row by row.
     Deterministic given (structure, spec, ess, seed).
     """
-    if ess <= 0:
+    if not ess > 0:
         raise ValueError("ess must be positive")
     rng = _rng(seed)
     cpts = []
@@ -339,11 +339,9 @@ def model_to_dict(gold: GoldStandard) -> dict:
 
 
 def model_from_dict(doc: dict) -> GoldStandard:
+    spec = read_variables(doc)
     if doc.get("version") != 1:
         raise ValueError("unsupported model file version")
-    names = tuple(v["name"] for v in doc["variables"])
-    cards = tuple(int(v["cardinality"]) for v in doc["variables"])
-    spec = VariableSpec(names, cards)
     observed, hidden, selection = [], [], []
     for i, v in enumerate(doc["variables"]):
         role = v.get("role", "observed")
@@ -360,7 +358,10 @@ def model_from_dict(doc: dict) -> GoldStandard:
     )
     bn = None
     if doc.get("cpts"):
-        cpts = [np.asarray(doc["cpts"][name], dtype=float) for name in names]
+        for name in spec.names:
+            if name not in doc["cpts"]:
+                raise ValueError(f'"cpts" has no table for {name!r}')
+        cpts = [np.asarray(doc["cpts"][name], dtype=float) for name in spec.names]
         bn = ParametricBn(structure, spec, cpts)
     return GoldStandard(structure, spec, tuple(observed), tuple(hidden), tuple(selection), bn)
 

@@ -67,24 +67,6 @@ class VariableSpec:
         return math.prod(self.cards[p] for p in parents)
 
 
-def _toposort(n, edges):
-    """Topological order with smallest-index-first tie-breaking."""
-    g = Pdag(n, edges)
-    indeg = [len(ps) for ps in g.parents]
-    order = []
-    remaining = set(range(n))
-    while remaining:
-        ready = sorted(u for u in remaining if indeg[u] == 0)
-        if not ready:
-            raise GraphError("cycle detected")
-        u = ready[0]
-        remaining.discard(u)
-        order.append(u)
-        for v in g.children[u]:
-            indeg[v] -= 1
-    return order
-
-
 @dataclass(frozen=True)
 class Dag:
     """Directed acyclic graph over nodes 0..n-1.
@@ -106,7 +88,7 @@ class Dag:
                 raise GraphError(f"self loop at node {u}")
             if (v, u) in edges:
                 raise GraphError(f"both orientations of {u}-{v} present")
-        _toposort(self.n, edges)  # raises on cycles
+        topological_order(self)  # raises on cycles
 
     def parents(self, v) -> tuple:
         return tuple(sorted(u for u, w in self.edges if w == v))
@@ -127,9 +109,6 @@ class Dag:
         if (u, v) not in self.edges:
             raise GraphError(f"edge ({u},{v}) absent")
         return Dag(self.n, self.edges - {(u, v)})
-
-    def sorted_edges(self) -> tuple:
-        return tuple(sorted(self.edges))
 
 
 @dataclass(frozen=True)
@@ -227,7 +206,7 @@ def canonical_key(c: Cpdag) -> tuple:
 
 
 def dag_key(g: Dag) -> tuple:
-    return g.sorted_edges()
+    return tuple(sorted(g.edges))
 
 
 @dataclass(frozen=True)
@@ -248,7 +227,19 @@ class SepQuery:
 
 def topological_order(g: Dag) -> list:
     """Node order in which every edge points forward; ties by node index."""
-    return _toposort(g.n, g.edges)
+    dag = Pdag(g.n, g.edges)
+    indeg = [len(ps) for ps in dag.parents]
+    order = []
+    remaining = set(range(g.n))
+    while remaining:
+        u = min((v for v in remaining if indeg[v] == 0), default=None)
+        if u is None:
+            raise GraphError("cycle detected")
+        remaining.discard(u)
+        order.append(u)
+        for v in dag.children[u]:
+            indeg[v] -= 1
+    return order
 
 
 def reachable(sources, step, blocked=()) -> set:
@@ -279,14 +270,18 @@ def d_separated(g: Dag, q: SepQuery) -> bool:
     for v in (q.x, q.y, *q.z):
         if not (0 <= v < g.n):
             raise GraphError(f"node {v} out of range for n={g.n}")
-    dag = Pdag(g.n, g.edges)
-    anc = reachable({q.x, q.y} | q.z, dag.parents.__getitem__)
+    return _separated(Pdag(g.n, g.edges), q.x, q.y, q.z)
+
+
+def _separated(dag: Pdag, x, y, z) -> bool:
+    """d_separated on a Pdag of the DAG's edges, without range checks."""
+    anc = reachable({x, y} | z, dag.parents.__getitem__)
 
     def moral_neighbours(v):  # parents, children and co-parents within anc
         kids = dag.children[v] & anc
         return dag.parents[v].union(kids, *(dag.parents[c] for c in kids))
 
-    return q.y not in reachable({q.x}, moral_neighbours, q.z)
+    return y not in reachable({x}, moral_neighbours, z)
 
 
 def pair_queries(n):
@@ -302,7 +297,8 @@ def pair_queries(n):
 @lru_cache(maxsize=None)
 def dsep_triples(g: Dag) -> frozenset:
     """The pair_queries (x, y, z) of g that hold as d-separations."""
-    return frozenset(t for t in pair_queries(g.n) if d_separated(g, SepQuery(*t)))
+    dag = Pdag(g.n, g.edges)
+    return frozenset(t for t in pair_queries(g.n) if _separated(dag, *t))
 
 
 def is_covered(g: Dag, edge) -> bool:

@@ -300,16 +300,6 @@ def optimal_classes(p: JointTable) -> tuple:
     return inclusion, tuple(classes[k] for k in incl if counts[k] == best)
 
 
-def inclusion_optimal_classes(p: JointTable) -> tuple:
-    """Classes that include p with no strictly-included class also including it."""
-    return optimal_classes(p)[0]
-
-
-def parameter_optimal_classes(p: JointTable) -> tuple:
-    """Including classes of minimal parameter count."""
-    return optimal_classes(p)[1]
-
-
 def transformation_sequence(g: Dag, h: Dag) -> list:
     """Covered reversals and edge additions turning g into h, staying <= h.
 

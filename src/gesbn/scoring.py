@@ -44,9 +44,9 @@ class ScoreConfig:
     def __post_init__(self):
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
-        if self.ess <= 0:
+        if not self.ess > 0:  # NaN fails too
             raise ValueError("ess must be positive")
-        if self.oracle_pseudo_m <= 0:
+        if not self.oracle_pseudo_m > 0:
             raise ValueError("oracle_pseudo_m must be positive")
 
 
@@ -137,7 +137,7 @@ def _lgamma(x) -> np.ndarray:
 def bdeu_local(counts: np.ndarray, ess=10.0) -> float:
     """Log marginal likelihood of one node's (q, r) counts under the
     uniform-BDeu prior."""
-    if ess <= 0:
+    if not ess > 0:
         raise ValueError("ess must be positive")
     q, r = counts.shape
     a_row = ess / q
@@ -238,12 +238,6 @@ def score(g: Dag, data: CategoricalDataset, cfg=None) -> float:
     return make_scorer(cfg, data=data).score_dag(g)
 
 
-def oracle_score(g: Dag, joint, pseudo_m=1e6) -> float:
-    """Deterministic large-sample score of a DAG against an exact joint."""
-    cfg = ScoreConfig(criterion="oracle", oracle_pseudo_m=pseudo_m)
-    return make_scorer(cfg, joint=joint).score_dag(g)
-
-
 # ---------------------------------------------------------------------------
 # dataset files: CSV with a header row of names, plus a JSON schema sidecar
 
@@ -259,12 +253,23 @@ def save_schema(spec: VariableSpec, path):
         fh.write("\n")
 
 
-def load_schema(path) -> VariableSpec:
-    with open(path) as fh:
-        doc = json.load(fh)
+def read_variables(doc) -> VariableSpec:
+    """The spec of a schema or model document: its "variables" list of
+    {"name", "cardinality"} entries. A missing field raises ValueError."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("variables"), list):
+        raise ValueError('expected a JSON object with a "variables" list')
+    for i, v in enumerate(doc["variables"]):
+        for key in ("name", "cardinality"):
+            if not isinstance(v, dict) or key not in v:
+                raise ValueError(f'variables[{i}] has no "{key}" field')
     names = tuple(v["name"] for v in doc["variables"])
     cards = tuple(int(v["cardinality"]) for v in doc["variables"])
     return VariableSpec(names, cards)
+
+
+def load_schema(path) -> VariableSpec:
+    with open(path) as fh:
+        return read_variables(json.load(fh))
 
 
 def save_dataset(data: CategoricalDataset, path):

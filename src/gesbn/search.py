@@ -17,7 +17,7 @@ of every run is captured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
 from typing import NamedTuple
@@ -38,38 +38,28 @@ from .scoring import ScoreConfig, make_scorer
 
 
 @dataclass(frozen=True)
-class SearchState:
+class TraceStep:
+    """A visited class, its score, and the move that reached it."""
+
+    phase: str
     cpdag: Cpdag
     score: float
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    phase: str
-    state: SearchState
     move: str
 
 
 @dataclass
 class SearchTrace:
-    """The visited states in order; truncated marks a hit step budget."""
+    """The visited classes in order; truncated marks a hit step budget."""
 
     steps: list = field(default_factory=list)
     truncated: bool = False
 
-    def scores(self) -> list:
-        return [s.state.score for s in self.steps]
-
     def to_log(self) -> str:
         """One move per line: phase, move, score before, score after."""
-        lines = []
-        prev = None
+        lines, before = [], "-"
         for step in self.steps:
-            before = "-" if prev is None else repr(prev)
-            lines.append(
-                f"{step.phase}\t{step.move}\t{before}\t{step.state.score!r}"
-            )
-            prev = step.state.score
+            lines.append(f"{step.phase}\t{step.move}\t{before}\t{step.score!r}")
+            before = repr(step.score)
         if self.truncated:
             lines.append("# truncated: step budget exhausted before a local maximum")
         return "\n".join(lines) + "\n"
@@ -311,8 +301,7 @@ def greedy_phase(start: Cpdag, neighbors_fn, class_scorer, phase="forward", max_
         max_steps = start.n * start.n + start.n
     cur = start
     cur_score = class_scorer(cur)
-    trace = SearchTrace([TraceStep(phase, SearchState(cur, cur_score), "start")])
-    moves = 0
+    trace = SearchTrace([TraceStep(phase, cur, cur_score, "start")])
     while True:
         best, best_score = None, None
         for nb in neighbors_fn(cur):  # canonical order: first win breaks ties
@@ -323,13 +312,11 @@ def greedy_phase(start: Cpdag, neighbors_fn, class_scorer, phase="forward", max_
                 best, best_score = nb, s
         if best is None:
             break
-        if moves >= max_steps:
+        if len(trace.steps) > max_steps:  # the moves so far, after the start step
             trace.truncated = True
             break
-        step = TraceStep(phase, SearchState(best, best_score), _move_desc(cur, best))
-        trace.steps.append(step)
+        trace.steps.append(TraceStep(phase, best, best_score, _move_desc(cur, best)))
         cur, cur_score = best, best_score
-        moves += 1
     return cur, trace
 
 
@@ -362,29 +349,3 @@ def run_search(cfg: SearchConfig, data=None, joint=None):
         trace.steps += part.steps[1:] if trace.steps else part.steps
         trace.truncated = trace.truncated or part.truncated
     return cur, trace
-
-
-def _config(algorithm, cfg: SearchConfig, start=None) -> SearchConfig:
-    cfg = cfg if cfg is not None else SearchConfig()
-    start = start if start is not None else cfg.start
-    return replace(cfg, algorithm=algorithm, start=start)
-
-
-def fes(data=None, joint=None, cfg: SearchConfig = None, start=None):
-    """Forward equivalence search from the given class (default empty)."""
-    return run_search(_config("fes", cfg, start), data, joint)
-
-
-def bes(start=None, data=None, joint=None, cfg: SearchConfig = None):
-    """Backward equivalence search from the given class (default complete)."""
-    return run_search(_config("bes", cfg, start), data, joint)
-
-
-def ges(data=None, joint=None, cfg: SearchConfig = None):
-    """Forward phase to a local maximum, then backward phase, one trace."""
-    return run_search(_config("ges", cfg), data, joint)
-
-
-def uges(data=None, joint=None, cfg: SearchConfig = None, start=None):
-    """Greedy over forward and backward neighbors together at every step."""
-    return run_search(_config("uges", cfg, start), data, joint)

@@ -39,14 +39,14 @@ from gesbn.oracle import (
     composition_holds,
     enumerate_classes,
     enumerate_dags,
-    inclusion_optimal_classes,
     observed_margin,
+    optimal_classes,
     transformation_sequence,
 )
 from gesbn.scoring import CategoricalDataset, ScoreConfig, score
-from gesbn.search import SearchConfig, bes, ges, uges
+from gesbn.search import SearchConfig, run_search
 
-ORACLE_CFG = SearchConfig(score=ScoreConfig(criterion="oracle", oracle_pseudo_m=1e6))
+EXACT = ScoreConfig(criterion="oracle", oracle_pseudo_m=1e6)
 BASE_SEED = 0
 
 
@@ -84,7 +84,7 @@ def class_param_counts(classes, spec):
 
 class TestCriterion1GoldStandardGate:
     def test_w_structure_gate(self, margins):
-        opt = inclusion_optimal_classes(margins["w_structure"])
+        opt = optimal_classes(margins["w_structure"])[0]
         counts = class_param_counts(opt, margins["w_structure"].spec)
         criterion(
             1, "w-structure gate {18,20}", counts == [18, 20],
@@ -92,7 +92,7 @@ class TestCriterion1GoldStandardGate:
         )
 
     def test_four_cycle_gate(self, margins):
-        opt = inclusion_optimal_classes(margins["four_cycle"])
+        opt = optimal_classes(margins["four_cycle"])[0]
         counts = class_param_counts(opt, margins["four_cycle"].spec)
         criterion(
             1, "four-cycle gate {19,23}", counts == [19, 23],
@@ -104,12 +104,13 @@ class TestCriterion2DeterministicOptimality:
     @pytest.mark.parametrize("gold_name", ["w_structure", "four_cycle"])
     def test_all_search_modes_reach_optimal(self, margins, gold_name):
         margin = margins[gold_name]
-        optimal = set(inclusion_optimal_classes(margin))
+        optimal = set(optimal_classes(margin)[0])
         runs = {
-            "ges(empty)": ges(joint=margin, cfg=ORACLE_CFG)[0],
-            "uges(empty)": uges(joint=margin, cfg=ORACLE_CFG, start="empty")[0],
-            "uges(complete)": uges(joint=margin, cfg=ORACLE_CFG, start="complete")[0],
-            "bes(complete)": bes(start="complete", joint=margin, cfg=ORACLE_CFG)[0],
+            f"{alg}({start})": run_search(SearchConfig(alg, start, EXACT), joint=margin)[0]
+            for alg, start in (
+                ("ges", "empty"), ("uges", "empty"), ("uges", "complete"),
+                ("bes", "complete"),
+            )
         }
         bad = [name for name, out in runs.items() if out not in optimal]
         criterion(

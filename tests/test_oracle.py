@@ -30,10 +30,9 @@ from gesbn.oracle import (
     enumerate_classes,
     enumerate_dags,
     includes,
-    inclusion_optimal_classes,
     joint_from_bn,
     observed_margin,
-    parameter_optimal_classes,
+    optimal_classes,
     save_joint_csv,
     transformation_sequence,
 )
@@ -235,23 +234,22 @@ class TestOptimalClasses:
         g = Dag(3, {(0, 1), (1, 2)})
         spec = VariableSpec(("a", "b", "c"), (2, 3, 2))
         p = joint_from_bn(sample_parameters(g, spec, seed=33))
-        opt = inclusion_optimal_classes(p)
+        opt, popt = optimal_classes(p)
         assert opt == (dag_to_cpdag(g),)
-        assert parameter_optimal_classes(p) == opt
+        assert popt == opt
 
     def test_product_distribution_optimum_is_empty_class(self):
         spec = VariableSpec(("a", "b", "c"), (2, 2, 2))
         p = JointTable(spec, np.full((2, 2, 2), 1 / 8))
-        opt = inclusion_optimal_classes(p)
+        opt, popt = optimal_classes(p)
         assert opt == (dag_to_cpdag(Dag(3)),)
-        popt = parameter_optimal_classes(p)
         assert popt == opt
         assert parameter_count(Dag(3), spec) == 3
 
     def test_optimal_classes_pairwise_incomparable(self):
         for seed, gold in ((35, gold_w()), (37, gold_four_cycle())):
             margin = observed_margin(gold.with_parameters(seed=seed))
-            opt = inclusion_optimal_classes(margin)
+            opt = optimal_classes(margin)[0]
             reps = [consistent_extensions(c)[0] for c in opt]
             for a, b in combinations(reps, 2):
                 assert not included_in(a, b) and not included_in(b, a)

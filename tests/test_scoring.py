@@ -15,7 +15,6 @@ from gesbn.scoring import (
     load_dataset,
     load_schema,
     make_scorer,
-    oracle_score,
     save_dataset,
     save_schema,
     score,
@@ -24,6 +23,7 @@ from gesbn.scoring import (
 from gesbn.datagen import sample_parameters, forward_sample
 from gesbn.oracle import JointTable, joint_from_bn
 
+EXACT = ScoreConfig(criterion="oracle")
 YX = VariableSpec(("Y", "X"), (2, 2))
 YX_DATA = CategoricalDataset(YX, [(0, 0), (0, 1), (1, 1), (1, 1)])
 
@@ -73,8 +73,23 @@ class TestBdeuLocal:
         assert bdeu_local(tally(empty, 1, ()), ess=3.0) == 0.0
 
     def test_requires_positive_ess(self):
-        with pytest.raises(ValueError):
-            bdeu_local(tally(YX_DATA, 1, ()), ess=0.0)
+        # NaN compares false with everything, so an "ess <= 0" test passes it
+        for ess in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                bdeu_local(tally(YX_DATA, 1, ()), ess=ess)
+
+
+class TestScoreConfig:
+    @pytest.mark.parametrize("kw,message", [
+        ({"ess": 0.0}, "ess must be positive"),
+        ({"ess": math.nan}, "ess must be positive"),
+        ({"oracle_pseudo_m": -1.0}, "oracle_pseudo_m must be positive"),
+        ({"oracle_pseudo_m": math.nan}, "oracle_pseudo_m must be positive"),
+        ({"criterion": "aic"}, "criterion must be one of"),
+    ], ids=["ess-zero", "ess-nan", "pseudo-m-negative", "pseudo-m-nan", "criterion"])
+    def test_rejects_bad_knobs(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            ScoreConfig(**kw)
 
 
 class TestBicLocal:
@@ -150,13 +165,13 @@ class TestTotalScore:
 
 class TestOracleScore:
     def test_independent_pair_prefers_empty(self):
-        p = JointTable(YX, np.full((2, 2), 0.25))
-        assert oracle_score(Dag(2), p) > oracle_score(Dag(2, {(0, 1)}), p)
+        scorer = make_scorer(EXACT, joint=JointTable(YX, np.full((2, 2), 0.25)))
+        assert scorer.score_dag(Dag(2)) > scorer.score_dag(Dag(2, {(0, 1)}))
 
     def test_dependent_pair_prefers_edge(self):
         probs = np.array([[0.4, 0.1], [0.1, 0.4]])
-        p = JointTable(YX, probs)
-        assert oracle_score(Dag(2, {(0, 1)}), p) > oracle_score(Dag(2), p)
+        scorer = make_scorer(EXACT, joint=JointTable(YX, probs))
+        assert scorer.score_dag(Dag(2, {(0, 1)})) > scorer.score_dag(Dag(2))
 
     def test_generative_structure_maximal_n3(self):
         from gesbn.oracle import enumerate_dags
@@ -164,17 +179,15 @@ class TestOracleScore:
         g = Dag(3, {(0, 1), (1, 2)})
         spec = VariableSpec(("a", "b", "c"), (2, 2, 2))
         bn = sample_parameters(g, spec, seed=5)
-        p = joint_from_bn(bn)
-        best = max(enumerate_dags(3), key=lambda h: oracle_score(h, p))
-        assert oracle_score(best, p) == pytest.approx(
-            oracle_score(g, p), abs=1e-6
-        )
+        scorer = make_scorer(EXACT, joint=joint_from_bn(bn))
+        best = max(enumerate_dags(3), key=scorer.score_dag)
+        assert scorer.score_dag(best) == pytest.approx(scorer.score_dag(g), abs=1e-6)
 
     def test_zero_probability_rows_ignored(self):
         # Y constant: conditioning rows for Y=1 have zero mass
         probs = np.array([[0.5, 0.5], [0.0, 0.0]])
-        p = JointTable(YX, probs)
-        val = oracle_score(Dag(2, {(0, 1)}), p, pseudo_m=100.0)
+        cfg = ScoreConfig("oracle", oracle_pseudo_m=100.0)
+        val = make_scorer(cfg, joint=JointTable(YX, probs)).score_dag(Dag(2, {(0, 1)}))
         assert np.isfinite(val)
 
 

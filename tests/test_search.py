@@ -17,23 +17,19 @@ from gesbn.graphs import (
 from gesbn.oracle import (
     enumerate_classes,
     includes,
-    inclusion_optimal_classes,
     observed_margin,
+    optimal_classes,
 )
 from gesbn.scoring import CategoricalDataset, ScoreConfig, make_scorer
 from gesbn.search import (
     SearchConfig,
     backward_neighbors,
-    bes,
-    fes,
     forward_neighbors,
-    ges,
     greedy_phase,
     run_search,
-    uges,
 )
 
-ORACLE_CFG = SearchConfig(score=ScoreConfig(criterion="oracle", oracle_pseudo_m=1e6))
+EXACT = ScoreConfig(criterion="oracle", oracle_pseudo_m=1e6)
 
 
 class TestNeighborhoods:
@@ -117,13 +113,13 @@ class TestGreedyPhase:
         out, trace = greedy_phase(
             empty_cpdag(3), forward_neighbors, scorer, max_steps=1
         )
-        assert trace.steps[1].state.cpdag == Cpdag(3, undirected={(0, 1)})
+        assert trace.steps[1].cpdag == Cpdag(3, undirected={(0, 1)})
 
     def test_scores_strictly_increase(self):
         gold = gold_w().with_parameters(seed=3)
         margin = observed_margin(gold)
-        _, trace = ges(joint=margin, cfg=ORACLE_CFG)
-        scores = trace.scores()
+        _, trace = run_search(SearchConfig("ges", score=EXACT), joint=margin)
+        scores = [step.score for step in trace.steps]
         assert all(b > a for a, b in zip(scores, scores[1:]))
 
 
@@ -139,13 +135,13 @@ class TestFes:
         ]
         bn = ParametricBn(g, spec, cpts)
         data = forward_sample(bn, 100_000, seed=41)
-        out, _ = fes(data=data)
+        out, _ = run_search(SearchConfig("fes"), data=data)
         assert out == Cpdag(3, undirected={(0, 1)})
 
     def test_w_margin_reaches_class_including_p(self):
         gold = gold_w().with_parameters(seed=43)
         margin = observed_margin(gold)
-        out, _ = fes(joint=margin, cfg=ORACLE_CFG)
+        out, _ = run_search(SearchConfig("fes", score=EXACT), joint=margin)
         assert all(includes(g, margin) for g in consistent_extensions(out))
 
 
@@ -154,18 +150,18 @@ class TestGes:
         spec = VariableSpec(("a", "b", "c"), (2, 2, 2))
         bn = ParametricBn(Dag(3), spec, [np.full((1, 2), 0.5)] * 3)
         data = forward_sample(bn, 100_000, seed=45)
-        out, _ = ges(data=data)
+        out, _ = run_search(SearchConfig("ges"), data=data)
         assert out == empty_cpdag(3)
 
     @pytest.mark.parametrize("gold_fn,seed", [(gold_w, 47), (gold_w, 48)])
     def test_oracle_score_reaches_inclusion_optimal_w(self, gold_fn, seed):
         margin = observed_margin(gold_fn().with_parameters(seed=seed))
-        out, _ = ges(joint=margin, cfg=ORACLE_CFG)
-        assert out in inclusion_optimal_classes(margin)
+        out, _ = run_search(SearchConfig("ges", score=EXACT), joint=margin)
+        assert out in optimal_classes(margin)[0]
 
     def test_trace_phases_contiguous(self):
         margin = observed_margin(gold_w().with_parameters(seed=49))
-        _, trace = ges(joint=margin, cfg=ORACLE_CFG)
+        _, trace = run_search(SearchConfig("ges", score=EXACT), joint=margin)
         phases = [s.phase for s in trace.steps]
         assert phases == sorted(phases, key=("forward", "backward").index)
 
@@ -173,44 +169,44 @@ class TestGes:
 class TestUges:
     def test_ges_output_is_uges_local_maximum(self):
         margin = observed_margin(gold_w().with_parameters(seed=51))
-        out, _ = ges(joint=margin, cfg=ORACLE_CFG)
-        scorer = make_scorer(ORACLE_CFG.score, joint=margin)
+        out, _ = run_search(SearchConfig("ges", score=EXACT), joint=margin)
+        scorer = make_scorer(EXACT, joint=margin)
         final = scorer.score_class(out)
         neighbors = set(forward_neighbors(out)) | set(backward_neighbors(out))
         assert all(scorer.score_class(c) <= final for c in neighbors)
-        again, _ = uges(joint=margin, cfg=ORACLE_CFG, start=out)
+        again, _ = run_search(SearchConfig("uges", out, EXACT), joint=margin)
         assert again == out
 
     def test_from_complete_reaches_inclusion_optimal(self):
         margin = observed_margin(gold_w().with_parameters(seed=53))
-        out, _ = uges(joint=margin, cfg=ORACLE_CFG, start="complete")
-        assert out in inclusion_optimal_classes(margin)
+        out, _ = run_search(SearchConfig("uges", "complete", EXACT), joint=margin)
+        assert out in optimal_classes(margin)[0]
 
     def test_empty_start_independent_data(self):
         spec = VariableSpec(("a", "b"), (2, 2))
         bn = ParametricBn(Dag(2), spec, [np.full((1, 2), 0.5)] * 2)
         data = forward_sample(bn, 50_000, seed=55)
-        out, _ = uges(data=data)
+        out, _ = run_search(SearchConfig("uges"), data=data)
         assert out == empty_cpdag(2)
 
 
 class TestBes:
     def test_empty_start_has_no_moves(self):
         margin = observed_margin(gold_w().with_parameters(seed=57))
-        out, trace = bes(start="empty", joint=margin, cfg=ORACLE_CFG)
+        out, trace = run_search(SearchConfig("bes", "empty", EXACT), joint=margin)
         assert out == empty_cpdag(4)
         assert len(trace.steps) == 1
 
     def test_from_complete_reaches_inclusion_optimal(self):
         margin = observed_margin(gold_w().with_parameters(seed=59))
-        out, _ = bes(start="complete", joint=margin, cfg=ORACLE_CFG)
-        assert out in inclusion_optimal_classes(margin)
+        out, _ = run_search(SearchConfig("bes", "complete", EXACT), joint=margin)
+        assert out in optimal_classes(margin)[0]
 
     def test_every_intermediate_includes_p(self):
         margin = observed_margin(gold_w().with_parameters(seed=61))
-        _, trace = bes(start="complete", joint=margin, cfg=ORACLE_CFG)
+        _, trace = run_search(SearchConfig("bes", "complete", EXACT), joint=margin)
         for step in trace.steps:
-            rep = consistent_extensions(step.state.cpdag)[0]
+            rep = consistent_extensions(step.cpdag)[0]
             assert includes(rep, margin)
 
 
@@ -229,20 +225,20 @@ class TestDeterminism:
     def test_record_order_invariance(self):
         base = self._dataset(65)
         shuffled = self._dataset(65, permute=1)
-        out1, _ = ges(data=base)
-        out2, _ = ges(data=shuffled)
+        out1, _ = run_search(SearchConfig("ges"), data=base)
+        out2, _ = run_search(SearchConfig("ges"), data=shuffled)
         assert out1 == out2
 
     def test_full_trace_reproducible(self):
         data = self._dataset(67)
-        out1, trace1 = ges(data=data)
-        out2, trace2 = ges(data=data)
+        out1, trace1 = run_search(SearchConfig("ges"), data=data)
+        out2, trace2 = run_search(SearchConfig("ges"), data=data)
         assert out1 == out2
         assert trace1.to_log() == trace2.to_log()
 
     def test_trace_log_format(self):
         data = self._dataset(69)
-        _, trace = ges(data=data)
+        _, trace = run_search(SearchConfig("ges"), data=data)
         lines = trace.to_log().strip().splitlines()
         assert lines[0].startswith("forward\tstart\t-\t")
         for line in lines:
@@ -250,16 +246,12 @@ class TestDeterminism:
 
 
 class TestRunSearch:
-    def test_dispatch_matches_direct_calls(self):
+    def test_default_start_matches_explicit_start(self):
         margin = observed_margin(gold_w().with_parameters(seed=71))
         for algorithm in ("fes", "bes", "ges", "uges"):
-            cfg = SearchConfig(algorithm=algorithm, score=ORACLE_CFG.score)
-            out1, _ = run_search(cfg, joint=margin)
-            direct = {"fes": fes, "ges": ges, "uges": uges}.get(algorithm)
-            if algorithm == "bes":
-                out2, _ = bes(None, None, margin, cfg)
-            else:
-                out2, _ = direct(None, margin, cfg)
+            start = "complete" if algorithm == "bes" else "empty"
+            out1, _ = run_search(SearchConfig(algorithm, score=EXACT), joint=margin)
+            out2, _ = run_search(SearchConfig(algorithm, start, EXACT), joint=margin)
             assert out1 == out2
 
     def test_requires_exactly_one_input(self):
@@ -282,8 +274,6 @@ class TestRunSearch:
 
 import itertools
 import math
-from dataclasses import replace
-
 from gesbn.datagen import gold_four_cycle, observed_sample
 from gesbn.scoring import (
     DecomposableScorer,
@@ -424,23 +414,6 @@ def search_inputs():
     return out
 
 
-def _wrapper_runs(algorithm, cfg, data, joint):
-    """Each way the public wrappers take a start: in cfg, or as an argument."""
-    runs = {}
-    if algorithm == "fes":
-        runs["fes(cfg)"] = fes(data, joint, cfg)
-        runs["fes(start)"] = fes(data, joint, replace(cfg, start=None), cfg.start)
-    elif algorithm == "bes":
-        runs["bes(cfg)"] = bes(None, data, joint, cfg)
-        runs["bes(start)"] = bes(cfg.start, data, joint, replace(cfg, start=None))
-    elif algorithm == "ges":
-        runs["ges(cfg)"] = ges(data, joint, cfg)
-    else:
-        runs["uges(cfg)"] = uges(data, joint, cfg)
-        runs["uges(start)"] = uges(data, joint, replace(cfg, start=None), cfg.start)
-    return runs
-
-
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("gold", sorted(GOLDS))
     @pytest.mark.parametrize("criterion", ["bdeu", "bic", "oracle"])
@@ -453,11 +426,9 @@ class TestEngineMatchesReference:
         ):
             cfg = SearchConfig(algorithm, start, score_cfg, max_steps)
             want_out, want_trace = ref_run_search(cfg, data, joint)
-            runs = {"run_search": run_search(cfg, data, joint)}
-            runs.update(_wrapper_runs(algorithm, cfg, data, joint))
-            for how, (out, trace) in runs.items():
-                assert out == want_out, (how, start, max_steps)
-                assert trace.to_log() == want_trace.to_log(), (how, start, max_steps)
+            out, trace = run_search(cfg, data, joint)
+            assert out == want_out, (start, max_steps)
+            assert trace.to_log() == want_trace.to_log(), (start, max_steps)
 
     def test_step_budget_truncates_the_trace(self, search_inputs):
         data, _ = search_inputs["w"]["bdeu"]
@@ -470,7 +441,7 @@ class TestEngineMatchesReference:
     def test_bes_defaults_to_complete_start(self, search_inputs):
         data, _ = search_inputs["w"]["bdeu"]
         out, trace = run_search(SearchConfig(algorithm="bes"), data=data)
-        assert trace.steps[0].state.cpdag == complete_cpdag(4)
+        assert trace.steps[0].cpdag == complete_cpdag(4)
         twin = run_search(SearchConfig(algorithm="bes", start="complete"), data=data)
         assert (out, trace.to_log()) == (twin[0], twin[1].to_log())
         assert out != empty_cpdag(4)
