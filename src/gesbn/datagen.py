@@ -13,6 +13,13 @@ class encodings and search traces of every sweep depend on it. A faster
 sampler must reproduce it byte for byte (tests/test_fastpaths.py compares
 against the per-record reference); a change that alters it must say so
 and report the acceptance numbers before and after.
+
+Rejection sampling lays the stream out in batches: each node's uniforms
+for a batch take the next max(4m, 1024) positions, and record j of the
+batch reads position j of every node's block. Only rows that can become
+records are generated; under selection that is the rows up to the m-th
+acceptance. Stream positions are those of drawing every row, and the
+generator ends at the boundary of the last batch.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphs import Dag, VariableSpec, topological_order
-from .scoring import CategoricalDataset, config_indices, read_variables
+from .scoring import CategoricalDataset, config_indices, read_variables, variable_int
 
 ROW_SUM_TOL = 1e-12
 
@@ -180,22 +187,23 @@ def _cdf_thresholds(bn: ParametricBn) -> list:
 
 
 def _ancestral(bn: ParametricBn, draws, rng, rows=None) -> list:
-    """States of `draws` ancestral draws, one column per node.
+    """States of the rows in `rows` (a range, default all) of `draws`
+    ancestral draws, one column per node.
 
-    Each node takes `draws` uniforms from rng, node by node in topological
-    order; with rows=k only the first k draws are used, and the stream
-    skips past the rest so that it stays the same. Columns use the
+    Each node owns the next `draws` uniforms of rng's stream, node by node
+    in topological order, and row j reads the j-th of each node's block.
+    Only the uniforms of `rows` are drawn; the stream skips the others, so
+    it ends where drawing every row would leave it. Columns use the
     smallest unsigned dtype that holds the node's states.
     """
+    rows = range(draws) if rows is None else rows
     thresholds = _cdf_thresholds(bn)
     cards = bn.spec.cards
     cols = [None] * bn.spec.n
     for i in topological_order(bn.structure):
-        if rows is None:
-            u = rng.random(draws)
-        else:
-            u = rng.random(rows)
-            _skip_uniforms(rng, draws - rows)
+        _skip_uniforms(rng, rows.start)
+        u = rng.random(len(rows))
+        _skip_uniforms(rng, draws - rows.stop)
         cfg = config_indices(cols, bn.structure.parents(i), cards)
         state = np.zeros(u.shape[0], dtype=np.min_scalar_type(cards[i] - 1))
         for row in thresholds[i]:
@@ -208,6 +216,8 @@ def _ancestral(bn: ParametricBn, draws, rng, rows=None) -> list:
 def _skip_uniforms(rng, k):
     """Move rng past k uniforms: PCG64 spends one 64-bit output on each, so
     it jumps ahead; any other bit generator draws them."""
+    if not k:
+        return
     if isinstance(rng.bit_generator, np.random.PCG64):
         rng.bit_generator.advance(k)
     else:
@@ -233,15 +243,36 @@ MIN_ACCEPT_RATE = 1e-6
 _GUARD_MIN_DRAWS = 1_000_000
 
 
+def _rejecting(accepted, drawn) -> bool:
+    """The guard: too few acceptances among enough draws."""
+    return drawn >= _GUARD_MIN_DRAWS and accepted < drawn * MIN_ACCEPT_RATE
+
+
+def _range_stop(start, batch, need, accepted, generated) -> int:
+    """Where a batch's next row range ends: past the rows expected to
+    yield `need` more acceptances at the rate seen so far (1/2 before the
+    first row), plus a 10% and a 1024-row margin."""
+    if need <= 0 or (generated and not accepted):
+        return batch
+    rows = 2 * need if not generated else 1.1 * need * generated / accepted
+    return min(batch, start + int(rows) + 1024)
+
+
 def observed_sample(gold: GoldStandard, m, seed) -> CategoricalDataset:
     """Exactly m accepted records over the observed variables only.
 
     Raw draws that miss the selection states are discarded; hidden and
     selection columns are dropped from the result. Without hidden or
     selection variables this equals forward_sample projected on observed.
-    With hidden variables, draws come in batches of max(4m, 1024) per
-    node, and the first m draws (the first m accepted ones, under
-    selection) are kept.
+    Otherwise draws come in batches of max(4m, 1024) per node, and the
+    first m draws (the first m accepted ones, under selection) are kept.
+
+    Only the rows that can become records are generated. Without
+    selection that is a batch's first m rows. Under selection, a PCG64
+    generator is rewound within a batch to generate it in row ranges, up
+    to the row of the m-th acceptance; any other generator draws each
+    batch whole. Batches and stream positions stay as if every row were
+    drawn, and the generator ends at the last batch's boundary.
     """
     if gold.bn is None:
         raise ValueError("gold standard carries no parameters; call with_parameters")
@@ -256,19 +287,29 @@ def observed_sample(gold: GoldStandard, m, seed) -> CategoricalDataset:
     batch = max(4 * m, 1024)
     if not gold.selection:
         # one batch always suffices; only its first m draws become records
-        cols = _ancestral(gold.bn, batch, rng, m)
+        cols = _ancestral(gold.bn, batch, rng, range(m))
         return CategoricalDataset(gold.observed_spec, _records(cols, obs))
-    kept, accepted, drawn = [], 0, 0
+    ranged = isinstance(rng.bit_generator, np.random.PCG64)
+    kept, accepted, drawn, generated = [], 0, 0, 0
     while accepted < m:
-        cols = _ancestral(gold.bn, batch, rng)
-        hit = np.ones(batch, dtype=bool)
-        for v, s in gold.selection:
-            hit &= cols[v] == s
-        hit = np.flatnonzero(hit)
-        kept.append(_records(cols, obs, hit[: m - accepted]))
-        accepted += hit.size
+        stop = 0
+        # past the m-th acceptance, a batch goes on only while the guard
+        # would fire on its partial count, as it might not on the full one
+        while stop < batch and (accepted < m or _rejecting(accepted, drawn + batch)):
+            if stop:
+                rng.bit_generator.advance(-gold.spec.n * batch)  # to the batch start
+            start = stop
+            stop = _range_stop(start, batch, m - accepted, accepted, generated) if ranged else batch
+            cols = _ancestral(gold.bn, batch, rng, range(start, stop))
+            hit = np.ones(stop - start, dtype=bool)
+            for v, s in gold.selection:
+                hit &= cols[v] == s
+            hit = np.flatnonzero(hit)
+            kept.append(_records(cols, obs, hit[: max(m - accepted, 0)]))
+            accepted += hit.size
+            generated += stop - start
         drawn += batch
-        if drawn >= _GUARD_MIN_DRAWS and accepted < drawn * MIN_ACCEPT_RATE:
+        if _rejecting(accepted, drawn):
             raise RuntimeError(
                 f"selection acceptance rate {accepted}/{drawn} below {MIN_ACCEPT_RATE}; "
                 "selection event has (near-)zero probability"
@@ -350,9 +391,11 @@ def model_from_dict(doc: dict) -> GoldStandard:
         elif role == "hidden":
             hidden.append(i)
         elif role == "selection":
-            selection.append((i, int(v["selection_value"])))
+            selection.append((i, variable_int(v, i, "selection_value")))
         else:
             raise ValueError(f"unknown variable role {role!r}")
+    if "edges" not in doc:
+        raise ValueError('the model has no "edges" field')
     structure = Dag(
         spec.n, {(spec.index(u), spec.index(v)) for u, v in doc["edges"]}
     )

@@ -258,13 +258,26 @@ def read_variables(doc) -> VariableSpec:
     {"name", "cardinality"} entries. A missing field raises ValueError."""
     if not isinstance(doc, dict) or not isinstance(doc.get("variables"), list):
         raise ValueError('expected a JSON object with a "variables" list')
+    names, cards = [], []
     for i, v in enumerate(doc["variables"]):
-        for key in ("name", "cardinality"):
-            if not isinstance(v, dict) or key not in v:
-                raise ValueError(f'variables[{i}] has no "{key}" field')
-    names = tuple(v["name"] for v in doc["variables"])
-    cards = tuple(int(v["cardinality"]) for v in doc["variables"])
-    return VariableSpec(names, cards)
+        if not isinstance(v, dict) or "name" not in v:
+            raise ValueError(f'variables[{i}] has no "name" field')
+        names.append(v["name"])
+        cards.append(variable_int(v, i, "cardinality"))
+    return VariableSpec(tuple(names), tuple(cards))
+
+
+def variable_int(v, i, key) -> int:
+    """The integer field `key` of v, entry i of a "variables" list; a
+    missing or non-integer field raises ValueError naming it."""
+    if key not in v:
+        raise ValueError(f'variables[{i}] has no "{key}" field')
+    try:
+        return int(v[key])
+    except (TypeError, ValueError):
+        raise ValueError(
+            f'variables[{i}] "{key}" is not an integer: {json.dumps(v[key])}'
+        ) from None
 
 
 def load_schema(path) -> VariableSpec:

@@ -165,6 +165,34 @@ def _cases():
 CASES = _cases()
 
 
+def _two_selections():
+    spec = VariableSpec(("a", "b", "s", "t"), (2, 3, 2, 3))
+    structure = Dag(4, {(0, 2), (1, 2), (1, 3), (0, 3)})
+    bn = sample_parameters(structure, spec, seed=2)
+    return GoldStandard(structure, spec, (0, 1), selection=((2, 1), (3, 0)), bn=bn)
+
+
+def _low_acceptance():
+    """A six-state selection node with peaked rows (ess = 0.5): S = 2 is
+    accepted with probability 0.082."""
+    spec = VariableSpec(("a", "b", "s"), (3, 2, 6))
+    structure = Dag(3, {(0, 2), (1, 2)})
+    bn = sample_parameters(structure, spec, ess=0.5, seed=1)
+    return GoldStandard(structure, spec, (0, 1), selection=((2, 2),), bn=bn)
+
+
+SELECTION_GOLDS = {
+    "four_cycle": CASES["four_cycle"],
+    "two_selections": _two_selections(),
+    "low_acceptance": _low_acceptance(),
+}
+SELECTION_CASES = (
+    [("four_cycle", m) for m in SIZES]
+    + [("two_selections", m) for m in SIZES]
+    + [("low_acceptance", m) for m in (1, 10, 300, 5000, 40000)]
+)
+
+
 class TestSamplerMatchesReference:
     @pytest.mark.parametrize("name", sorted(CASES))
     @pytest.mark.parametrize("m", SIZES)
@@ -184,10 +212,7 @@ class TestSamplerMatchesReference:
             assert np.array_equal(got, ref_ancestral(bn, m, _rng(seed)))
 
     def test_several_selection_variables(self):
-        spec = VariableSpec(("a", "b", "s", "t"), (2, 3, 2, 3))
-        structure = Dag(4, {(0, 2), (1, 2), (1, 3), (0, 3)})
-        bn = sample_parameters(structure, spec, seed=2)
-        gold = GoldStandard(structure, spec, (0, 1), selection=((2, 1), (3, 0)), bn=bn)
+        gold = SELECTION_GOLDS["two_selections"]
         for m in SIZES:
             got = observed_sample(gold, m, seed=m).records
             assert np.array_equal(got, ref_observed_records(gold, m, m))
@@ -311,9 +336,11 @@ class TestTallyMatchesReference:
 
 
 class TestSkippedDraws:
-    """With hidden variables and no selection, only m of each node's
-    max(4m, 1024) uniforms become records; the rest are skipped, and the
-    generator must end where drawing them would have left it."""
+    """Only the rows that can become records are generated: with hidden
+    variables and no selection, the first m of each node's max(4m, 1024)
+    uniforms; under selection, the rows up to the m-th acceptance. The
+    rest are skipped, and the generator must end where drawing them would
+    have left it."""
 
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
     @pytest.mark.parametrize("m", [m for m in SIZES if m])  # m = 0 still draws a batch
@@ -324,6 +351,39 @@ class TestSkippedDraws:
         got = observed_sample(gold, m, got_rng).records
         assert np.array_equal(got, ref_observed_records(gold, m, want_rng))
         assert np.array_equal(got_rng.random(5), want_rng.random(5))
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+    @pytest.mark.parametrize("name,m", SELECTION_CASES)
+    def test_selection_records_and_generator_state(self, bit_generator, name, m):
+        # under selection a PCG64 batch is generated in row ranges, up to
+        # the m-th acceptance; any other generator draws each batch whole
+        gold = SELECTION_GOLDS[name]
+        got_rng = np.random.Generator(bit_generator(m + 13))
+        want_rng = np.random.Generator(bit_generator(m + 13))
+        got = observed_sample(gold, m, got_rng).records
+        assert np.array_equal(got, ref_observed_records(gold, m, want_rng))
+        assert np.array_equal(got_rng.random(5), want_rng.random(5))
+
+    def test_low_acceptance_gold_crosses_batches(self):
+        # 1/0.082 rows per record: 300 records or more take several
+        # batches of max(4m, 1024) rows, some cut into row ranges
+        p = joint_from_bn(SELECTION_GOLDS["low_acceptance"].bn)
+        assert 0.08 < p.probs[:, :, 2].sum() < 0.085
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_selection_peak_memory_per_record(self, seed):
+        """Traced peak of four-cycle sampling at m = 100000 (acceptance
+        0.38-0.54): 144.7 bytes per record for every seed when each batch
+        was generated whole, 73.1-86.7 since rows past the m-th acceptance
+        are left undrawn."""
+        gold = gold_four_cycle().with_parameters(seed=RngSeed(seed, 0))
+        tracemalloc.start()
+        try:
+            observed_sample(gold, 100000, RngSeed(seed, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 100000
 
 
 def ref_bdeu_local(counts, ess):

@@ -645,6 +645,13 @@ class TestCliRejectsBadData:
         (["oracle", "--model", "no-cpt.json"], "no-cpt.json: \"cpts\" has no table for 'X2'"),
         (["learn", "--score", "oracle", "--joint", "no-cpt.json", "--out", "out"],
          "no-cpt.json: \"cpts\" has no table for 'X2'"),
+        (["oracle", "--model", "no-edges.json"], 'no-edges.json: the model has no "edges" field'),
+        (["oracle", "--model", "no-selection-value.json"],
+         'no-selection-value.json: variables[4] has no "selection_value" field'),
+        (["oracle", "--model", "null-card.json"],
+         'null-card.json: variables[1] "cardinality" is not an integer: null'),
+        (["learn", "--data", "d.csv", "--schema", "null-card.json", "--out", "out"],
+         'null-card.json: variables[1] "cardinality" is not an integer: null'),
     ], ids=[
         "score-graph-missing", "score-graph-unknown-variable", "learn-start-missing",
         "learn-joint-missing", "learn-oracle-without-joint", "learn-without-data",
@@ -655,6 +662,8 @@ class TestCliRejectsBadData:
         "learn-schema-list", "oracle-model-list", "learn-joint-list",
         "learn-schema-without-name", "oracle-model-without-cardinality",
         "oracle-model-without-a-cpt", "learn-joint-without-a-cpt",
+        "oracle-model-without-edges", "oracle-model-without-selection-value",
+        "oracle-model-null-cardinality", "learn-schema-null-cardinality",
     ])
     def test_other_inputs_exit_with_one_line(
         self, tmp_path, capsys, monkeypatch, argv, message
@@ -679,7 +688,15 @@ class TestCliRejectsBadData:
         no_card = dict(model, variables=[dict(v) for v in model["variables"]])
         del no_card["variables"][1]["cardinality"]
         no_cpt = dict(model, cpts={k: v for k, v in model["cpts"].items() if k != "X2"})
+        no_edges = {k: v for k, v in model.items() if k != "edges"}
+        no_selection_value = dict(model, variables=[dict(v) for v in model["variables"]])
+        del no_selection_value["variables"][4]["selection_value"]
+        null_card = dict(model, variables=[dict(v) for v in model["variables"]])
+        null_card["variables"][1]["cardinality"] = None
         for name, doc in (("no-card.json", no_card), ("no-cpt.json", no_cpt),
+                          ("no-edges.json", no_edges),
+                          ("no-selection-value.json", no_selection_value),
+                          ("null-card.json", null_card),
                           ("no-name.json", {"version": 1, "variables": [{"cardinality": 2}]}),
                           ("list.json", [])):
             (tmp_path / name).write_text(json.dumps(doc))
