@@ -14,12 +14,12 @@ sampler must reproduce it byte for byte (tests/test_fastpaths.py compares
 against the per-record reference); a change that alters it must say so
 and report the acceptance numbers before and after.
 
-Rejection sampling lays the stream out in batches: each node's uniforms
-for a batch take the next max(4m, 1024) positions, and record j of the
-batch reads position j of every node's block. Only rows that can become
-records are generated; under selection that is the rows up to the m-th
-acceptance. Stream positions are those of drawing every row, and the
-generator ends at the boundary of the last batch.
+One loop, _sample, lays every stream out in batches of m rows
+(forward_sample, an all-observed gold) or max(4m, 1024): each node's
+uniforms take the batch's next positions, and row j reads position j of
+every node's block. Only rows up to the m-th record are generated.
+Stream positions are those of drawing every row, and the generator ends
+at the boundary of the last batch.
 """
 
 from __future__ import annotations
@@ -224,17 +224,11 @@ def _skip_uniforms(rng, k):
         rng.random(k)
 
 
-def _records(cols, keep, rows=slice(None)) -> np.ndarray:
-    """The record matrix of the columns in keep, on the given rows."""
-    return np.array([cols[v][rows] for v in keep], dtype=np.int64).T
-
-
 def forward_sample(bn: ParametricBn, m, seed) -> CategoricalDataset:
     """m iid records over all variables, by ancestral sampling."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    cols = _ancestral(bn, m, _rng(seed))
-    return CategoricalDataset(bn.spec, _records(cols, range(bn.spec.n)))
+    return CategoricalDataset(bn.spec, _sample(bn, m, _rng(seed), m, (), range(bn.spec.n)))
 
 
 # rejection sampling runs in batches; the guard below aborts once the
@@ -258,6 +252,50 @@ def _range_stop(start, batch, need, accepted, generated) -> int:
     return min(batch, start + int(rows) + 1024)
 
 
+def _sample(bn: ParametricBn, m, rng, batch, selection, keep) -> np.ndarray:
+    """The columns `keep` of the first m rows that meet every (variable,
+    state) pair of `selection`, in batches of `batch` ancestral draws.
+
+    A batch is generated in row ranges: without selection the one range
+    [0, m); under selection ranges from _range_stop, each further one
+    after restoring rng's state saved at the batch start. rng ends as
+    drawing every row would leave it, buffered 32-bit value included."""
+    held = rng.bit_generator.state  # the caller's, buffered 32-bit value included
+    kept, accepted, drawn, generated = [], 0, 0, 0
+    while accepted < m:
+        saved, stop = rng.bit_generator.state if drawn else held, 0
+        # past the m-th acceptance, a batch goes on only while the guard
+        # would fire on its partial count, as it might not on the full one
+        while stop < batch and (accepted < m or _rejecting(accepted, drawn + batch)):
+            if stop:
+                rng.bit_generator.state = saved
+            start = stop
+            stop = _range_stop(start, batch, m - accepted, accepted, generated) if selection else m
+            cols = _ancestral(bn, batch, rng, range(start, stop))
+            rows, hits = slice(None), stop - start  # without selection, all of [0, m)
+            if selection:
+                hit = np.ones(stop - start, dtype=bool)
+                for v, s in selection:
+                    hit &= cols[v] == s
+                rows = np.flatnonzero(hit)
+                rows, hits = rows[: max(m - accepted, 0)], rows.size
+            kept.append(np.array([cols[v][rows] for v in keep], dtype=np.int64).T)
+            accepted += hits
+            generated += stop - start
+        drawn += batch
+        if _rejecting(accepted, drawn):
+            raise RuntimeError(
+                f"selection acceptance rate {accepted}/{drawn} below {MIN_ACCEPT_RATE}; "
+                "selection event has (near-)zero probability"
+            )
+    if held.get("has_uint32"):  # PCG64.advance drops it; drawing every row keeps it
+        rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1,
+                                   "uinteger": held["uinteger"]}
+    if len(kept) > 1:
+        kept = [np.concatenate(kept)]  # a lone piece is returned uncopied
+    return kept[0] if kept else ()
+
+
 def observed_sample(gold: GoldStandard, m, seed) -> CategoricalDataset:
     """Exactly m accepted records over the observed variables only.
 
@@ -266,56 +304,15 @@ def observed_sample(gold: GoldStandard, m, seed) -> CategoricalDataset:
     selection variables this equals forward_sample projected on observed.
     Otherwise draws come in batches of max(4m, 1024) per node, and the
     first m draws (the first m accepted ones, under selection) are kept.
-
-    Only the rows that can become records are generated. Without
-    selection that is a batch's first m rows. Under selection, a PCG64
-    generator is rewound within a batch to generate it in row ranges, up
-    to the row of the m-th acceptance; any other generator draws each
-    batch whole. Batches and stream positions stay as if every row were
-    drawn, and the generator ends at the last batch's boundary.
+    Only the rows that can become records are generated (see _sample).
     """
     if gold.bn is None:
         raise ValueError("gold standard carries no parameters; call with_parameters")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    obs = list(gold.observed)
-    if not gold.hidden and not gold.selection:
-        return CategoricalDataset(
-            gold.observed_spec, _records(_ancestral(gold.bn, m, _rng(seed)), obs)
-        )
-    rng = _rng(seed)
-    batch = max(4 * m, 1024)
-    if not gold.selection:
-        # one batch always suffices; only its first m draws become records
-        cols = _ancestral(gold.bn, batch, rng, range(m))
-        return CategoricalDataset(gold.observed_spec, _records(cols, obs))
-    ranged = isinstance(rng.bit_generator, np.random.PCG64)
-    kept, accepted, drawn, generated = [], 0, 0, 0
-    while accepted < m:
-        stop = 0
-        # past the m-th acceptance, a batch goes on only while the guard
-        # would fire on its partial count, as it might not on the full one
-        while stop < batch and (accepted < m or _rejecting(accepted, drawn + batch)):
-            if stop:
-                rng.bit_generator.advance(-gold.spec.n * batch)  # to the batch start
-            start = stop
-            stop = _range_stop(start, batch, m - accepted, accepted, generated) if ranged else batch
-            cols = _ancestral(gold.bn, batch, rng, range(start, stop))
-            hit = np.ones(stop - start, dtype=bool)
-            for v, s in gold.selection:
-                hit &= cols[v] == s
-            hit = np.flatnonzero(hit)
-            kept.append(_records(cols, obs, hit[: max(m - accepted, 0)]))
-            accepted += hit.size
-            generated += stop - start
-        drawn += batch
-        if _rejecting(accepted, drawn):
-            raise RuntimeError(
-                f"selection acceptance rate {accepted}/{drawn} below {MIN_ACCEPT_RATE}; "
-                "selection event has (near-)zero probability"
-            )
-    full = np.concatenate(kept) if kept else ()
-    return CategoricalDataset(gold.observed_spec, full)
+    batch = max(4 * m, 1024) if gold.hidden or gold.selection else m
+    records = _sample(gold.bn, m, _rng(seed), batch, gold.selection, gold.observed)
+    return CategoricalDataset(gold.observed_spec, records)
 
 
 def gold_w() -> GoldStandard:
@@ -396,11 +393,14 @@ def model_from_dict(doc: dict) -> GoldStandard:
             raise ValueError(f"unknown variable role {role!r}")
     if "edges" not in doc:
         raise ValueError('the model has no "edges" field')
-    structure = Dag(
-        spec.n, {(spec.index(u), spec.index(v)) for u, v in doc["edges"]}
-    )
+    edges = doc["edges"]
+    if not isinstance(edges, list) or any(not isinstance(e, list) or len(e) != 2 for e in edges):
+        raise ValueError('"edges" is not a list of [parent, child] name pairs')
+    structure = Dag(spec.n, {(spec.index(u), spec.index(v)) for u, v in edges})
     bn = None
     if doc.get("cpts"):
+        if not isinstance(doc["cpts"], dict):
+            raise ValueError('"cpts" is not an object of tables by variable name')
         for name in spec.names:
             if name not in doc["cpts"]:
                 raise ValueError(f'"cpts" has no table for {name!r}')

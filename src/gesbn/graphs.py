@@ -255,11 +255,6 @@ def reachable(sources, step, blocked=()) -> set:
     return seen
 
 
-def ancestors(g: Dag, nodes) -> set:
-    """Ancestral closure of the given nodes (includes the nodes themselves)."""
-    return reachable(nodes, Pdag(g.n, g.edges).parents.__getitem__)
-
-
 def d_separated(g: Dag, q: SepQuery) -> bool:
     """Decide d-separation via the moralized ancestral graph.
 
@@ -492,10 +487,3 @@ def _parse_edge_lines(text, spec):
 def cpdag_from_text(text, spec: VariableSpec) -> Cpdag:
     directed, undirected = _parse_edge_lines(text, spec)
     return Cpdag(spec.n, frozenset(directed), frozenset(undirected))
-
-
-def dag_from_text(text, spec: VariableSpec) -> Dag:
-    directed, undirected = _parse_edge_lines(text, spec)
-    if undirected:
-        raise GraphError("undirected edges not allowed in a DAG encoding")
-    return Dag(spec.n, frozenset(directed))

@@ -15,7 +15,6 @@ the interior parameter sampler.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -352,12 +351,3 @@ def _transformation_moves(g: Dag, target_skel):
                 yield g.add_edge(a, b), ("add", (a, b))
             except GraphError:
                 continue
-
-
-def save_joint_csv(p: JointTable, path):
-    """Debug dump: one row per full state plus its probability."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*p.spec.names, "probability"])
-        for state in product(*(range(c) for c in p.spec.cards)):
-            writer.writerow([*state, repr(float(p.probs[state]))])

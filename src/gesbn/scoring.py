@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -269,15 +270,16 @@ def read_variables(doc) -> VariableSpec:
 
 def variable_int(v, i, key) -> int:
     """The integer field `key` of v, entry i of a "variables" list; a
-    missing or non-integer field raises ValueError naming it."""
+    missing field, or one that is not a whole number (a boolean, 2.5, a
+    string), raises ValueError naming it."""
     if key not in v:
         raise ValueError(f'variables[{i}] has no "{key}" field')
-    try:
-        return int(v[key])
-    except (TypeError, ValueError):
-        raise ValueError(
-            f'variables[{i}] "{key}" is not an integer: {json.dumps(v[key])}'
-        ) from None
+    value = v[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f'variables[{i}] "{key}" is not an integer: {json.dumps(value)}')
+    return int(value)
 
 
 def load_schema(path) -> VariableSpec:

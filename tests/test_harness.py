@@ -652,6 +652,22 @@ class TestCliRejectsBadData:
          'null-card.json: variables[1] "cardinality" is not an integer: null'),
         (["learn", "--data", "d.csv", "--schema", "null-card.json", "--out", "out"],
          'null-card.json: variables[1] "cardinality" is not an integer: null'),
+        (["oracle", "--model", "edges-5.json"],
+         'edges-5.json: "edges" is not a list of [parent, child] name pairs'),
+        (["oracle", "--model", "edges-list-5.json"],
+         'edges-list-5.json: "edges" is not a list of [parent, child] name pairs'),
+        (["oracle", "--model", "edges-one-name.json"],
+         'edges-one-name.json: "edges" is not a list of [parent, child] name pairs'),
+        (["oracle", "--model", "cpts-5.json"],
+         'cpts-5.json: "cpts" is not an object of tables by variable name'),
+        (["oracle", "--model", "fractional-card.json"],
+         'fractional-card.json: variables[1] "cardinality" is not an integer: 2.5'),
+        (["learn", "--data", "d.csv", "--schema", "fractional-card.json", "--out", "out"],
+         'fractional-card.json: variables[1] "cardinality" is not an integer: 2.5'),
+        (["oracle", "--model", "boolean-card.json"],
+         'boolean-card.json: variables[1] "cardinality" is not an integer: true'),
+        (["oracle", "--model", "fractional-selection-value.json"],
+         'fractional-selection-value.json: variables[4] "selection_value" is not an integer: 1.7'),
     ], ids=[
         "score-graph-missing", "score-graph-unknown-variable", "learn-start-missing",
         "learn-joint-missing", "learn-oracle-without-joint", "learn-without-data",
@@ -664,6 +680,10 @@ class TestCliRejectsBadData:
         "oracle-model-without-a-cpt", "learn-joint-without-a-cpt",
         "oracle-model-without-edges", "oracle-model-without-selection-value",
         "oracle-model-null-cardinality", "learn-schema-null-cardinality",
+        "oracle-model-edges-number", "oracle-model-edges-list-of-numbers",
+        "oracle-model-edge-with-one-name", "oracle-model-cpts-number",
+        "oracle-model-fractional-cardinality", "learn-schema-fractional-cardinality",
+        "oracle-model-boolean-cardinality", "oracle-model-fractional-selection-value",
     ])
     def test_other_inputs_exit_with_one_line(
         self, tmp_path, capsys, monkeypatch, argv, message
@@ -691,12 +711,24 @@ class TestCliRejectsBadData:
         no_edges = {k: v for k, v in model.items() if k != "edges"}
         no_selection_value = dict(model, variables=[dict(v) for v in model["variables"]])
         del no_selection_value["variables"][4]["selection_value"]
-        null_card = dict(model, variables=[dict(v) for v in model["variables"]])
-        null_card["variables"][1]["cardinality"] = None
+
+        def with_field(index, key, value):
+            doc = dict(model, variables=[dict(v) for v in model["variables"]])
+            doc["variables"][index][key] = value
+            return doc
+
         for name, doc in (("no-card.json", no_card), ("no-cpt.json", no_cpt),
                           ("no-edges.json", no_edges),
                           ("no-selection-value.json", no_selection_value),
-                          ("null-card.json", null_card),
+                          ("null-card.json", with_field(1, "cardinality", None)),
+                          ("edges-5.json", dict(model, edges=5)),
+                          ("edges-list-5.json", dict(model, edges=[5])),
+                          ("edges-one-name.json", dict(model, edges=[["X1"]])),
+                          ("cpts-5.json", dict(model, cpts=5)),
+                          ("fractional-card.json", with_field(1, "cardinality", 2.5)),
+                          ("boolean-card.json", with_field(1, "cardinality", True)),
+                          ("fractional-selection-value.json",
+                           with_field(4, "selection_value", 1.7)),
                           ("no-name.json", {"version": 1, "variables": [{"cardinality": 2}]}),
                           ("list.json", [])):
             (tmp_path / name).write_text(json.dumps(doc))

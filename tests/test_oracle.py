@@ -33,7 +33,6 @@ from gesbn.oracle import (
     joint_from_bn,
     observed_margin,
     optimal_classes,
-    save_joint_csv,
     transformation_sequence,
 )
 
@@ -312,15 +311,3 @@ class TestTransformationSequences:
         h = Dag(3, {(1, 0), (2, 0)})
         moves = transformation_sequence(g, h)
         _check_sequence(g, h, moves)
-
-
-class TestJointCsv:
-    def test_dump_readable(self, tmp_path):
-        p = xor_triple()
-        path = tmp_path / "joint.csv"
-        save_joint_csv(p, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "X,Y,W,probability"
-        assert len(lines) == 9
-        total = sum(float(l.rsplit(",", 1)[1]) for l in lines[1:])
-        assert total == pytest.approx(1.0, abs=1e-12)

@@ -15,6 +15,7 @@ from gesbn.scoring import (
     load_dataset,
     load_schema,
     make_scorer,
+    read_variables,
     save_dataset,
     save_schema,
     score,
@@ -246,6 +247,16 @@ class TestDatasetFiles:
             load_dataset(path)
         inferred = load_dataset(path, infer_cards=True)
         assert inferred.spec.cards == (2, 2)
+
+    @pytest.mark.parametrize("card,want", [(3, 3), (3.0, 3), (np.int64(3), 3),
+                                           (2.5, None), (True, None), ("3", None)])
+    def test_schema_cardinality_is_a_whole_number(self, card, want):
+        doc = {"variables": [{"name": "A", "cardinality": card}]}
+        if want is None:
+            with pytest.raises(ValueError, match='"cardinality" is not an integer'):
+                read_variables(doc)
+        else:
+            assert read_variables(doc) == VariableSpec(("A",), (want,))
 
     def test_schema_name_mismatch_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
