@@ -17,9 +17,11 @@ and report the acceptance numbers before and after.
 One loop, _sample, lays every stream out in batches of m rows
 (forward_sample, an all-observed gold) or max(4m, 1024): each node's
 uniforms take the batch's next positions, and row j reads position j of
-every node's block. Only rows up to the m-th record are generated.
-Stream positions are those of drawing every row, and the generator ends
-at the boundary of the last batch.
+every node's block. The loop walks a batch in fixed blocks of rows, all
+nodes per block, and stops at the block that holds the m-th record;
+each block's kept columns go straight into one record matrix. Stream
+positions are those of drawing every row, and the generator ends at the
+boundary of the last batch.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphs import Dag, VariableSpec, topological_order
-from .scoring import CategoricalDataset, config_indices, read_variables, variable_int
+from .scoring import CategoricalDataset, read_variables, variable_int
 
 ROW_SUM_TOL = 1e-12
 
@@ -75,6 +77,8 @@ class ParametricBn:
                 raise ValueError(
                     f"CPT for node {i} must have shape ({q},{spec.cards[i]})"
                 )
+            if not np.isfinite(table).all():
+                raise ValueError(f"CPT for node {i} has non-finite entries")
             if table.min() < 0:
                 raise ValueError(f"CPT for node {i} has negative entries")
             if np.abs(table.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
@@ -186,31 +190,24 @@ def _cdf_thresholds(bn: ParametricBn) -> list:
     return [np.ascontiguousarray(np.cumsum(t, axis=1)[:, :-1].T) for t in bn.cpts]
 
 
-def _ancestral(bn: ParametricBn, draws, rng, rows=None) -> list:
-    """States of the rows in `rows` (a range, default all) of `draws`
-    ancestral draws, one column per node.
-
-    Each node owns the next `draws` uniforms of rng's stream, node by node
-    in topological order, and row j reads the j-th of each node's block.
-    Only the uniforms of `rows` are drawn; the stream skips the others, so
-    it ends where drawing every row would leave it. Columns use the
-    smallest unsigned dtype that holds the node's states.
-    """
-    rows = range(draws) if rows is None else rows
-    thresholds = _cdf_thresholds(bn)
-    cards = bn.spec.cards
-    cols = [None] * bn.spec.n
-    for i in topological_order(bn.structure):
-        _skip_uniforms(rng, rows.start)
-        u = rng.random(len(rows))
-        _skip_uniforms(rng, draws - rows.stop)
-        cfg = config_indices(cols, bn.structure.parents(i), cards)
-        state = np.zeros(u.shape[0], dtype=np.min_scalar_type(cards[i] - 1))
-        for row in thresholds[i]:
-            state += u > row[cfg]
-        cols[i] = state
-        del u, cfg  # tens of MB each at large m: free them before the next node's
-    return cols
+def _node_block(rng, states, i, parents, thresholds, cards, scratch):
+    """Fill states[i], one block of node i's states, from the next
+    len(states[i]) uniforms u of rng: state #{k : u > cdf[k]}, cdf the inner
+    CDF values of the CPT row that the parents' states in u's column select.
+    scratch: a block of uniforms, of gathered CDF values, of configurations
+    (in states' dtype, then in int64, read fastest by np.take) and of bools."""
+    u, cdf, code, cfg, above = scratch
+    rng.random(out=u)
+    ps, state = parents[i], states[i]
+    if ps:
+        config = states[ps[0]]
+        for p in ps[1:]:
+            config = np.add(np.multiply(config, cards[p], out=code), states[p], out=code)
+        np.copyto(cfg, config)
+    state.fill(0)
+    for row in thresholds[i]:
+        cut = np.take(row, cfg, mode="clip", out=cdf) if ps else row[0]
+        np.add(state, np.greater(u, cut, out=above), out=state)
 
 
 def _skip_uniforms(rng, k):
@@ -242,58 +239,63 @@ def _rejecting(accepted, drawn) -> bool:
     return drawn >= _GUARD_MIN_DRAWS and accepted < drawn * MIN_ACCEPT_RATE
 
 
-def _range_stop(start, batch, need, accepted, generated) -> int:
-    """Where a batch's next row range ends: past the rows expected to
-    yield `need` more acceptances at the rate seen so far (1/2 before the
-    first row), plus a 10% and a 1024-row margin."""
-    if need <= 0 or (generated and not accepted):
-        return batch
-    rows = 2 * need if not generated else 1.1 * need * generated / accepted
-    return min(batch, start + int(rows) + 1024)
+# rows per block of the sampling loop, so that its buffers stay in cache
+_BLOCK = 1 << 14
 
 
 def _sample(bn: ParametricBn, m, rng, batch, selection, keep) -> np.ndarray:
-    """The columns `keep` of the first m rows that meet every (variable,
-    state) pair of `selection`, in batches of `batch` ancestral draws.
-
-    A batch is generated in row ranges: without selection the one range
-    [0, m); under selection ranges from _range_stop, each further one
-    after restoring rng's state saved at the batch start. rng ends as
-    drawing every row would leave it, buffered 32-bit value included."""
-    held = rng.bit_generator.state  # the caller's, buffered 32-bit value included
-    kept, accepted, drawn, generated = [], 0, 0, 0
+    """The columns `keep` of the first m rows meeting every (variable, state)
+    pair of `selection`, in batches of `batch` ancestral draws, as one
+    F-ordered int64 (m, len(keep)) matrix. A batch goes in blocks of _BLOCK
+    rows up to the m-th record; a node reaches its stream position by
+    _skip_uniforms in the first block, by its saved state in later ones.
+    rng ends as drawing every row would leave it, buffered 32-bit value too."""
+    n, cards, bitgen = bn.spec.n, bn.spec.cards, rng.bit_generator
+    order, thresholds = topological_order(bn.structure), _cdf_thresholds(bn)
+    parents = [bn.structure.parents(i) for i in range(n)]
+    rows = batch if selection else m  # the rows of a batch that can become records
+    # one dtype holds every state, configuration and cardinality
+    dtype = np.min_scalar_type(max(*cards, *(t.shape[1] for t in thresholds)))
+    states, buf = np.empty((n, min(_BLOCK, rows)), dtype=dtype), np.empty(min(_BLOCK, rows), dtype)
+    scratch = [np.empty_like(buf, dtype=t) for t in (float, float, dtype, np.int64, bool)]
+    records = np.empty((m, len(keep)), dtype=np.int64, order="F")
+    held = bitgen.state  # the caller's, buffered 32-bit value included
+    saved, accepted, drawn = [None] * n, 0, 0
     while accepted < m:
-        saved, stop = rng.bit_generator.state if drawn else held, 0
-        # past the m-th acceptance, a batch goes on only while the guard
-        # would fire on its partial count, as it might not on the full one
-        while stop < batch and (accepted < m or _rejecting(accepted, drawn + batch)):
-            if stop:
-                rng.bit_generator.state = saved
-            start = stop
-            stop = _range_stop(start, batch, m - accepted, accepted, generated) if selection else m
-            cols = _ancestral(bn, batch, rng, range(start, stop))
-            rows, hits = slice(None), stop - start  # without selection, all of [0, m)
+        for start in range(0, rows, _BLOCK):
+            # past the m-th acceptance, a batch goes on only while the guard
+            # would fire on its partial count, as it might not on the full one
+            if accepted >= m and not _rejecting(accepted, drawn + batch):
+                break
+            stop = min(start + _BLOCK, rows)
+            block, bufs = states[:, : stop - start], [b[: stop - start] for b in scratch]
+            for i in order:
+                if start:
+                    bitgen.state = saved[i]
+                _node_block(rng, block, i, parents, thresholds, cards, bufs)
+                if stop < rows:
+                    saved[i] = bitgen.state
+                if not start:
+                    _skip_uniforms(rng, batch - stop)
+            if not start:
+                end = bitgen.state
             if selection:
-                hit = np.ones(stop - start, dtype=bool)
-                for v, s in selection:
-                    hit &= cols[v] == s
-                rows = np.flatnonzero(hit)
-                rows, hits = rows[: max(m - accepted, 0)], rows.size
-            kept.append(np.array([cols[v][rows] for v in keep], dtype=np.int64).T)
+                idx = np.flatnonzero(np.logical_and.reduce([block[v] == s for v, s in selection]))
+                hits, idx = idx.size, idx[: max(m - accepted, 0)]
+                columns = (np.take(block[v], idx, mode="clip", out=buf[: idx.size]) for v in keep)
+            else:
+                hits, columns = stop - start, (block[v] for v in keep)
+            for j, column in enumerate(columns):
+                records[accepted : accepted + column.size, j] = column
             accepted += hits
-            generated += stop - start
+        bitgen.state = end  # where the batch's first block left the stream
         drawn += batch
         if _rejecting(accepted, drawn):
-            raise RuntimeError(
-                f"selection acceptance rate {accepted}/{drawn} below {MIN_ACCEPT_RATE}; "
-                "selection event has (near-)zero probability"
-            )
+            raise RuntimeError(f"selection acceptance rate {accepted}/{drawn} below "
+                               f"{MIN_ACCEPT_RATE}; selection event has (near-)zero probability")
     if held.get("has_uint32"):  # PCG64.advance drops it; drawing every row keeps it
-        rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1,
-                                   "uinteger": held["uinteger"]}
-    if len(kept) > 1:
-        kept = [np.concatenate(kept)]  # a lone piece is returned uncopied
-    return kept[0] if kept else ()
+        bitgen.state = {**bitgen.state, "has_uint32": 1, "uinteger": held["uinteger"]}
+    return records
 
 
 def observed_sample(gold: GoldStandard, m, seed) -> CategoricalDataset:
@@ -404,7 +406,12 @@ def model_from_dict(doc: dict) -> GoldStandard:
         for name in spec.names:
             if name not in doc["cpts"]:
                 raise ValueError(f'"cpts" has no table for {name!r}')
-        cpts = [np.asarray(doc["cpts"][name], dtype=float) for name in spec.names]
+        cpts = []
+        for name in spec.names:
+            try:
+                cpts.append(np.asarray(doc["cpts"][name], dtype=float))
+            except (TypeError, ValueError):  # a string, an object, a ragged list
+                raise ValueError(f'"cpts" table for {name!r} is not an array of numbers') from None
         bn = ParametricBn(structure, spec, cpts)
     return GoldStandard(structure, spec, tuple(observed), tuple(hidden), tuple(selection), bn)
 

@@ -32,7 +32,9 @@ from gesbn.datagen import (
     MIN_ACCEPT_RATE,
     ParametricBn,
     RngSeed,
-    _ancestral,
+    _BLOCK,
+    _cdf_thresholds,
+    _node_block,
     _rng,
     basis_mean,
     forward_sample,
@@ -258,15 +260,23 @@ class TestSamplerMatchesReference:
             def __init__(self):
                 self.at = 0
 
-            def random(self, shape):
-                k = int(np.prod(shape))
-                out = values[self.at:self.at + k].reshape(shape)
+            def random(self, shape=None, out=None):
+                k = int(np.prod(shape)) if out is None else out.size
+                got = values[self.at:self.at + k]
                 self.at += k
+                if out is None:
+                    return got.reshape(shape)
+                out[...] = got
                 return out
 
-        got = _ancestral(bn, grid.size**2, Replay())
-        want = ref_ancestral(bn, grid.size**2, Replay())
-        assert np.array_equal(np.column_stack(got), want)
+        rows = grid.size**2
+        states = np.empty((2, rows), dtype=np.uint8)
+        scratch = [np.empty(rows, dtype=t) for t in (float, float, np.uint8, np.int64, bool)]
+        replay = Replay()
+        parents = [bn.structure.parents(i) for i in range(2)]
+        for i in range(2):
+            _node_block(replay, states, i, parents, _cdf_thresholds(bn), spec.cards, scratch)
+        assert np.array_equal(states.T, ref_ancestral(bn, rows, Replay()))
 
     def test_zero_probability_selection_raises(self):
         spec = VariableSpec(("a", "s"), (2, 2))
@@ -352,7 +362,8 @@ class TestSkippedDraws:
     rest are skipped, and the generator must end where drawing them would
     have left it, whatever the bit generator: PCG64 jumps over skipped
     uniforms, the others (SFC64 and MT19937 cannot jump) draw them, and a
-    batch cut into row ranges is rewound by restoring its saved state."""
+    batch of several blocks moves between nodes by restoring saved
+    states."""
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     @pytest.mark.parametrize("name", ["w_structure", "w_plain"])
@@ -409,9 +420,30 @@ class TestSkippedDraws:
         assert np.array_equal(got_rng.integers(0, 2**31, 5, dtype=np.int32),
                               want_rng.integers(0, 2**31, 5, dtype=np.int32))
 
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("name,m", [
+        ("w_structure", 3 * _BLOCK + 1),  # four blocks, the last of one row
+        ("w_plain", 3 * _BLOCK + 1),
+        ("four_cycle", 40000),
+        ("low_acceptance", 40000),  # several batches of ten blocks
+    ])
+    def test_batches_of_several_blocks(self, bit_generator, name, m):
+        # each block after a batch's first restores every node's saved
+        # state, and the batch ends at the state saved after its first block
+        gold = {**CASES, **SELECTION_GOLDS}[name]
+        if gold.selection:
+            accept = joint_from_bn(gold.bn).probs[..., gold.selection[0][1]].sum()
+            assert m / accept >= 3 * _BLOCK  # the m-th acceptance lies in block 3 or later
+        got_rng = np.random.Generator(bit_generator(m + 14))
+        want_rng = np.random.Generator(bit_generator(m + 14))
+        got = observed_sample(gold, m, got_rng).records
+        assert np.array_equal(got, ref_observed_records(gold, m, want_rng))
+        assert _same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
+        assert np.array_equal(got_rng.random(5), want_rng.random(5))
+
     def test_low_acceptance_gold_crosses_batches(self):
         # 1/0.082 rows per record: 300 records or more take several
-        # batches of max(4m, 1024) rows, some cut into row ranges
+        # batches of max(4m, 1024) rows, some of several blocks
         p = joint_from_bn(SELECTION_GOLDS["low_acceptance"].bn)
         assert 0.08 < p.probs[:, :, 2].sum() < 0.085
 
@@ -432,6 +464,14 @@ class TestSkippedDraws:
         are left undrawn."""
         gold = gold_four_cycle().with_parameters(seed=RngSeed(seed, 0))
         assert self._peak_bytes(gold, 100000, RngSeed(seed, 1)) < 100 * 100000
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_selection_peak_memory_per_record_in_blocks(self, seed):
+        """The same run under a tighter bound: 38.0 bytes per record since
+        each batch is walked in blocks of _BLOCK rows, whose kept columns
+        go straight into the one record matrix (32 bytes per record)."""
+        gold = gold_four_cycle().with_parameters(seed=RngSeed(seed, 0))
+        assert self._peak_bytes(gold, 100000, RngSeed(seed, 1)) < 45 * 100000
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hidden_variable_peak_memory_per_record(self, seed):

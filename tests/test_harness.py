@@ -668,6 +668,12 @@ class TestCliRejectsBadData:
          'boolean-card.json: variables[1] "cardinality" is not an integer: true'),
         (["oracle", "--model", "fractional-selection-value.json"],
          'fractional-selection-value.json: variables[4] "selection_value" is not an integer: 1.7'),
+        (["oracle", "--model", "null-cpt-entry.json"],
+         "null-cpt-entry.json: CPT for node 0 has non-finite entries"),
+        (["oracle", "--model", "string-cpt.json"],
+         "string-cpt.json: \"cpts\" table for 'X1' is not an array of numbers"),
+        (["learn", "--score", "oracle", "--joint", "string-cpt-entry.json", "--out", "out"],
+         "string-cpt-entry.json: \"cpts\" table for 'X1' is not an array of numbers"),
     ], ids=[
         "score-graph-missing", "score-graph-unknown-variable", "learn-start-missing",
         "learn-joint-missing", "learn-oracle-without-joint", "learn-without-data",
@@ -684,6 +690,8 @@ class TestCliRejectsBadData:
         "oracle-model-edge-with-one-name", "oracle-model-cpts-number",
         "oracle-model-fractional-cardinality", "learn-schema-fractional-cardinality",
         "oracle-model-boolean-cardinality", "oracle-model-fractional-selection-value",
+        "oracle-model-null-cpt-entry", "oracle-model-string-cpt",
+        "learn-joint-string-cpt-entry",
     ])
     def test_other_inputs_exit_with_one_line(
         self, tmp_path, capsys, monkeypatch, argv, message
@@ -712,6 +720,9 @@ class TestCliRejectsBadData:
         no_selection_value = dict(model, variables=[dict(v) for v in model["variables"]])
         del no_selection_value["variables"][4]["selection_value"]
 
+        def with_cpt(table):
+            return dict(model, cpts=dict(model["cpts"], X1=table))
+
         def with_field(index, key, value):
             doc = dict(model, variables=[dict(v) for v in model["variables"]])
             doc["variables"][index][key] = value
@@ -729,6 +740,9 @@ class TestCliRejectsBadData:
                           ("boolean-card.json", with_field(1, "cardinality", True)),
                           ("fractional-selection-value.json",
                            with_field(4, "selection_value", 1.7)),
+                          ("null-cpt-entry.json", with_cpt([[0.5, 0.5, 0.0, None]])),
+                          ("string-cpt.json", with_cpt("abc")),
+                          ("string-cpt-entry.json", with_cpt([[0.5, "a"]])),
                           ("no-name.json", {"version": 1, "variables": [{"cardinality": 2}]}),
                           ("list.json", [])):
             (tmp_path / name).write_text(json.dumps(doc))
