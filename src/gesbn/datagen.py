@@ -204,10 +204,13 @@ def _node_block(rng, states, i, parents, thresholds, cards, scratch):
         for p in ps[1:]:
             config = np.add(np.multiply(config, cards[p], out=code), states[p], out=code)
         np.copyto(cfg, config)
-    state.fill(0)
-    for row in thresholds[i]:
+    if not len(thresholds[i]):  # a one-state node
+        state.fill(0)
+    for k, row in enumerate(thresholds[i]):  # the first comparison writes state
         cut = np.take(row, cfg, mode="clip", out=cdf) if ps else row[0]
-        np.add(state, np.greater(u, cut, out=above), out=state)
+        np.greater(u, cut, out=above if k else state)
+        if k:
+            np.add(state, above, out=state)
 
 
 def _skip_uniforms(rng, k):
@@ -268,16 +271,16 @@ def _sample(bn: ParametricBn, m, rng, batch, selection, keep) -> np.ndarray:
             if accepted >= m and not _rejecting(accepted, drawn + batch):
                 break
             stop = min(start + _BLOCK, rows)
-            block, bufs = states[:, : stop - start], [b[: stop - start] for b in scratch]
+            block, block_scratch = states[:, : stop - start], [b[: stop - start] for b in scratch]
             for i in order:
                 if start:
                     bitgen.state = saved[i]
-                _node_block(rng, block, i, parents, thresholds, cards, bufs)
+                _node_block(rng, block, i, parents, thresholds, cards, block_scratch)
                 if stop < rows:
                     saved[i] = bitgen.state
                 if not start:
                     _skip_uniforms(rng, batch - stop)
-            if not start:
+            if not start and rows > _BLOCK:
                 end = bitgen.state
             if selection:
                 idx = np.flatnonzero(np.logical_and.reduce([block[v] == s for v, s in selection]))
@@ -288,7 +291,8 @@ def _sample(bn: ParametricBn, m, rng, batch, selection, keep) -> np.ndarray:
             for j, column in enumerate(columns):
                 records[accepted : accepted + column.size, j] = column
             accepted += hits
-        bitgen.state = end  # where the batch's first block left the stream
+        if rows > _BLOCK:
+            bitgen.state = end  # where the batch's first block left the stream
         drawn += batch
         if _rejecting(accepted, drawn):
             raise RuntimeError(f"selection acceptance rate {accepted}/{drawn} below "
