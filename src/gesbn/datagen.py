@@ -27,6 +27,7 @@ boundary of the last batch.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,9 +78,10 @@ class ParametricBn:
                 raise ValueError(
                     f"CPT for node {i} must have shape ({q},{spec.cards[i]})"
                 )
-            if not np.isfinite(table).all():
+            low = table.min()  # NaN if any entry is; inf fails one of the checks below
+            if math.isnan(low):
                 raise ValueError(f"CPT for node {i} has non-finite entries")
-            if table.min() < 0:
+            if low < 0:
                 raise ValueError(f"CPT for node {i} has negative entries")
             if np.abs(table.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
                 raise ValueError(f"CPT rows for node {i} do not sum to 1")
@@ -407,11 +409,10 @@ def model_from_dict(doc: dict) -> GoldStandard:
     if doc.get("cpts"):
         if not isinstance(doc["cpts"], dict):
             raise ValueError('"cpts" is not an object of tables by variable name')
+        cpts = []
         for name in spec.names:
             if name not in doc["cpts"]:
                 raise ValueError(f'"cpts" has no table for {name!r}')
-        cpts = []
-        for name in spec.names:
             try:
                 cpts.append(np.asarray(doc["cpts"][name], dtype=float))
             except (TypeError, ValueError):  # a string, an object, a ragged list

@@ -104,6 +104,18 @@ class TestSampleParameters:
             sample_parameters(self.G, self.SPEC, ess=ess, seed=0)
 
 
+class TestParametricBn:
+    @pytest.mark.parametrize("row", [
+        [0.5, float("nan")], [float("inf"), 0.0], [float("inf"), -float("inf")],
+        [-float("inf"), 1.0],
+    ], ids=["nan", "inf", "inf-minus-inf", "minus-inf"])
+    def test_rejects_non_finite_entries(self, row):
+        spec = VariableSpec(("a", "b"), (2, 2))
+        cpts = [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5], row])]
+        with pytest.raises(ValueError, match="CPT.* for node 1"):
+            ParametricBn(Dag(2, {(0, 1)}), spec, cpts)
+
+
 class TestForwardSample:
     def test_empty(self):
         bn = sample_parameters(Dag(2, {(0, 1)}), VariableSpec(("a", "b"), (2, 2)), seed=0)
