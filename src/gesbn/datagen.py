@@ -192,13 +192,13 @@ def _cdf_thresholds(bn: ParametricBn) -> list:
     return [np.ascontiguousarray(np.cumsum(t, axis=1)[:, :-1].T) for t in bn.cpts]
 
 
-def _node_block(rng, states, i, parents, thresholds, cards, scratch):
+def _node_block(rng, states, i, parents, thresholds, cards, bufs):
     """Fill states[i], one block of node i's states, from the next
     len(states[i]) uniforms u of rng: state #{k : u > cdf[k]}, cdf the inner
     CDF values of the CPT row that the parents' states in u's column select.
-    scratch: a block of uniforms, of gathered CDF values, of configurations
-    (in states' dtype, then in int64, read fastest by np.take) and of bools."""
-    u, cdf, code, cfg, above = scratch
+    bufs: a block of uniforms, of gathered CDF values, of configurations (in
+    states' dtype, then in int64, read fastest by np.take) and of bools."""
+    u, cdf, code, cfg, above = bufs
     rng.random(out=u)
     ps, state = parents[i], states[i]
     if ps:
@@ -261,8 +261,9 @@ def _sample(bn: ParametricBn, m, rng, batch, selection, keep) -> np.ndarray:
     rows = batch if selection else m  # the rows of a batch that can become records
     # one dtype holds every state, configuration and cardinality
     dtype = np.min_scalar_type(max(*cards, *(t.shape[1] for t in thresholds)))
-    states, buf = np.empty((n, min(_BLOCK, rows)), dtype=dtype), np.empty(min(_BLOCK, rows), dtype)
-    scratch = [np.empty_like(buf, dtype=t) for t in (float, float, dtype, np.int64, bool)]
+    size = min(_BLOCK, rows)
+    states, picked = np.empty((n, size), dtype=dtype), np.empty(size, dtype=dtype)
+    bufs = [np.empty(size, dtype=t) for t in (float, float, dtype, np.int64, bool)]
     records = np.empty((m, len(keep)), dtype=np.int64, order="F")
     held = bitgen.state  # the caller's, buffered 32-bit value included
     saved, accepted, drawn = [None] * n, 0, 0
@@ -273,11 +274,11 @@ def _sample(bn: ParametricBn, m, rng, batch, selection, keep) -> np.ndarray:
             if accepted >= m and not _rejecting(accepted, drawn + batch):
                 break
             stop = min(start + _BLOCK, rows)
-            block, block_scratch = states[:, : stop - start], [b[: stop - start] for b in scratch]
+            block, block_bufs = states[:, : stop - start], [b[: stop - start] for b in bufs]
             for i in order:
                 if start:
                     bitgen.state = saved[i]
-                _node_block(rng, block, i, parents, thresholds, cards, block_scratch)
+                _node_block(rng, block, i, parents, thresholds, cards, block_bufs)
                 if stop < rows:
                     saved[i] = bitgen.state
                 if not start:
@@ -287,7 +288,8 @@ def _sample(bn: ParametricBn, m, rng, batch, selection, keep) -> np.ndarray:
             if selection:
                 idx = np.flatnonzero(np.logical_and.reduce([block[v] == s for v, s in selection]))
                 hits, idx = idx.size, idx[: max(m - accepted, 0)]
-                columns = (np.take(block[v], idx, mode="clip", out=buf[: idx.size]) for v in keep)
+                columns = (np.take(block[v], idx, mode="clip", out=picked[: idx.size])
+                           for v in keep)
             else:
                 hits, columns = stop - start, (block[v] for v in keep)
             for j, column in enumerate(columns):

@@ -271,11 +271,11 @@ class TestSamplerMatchesReference:
 
         rows = grid.size**2
         states = np.empty((2, rows), dtype=np.uint8)
-        scratch = [np.empty(rows, dtype=t) for t in (float, float, np.uint8, np.int64, bool)]
+        bufs = [np.empty(rows, dtype=t) for t in (float, float, np.uint8, np.int64, bool)]
         replay = Replay()
         parents = [bn.structure.parents(i) for i in range(2)]
         for i in range(2):
-            _node_block(replay, states, i, parents, _cdf_thresholds(bn), spec.cards, scratch)
+            _node_block(replay, states, i, parents, _cdf_thresholds(bn), spec.cards, bufs)
         assert np.array_equal(states.T, ref_ancestral(bn, rows, Replay()))
 
     def test_zero_probability_selection_raises(self):
