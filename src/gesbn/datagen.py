@@ -19,7 +19,8 @@ One loop, _sample, lays every stream out in batches of m rows
 uniforms take the batch's next positions, and row j reads position j of
 every node's block. The loop walks a batch in fixed blocks of rows, all
 nodes per block, and stops at the block that holds the m-th record;
-each block's kept columns go straight into one record matrix. Stream
+each block's kept columns go straight into one record matrix in the
+states' small unsigned dtype (one byte per state for both golds). Stream
 positions are those of drawing every row, and the generator ends at the
 boundary of the last batch.
 """
@@ -251,10 +252,12 @@ _BLOCK = 1 << 14
 def _sample(bn: ParametricBn, m, rng, batch, selection, keep) -> np.ndarray:
     """The columns `keep` of the first m rows meeting every (variable, state)
     pair of `selection`, in batches of `batch` ancestral draws, as one
-    F-ordered int64 (m, len(keep)) matrix. A batch goes in blocks of _BLOCK
-    rows up to the m-th record; a node reaches its stream position by
-    _skip_uniforms in the first block, by its saved state in later ones.
-    rng ends as drawing every row would leave it, buffered 32-bit value too."""
+    F-ordered (m, len(keep)) matrix in the states' dtype, the smallest
+    unsigned one that holds every state and configuration. A batch goes in
+    blocks of _BLOCK rows up to the m-th record; a node reaches its stream
+    position by _skip_uniforms in the first block, by its saved state in
+    later ones. rng ends as drawing every row would leave it, buffered
+    32-bit value too."""
     n, cards, bitgen = bn.spec.n, bn.spec.cards, rng.bit_generator
     order, thresholds = topological_order(bn.structure), _cdf_thresholds(bn)
     parents = [bn.structure.parents(i) for i in range(n)]
@@ -264,7 +267,7 @@ def _sample(bn: ParametricBn, m, rng, batch, selection, keep) -> np.ndarray:
     size = min(_BLOCK, rows)
     states, picked = np.empty((n, size), dtype=dtype), np.empty(size, dtype=dtype)
     bufs = [np.empty(size, dtype=t) for t in (float, float, dtype, np.int64, bool)]
-    records = np.empty((m, len(keep)), dtype=np.int64, order="F")
+    records = np.empty((m, len(keep)), dtype=dtype, order="F")
     held = bitgen.state  # the caller's, buffered 32-bit value included
     saved, accepted, drawn = [None] * n, 0, 0
     while accepted < m:

@@ -54,45 +54,64 @@ class ScoreConfig:
 class CategoricalDataset:
     """m records of integer-coded observations for the variables in spec.
 
-    Tallies read the count table (the distinct records and how often each
-    occurs), built from the records once, on first use, so their cost
-    depends on the number of distinct records and not on m.
+    records may be any integer or bool array, or floats that are all whole
+    numbers. They are kept in the smallest unsigned dtype that holds every
+    state, uncopied when they come in that dtype; the int64 `records`
+    matrix is built only when read. Tallies read the count table (the
+    distinct records and how often each occurs), built from the compact
+    records once, on first use, so their cost depends on the number of
+    distinct records and not on m.
     """
 
     def __init__(self, spec: VariableSpec, records):
-        records = np.asarray(records, dtype=np.int64)
-        if records.size == 0:
-            records = records.reshape(0, spec.n)
-        if records.ndim != 2 or records.shape[1] != spec.n:
+        values = np.asarray(records)
+        if values.size == 0:
+            values = values.reshape(0, spec.n)
+        if values.ndim != 2 or values.shape[1] != spec.n:
             raise ValueError(f"records must have shape (m, {spec.n})")
-        if records.shape[0]:
-            if records.min() < 0 or (records >= np.array(spec.cards)).any():
+        kind = values.dtype.kind
+        if kind not in "biuf" or (kind == "f" and (np.trunc(values) != values).any()):
+            raise ValueError("record values must be whole numbers")
+        if values.shape[0]:
+            if values.min() < 0 or (values.max(axis=0) >= spec.cards).any():
                 raise ValueError("record values out of range for spec cards")
-        records.setflags(write=False)
+        values = values.astype(np.min_scalar_type(max(spec.cards, default=0)), copy=False)
+        values.setflags(write=False)
         self.spec = spec
-        self.records = records
+        self._values = values
+
+    @cached_property
+    def records(self) -> np.ndarray:
+        """The read-only int64 (m, n) record matrix."""
+        records = self._values.astype(np.int64)
+        records.setflags(write=False)
+        return records
 
     @property
     def m(self) -> int:
-        return self.records.shape[0]
+        return self._values.shape[0]
 
     def __eq__(self, other):
         return (
             isinstance(other, CategoricalDataset)
             and self.spec == other.spec
-            and np.array_equal(self.records, other.records)
+            and np.array_equal(self._values, other._values)
         )
 
     @cached_property
     def count_table(self) -> tuple:
-        """(configs, counts): the k distinct records as a (k, n) array, and
-        the number of records equal to each."""
-        cards = self.spec.cards
+        """(configs, counts): the k distinct records as an int64 (k, n)
+        array, and the number of records equal to each."""
+        cards, values = self.spec.cards, self._values
         size = math.prod(cards)
         if size >= 2**63:  # a record's mixed-radix code would overflow int64
-            configs, counts = np.unique(self.records, axis=0, return_counts=True)
-            return configs, counts
-        code = config_indices(self.records.T, range(self.spec.n), cards)
+            configs, counts = np.unique(values, axis=0, return_counts=True)
+            return configs.astype(np.int64), counts
+        # each record's mixed-radix code, in the smallest dtype that holds
+        # every code and every cardinality
+        code = values[:, 0].astype(np.min_scalar_type(size))
+        for v in range(1, self.spec.n):
+            np.add(np.multiply(code, cards[v], out=code), values[:, v], out=code)
         if size <= self.m:
             counts = np.bincount(code, minlength=size)
             code = np.flatnonzero(counts)

@@ -15,6 +15,7 @@ the graph code on graphs.Pdag and graphs.reachable against the per-caller
 dicts and walks it replaced.
 """
 
+import collections
 import csv
 import itertools
 import tracemalloc
@@ -136,6 +137,15 @@ def ref_tally_counts(data, child, parents):
         return np.zeros((q, r), dtype=np.int64)
     j = ref_config_indices(data.records, parents, cards)
     return np.bincount(j * r + data.records[:, child], minlength=q * r).reshape(q, r)
+
+
+def ref_count_table(records):
+    """The distinct rows of an int64 record matrix in ascending order, and
+    how often each occurs."""
+    counter = collections.Counter(map(tuple, records.tolist()))
+    rows = sorted(counter)
+    configs = np.array(rows, dtype=np.int64).reshape(len(rows), records.shape[1])
+    return configs, np.array([counter[row] for row in rows], dtype=np.int64)
 
 
 SIZES = (0, 1, 10, 1000, 20000)
@@ -342,6 +352,92 @@ class TestTallyMatchesReference:
                     continue
                 got = tally(data, child, parents)
                 assert np.array_equal(got, ref_tally_counts(data, child, parents))
+
+
+def _layouts(records, cards):
+    """The same records as an int64 list, a C-ordered int64 array, an
+    F-ordered array of the smallest unsigned dtype (uint8 up to 256 states)
+    and, for binary variables, a bool array."""
+    yield "list", records.tolist()
+    yield "int64-C", np.ascontiguousarray(records, dtype=np.int64)
+    yield "unsigned-F", np.asfortranarray(records, dtype=np.min_scalar_type(max(cards)))
+    if max(cards) <= 2:
+        yield "bool", records.astype(bool)
+
+
+class TestCompactRecords:
+    """A dataset keeps its records in the smallest unsigned dtype that holds
+    every state and builds the int64 matrix only when it is read: every
+    input layout gives the same records, count table and tallies as the
+    per-record reference."""
+
+    @pytest.mark.parametrize(
+        "m,cards",
+        [
+            (0, (2, 3, 2)),
+            (1, (4, 2)),
+            (500, (2, 3, 2, 2)),
+            (5000, (2, 2, 2, 2, 2, 2)),
+            (3000, (5, 7, 3, 4, 6, 2, 3)),  # more configurations than records
+            (300, (2, 300, 3)),  # two-byte states
+            (400, (2,) * 70),  # 2^70 configurations: no mixed-radix code
+        ],
+    )
+    def test_layouts_agree(self, m, cards):
+        rng = np.random.default_rng(m + len(cards))
+        records = np.column_stack([rng.integers(0, c, size=m) for c in cards])
+        spec = VariableSpec(tuple(f"V{i}" for i in range(len(cards))), cards)
+        want_configs, want_counts = ref_count_table(records)
+        want = CategoricalDataset(spec, records)
+        families = [(child, ps) for child in range(len(cards))
+                    for ps in _parent_sets(rng, len(cards), child, 4)]
+        for layout, given in _layouts(records, cards):
+            got = CategoricalDataset(spec, given)
+            assert got == want, layout
+            assert "records" not in got.__dict__, layout
+            assert got.m == m
+            assert got.records.dtype == np.int64 and not got.records.flags.writeable
+            assert np.array_equal(got.records, records), layout
+            configs, counts = got.count_table
+            assert configs.dtype == np.int64, layout
+            assert np.array_equal(configs, want_configs), layout
+            assert np.array_equal(counts, want_counts), layout
+            for child, parents in families:
+                assert np.array_equal(tally(got, child, parents),
+                                      ref_tally_counts(want, child, parents)), layout
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_sampled_records_stay_int64_and_read_only(self, name):
+        data = observed_sample(CASES[name], 3000, RngSeed(2, 1))
+        assert data.records.dtype == np.int64
+        assert not data.records.flags.writeable
+        with pytest.raises(ValueError):
+            data.records[0, 0] = 0
+        assert np.array_equal(data.records, ref_observed_records(CASES[name], 3000, RngSeed(2, 1)))
+        assert np.array_equal(data.count_table[0], ref_count_table(data.records)[0])
+
+    @pytest.mark.parametrize("criterion", ["bdeu", "bic"])
+    @pytest.mark.parametrize("name", ["w_structure", "four_cycle"])
+    def test_search_never_builds_the_int64_records(self, name, criterion):
+        """A replicate reads its data only through the count table."""
+        data = observed_sample(CASES[name], 20000, RngSeed(3, 1))
+        search.run_search(search.SearchConfig("ges", score=ScoreConfig(criterion)), data)
+        assert "records" not in data.__dict__
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("make", [gold_w, gold_four_cycle], ids=["w", "four_cycle"])
+    def test_sample_and_count_peak_memory_per_record(self, make, seed):
+        """Traced peak of sampling at m = 100000 followed by the count
+        table: 56.0 bytes per record with an int64 record matrix and int64
+        mixed-radix codes, 13.0 with both in the states' small dtype."""
+        gold = make().with_parameters(seed=RngSeed(seed, 0))
+        tracemalloc.start()
+        try:
+            observed_sample(gold, 100000, RngSeed(seed, 1)).count_table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 100000
 
 
 BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,

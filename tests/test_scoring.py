@@ -269,3 +269,32 @@ class TestDatasetFiles:
             CategoricalDataset(YX, [(0, 2)])
         with pytest.raises(ValueError):
             CategoricalDataset(YX, [(-1, 0)])
+
+    @pytest.mark.parametrize("records", [
+        [(0.5, 1)],
+        np.array([[1.7, 1.0]]),
+        [(0, float("nan"))],
+        [(0, float("inf"))],
+        [(1, 2**70)],
+        np.array([[0, 2**64 - 1]], dtype=np.uint64),
+        [("0", "1")],
+        [(0, 1j)],
+    ], ids=["half", "float-array", "nan", "inf", "beyond-int64", "uint64-max", "strings",
+            "complex"])
+    def test_records_must_be_whole_numbers_in_range(self, records):
+        with pytest.raises(ValueError):
+            CategoricalDataset(YX, records)
+
+    def test_whole_floats_bools_and_any_integer_dtype_accepted(self):
+        want = CategoricalDataset(YX, [(0, 1), (1, 1)])
+        assert want.records.dtype == np.int64
+        for records in (
+            [(0.0, 1.0), (1.0, 1.0)],
+            np.array([[False, True], [True, True]]),
+            np.array([[0, 1], [1, 1]], dtype=np.uint64),
+            np.array([[0, 1], [1, 1]], dtype=np.int8),
+        ):
+            got = CategoricalDataset(YX, records)
+            assert got == want
+            assert got.records.dtype == np.int64
+            assert np.array_equal(got.records, want.records)
