@@ -310,7 +310,7 @@ def save_dataset(data: CategoricalDataset, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(data.spec.names)
-        writer.writerows(data.records.tolist())
+        writer.writerows(data._values.tolist())  # Python ints, as from the int64 records
 
 
 def load_dataset(path, schema=None, infer_cards=False) -> CategoricalDataset:
