@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class ParametricBn:
 
     cpts[i] has shape (q_i, r_i): one row per parent configuration (mixed
     radix, lowest parent index most significant), each row a distribution
-    over the node's states.
+    over the node's states. parents[i] is structure.parents(i).
     """
 
     def __init__(self, structure: Dag, spec: VariableSpec, cpts):
@@ -73,8 +74,9 @@ class ParametricBn:
         cpts = tuple(np.asarray(t, dtype=float) for t in cpts)
         if len(cpts) != spec.n:
             raise ValueError("need one CPT per node")
+        parents = tuple(structure.parents(i) for i in range(spec.n))
         for i, table in enumerate(cpts):
-            q = spec.config_count(structure.parents(i))
+            q = spec.config_count(parents[i])
             if table.shape != (q, spec.cards[i]):
                 raise ValueError(
                     f"CPT for node {i} must have shape ({q},{spec.cards[i]})"
@@ -84,12 +86,13 @@ class ParametricBn:
                 raise ValueError(f"CPT for node {i} has non-finite entries")
             if low < 0:
                 raise ValueError(f"CPT for node {i} has negative entries")
-            if np.abs(table.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
+            if max(abs(s - 1.0) for s in table.sum(axis=1).tolist()) > ROW_SUM_TOL:
                 raise ValueError(f"CPT rows for node {i} do not sum to 1")
             table.setflags(write=False)
         self.structure = structure
         self.spec = spec
         self.cpts = cpts
+        self.parents = parents
 
     def __eq__(self, other):
         return (
@@ -144,6 +147,17 @@ class GoldStandard:
         return replace(self, bn=bn)
 
 
+@lru_cache(maxsize=256)
+def _dirichlet_means(q, r, ess) -> np.ndarray:
+    """The read-only (q, r) matrix whose row j (counting from 1) is
+    ess * shifted_mean(basis_mean(r), j)."""
+    # entry k of shifted_mean(base, j) is base[(k - j) % r]
+    shift = (np.arange(r) - np.arange(1, q + 1)[:, None]) % r
+    alpha = ess * basis_mean(r)[shift]
+    alpha.setflags(write=False)
+    return alpha
+
+
 def basis_mean(k) -> np.ndarray:
     """The normalized vector (1, 1/2, ..., 1/k)."""
     if k < 1:
@@ -173,11 +187,8 @@ def sample_parameters(structure: Dag, spec: VariableSpec, ess=10.0, seed=0) -> P
     rng = _rng(seed)
     cpts = []
     for i in range(spec.n):
-        r = spec.cards[i]
         q = spec.config_count(structure.parents(i))
-        # entry k of shifted_mean(base, j) is base[(k - j) % r]
-        shift = (np.arange(r) - np.arange(1, q + 1)[:, None]) % r
-        draws = rng.standard_gamma(ess * basis_mean(r)[shift])
+        draws = rng.standard_gamma(_dirichlet_means(q, spec.cards[i], ess))
         cpts.append(draws / draws.sum(axis=1, keepdims=True))
     return ParametricBn(structure, spec, cpts)
 
@@ -260,7 +271,7 @@ def _sample(bn: ParametricBn, m, rng, batch, selection, keep) -> np.ndarray:
     32-bit value too."""
     n, cards, bitgen = bn.spec.n, bn.spec.cards, rng.bit_generator
     order, thresholds = topological_order(bn.structure), _cdf_thresholds(bn)
-    parents = [bn.structure.parents(i) for i in range(n)]
+    parents = bn.parents
     rows = batch if selection else m  # the rows of a batch that can become records
     # one dtype holds every state, configuration and cardinality
     dtype = np.min_scalar_type(max(*cards, *(t.shape[1] for t in thresholds)))
@@ -328,6 +339,9 @@ def observed_sample(gold: GoldStandard, m, seed) -> CategoricalDataset:
     return CategoricalDataset(gold.observed_spec, records)
 
 
+# a template is frozen and carries no parameters, so each is built once and
+# shared; with_parameters returns a new model
+@lru_cache(maxsize=None)
 def gold_w() -> GoldStandard:
     """Hidden-variable benchmark: X1 -> X2 <- H -> X3 <- X4, H unobserved.
 
@@ -342,6 +356,7 @@ def gold_w() -> GoldStandard:
     return GoldStandard(structure, spec, observed=(0, 1, 2, 3), hidden=(4,))
 
 
+@lru_cache(maxsize=None)
 def gold_four_cycle() -> GoldStandard:
     """Selection-bias benchmark: chain X1..X4 closed through selection S.
 

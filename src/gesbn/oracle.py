@@ -96,7 +96,7 @@ def joint_from_bn(bn: ParametricBn) -> JointTable:
     idx = np.indices(cards)
     probs = np.ones(cards)
     for i in range(bn.spec.n):
-        cfg = config_indices(idx, bn.structure.parents(i), cards)
+        cfg = config_indices(idx, bn.parents[i], cards)
         probs = probs * bn.cpts[i][cfg, idx[i]]
     return JointTable(bn.spec, probs)
 

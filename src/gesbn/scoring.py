@@ -20,6 +20,7 @@ import io
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -130,59 +131,119 @@ def config_indices(columns, parents, cards):
     return idx
 
 
+def _variable(data: CategoricalDataset, v) -> int:
+    """v as a variable index of data; a float, or an index out of range,
+    raises ValueError naming it."""
+    try:
+        i = operator.index(v)
+    except TypeError:
+        raise ValueError(f"variable {v!r} is not an integer") from None
+    if not 0 <= i < data.spec.n:
+        raise ValueError(f"variable {i} out of range")
+    return i
+
+
 def tally(data: CategoricalDataset, child, parents) -> np.ndarray:
     """Exact contingency counts of the child against its parent set: an
-    int64 array of q parent configurations by r child states."""
-    parents = tuple(sorted(int(p) for p in parents))
-    cards = data.spec.cards
-    for v in (child, *parents):
-        if not (0 <= v < data.spec.n):
-            raise ValueError(f"variable {v} out of range")
+    int64 array of q parent configurations by r child states. A variable
+    that is not an integer index of data's variables, or that appears
+    twice in the family, raises ValueError naming it."""
+    child = _variable(data, child)
+    parents = sorted(_variable(data, p) for p in parents)
+    for a, b in zip(parents, parents[1:]):
+        if a == b:
+            raise ValueError(f"parent {a} appears twice")
     if child in parents:
-        raise ValueError("child must not appear among its parents")
+        raise ValueError(f"child {child} must not appear among its parents")
+    cards = data.spec.cards
     q = data.spec.config_count(parents)
     r = cards[child]
     configs, weights = data.count_table
-    j = config_indices(configs.T, parents, cards)
+    # the family's mixed-radix code, parents most significant and the child
+    # as the lowest digit, so that code = j * r + state
+    digits = (*parents, child)
+    code = configs[:, digits[0]]
+    for v in digits[1:]:
+        code = code * cards[v]
+        code += configs[:, v]
     # float64 weights sum exactly while every count stays below 2**53
-    counts = np.bincount(j * r + configs[:, child], weights=weights, minlength=q * r)
+    counts = np.bincount(code, weights=weights, minlength=q * r)
     return counts.astype(np.int64).reshape(q, r)
 
 
+# integer tables of at most this many cells are scored in one Python pass,
+# which costs less than numpy's per-call overhead there; wider or fractional
+# tables are scored by numpy, which is faster per cell (the two break even
+# at about 40-48 cells)
+_PYTHON_CELLS = 40
+
+
 def _lgamma(x) -> np.ndarray:
-    """Elementwise log-gamma of a float array, by math.lgamma."""
-    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    """Log-gamma of each entry of a float array, by math.lgamma, as a flat
+    array in row-major order."""
+    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size)
 
 
 def bdeu_local(counts: np.ndarray, ess=10.0) -> float:
     """Log marginal likelihood of one node's (q, r) counts under the
-    uniform-BDeu prior."""
+    uniform-BDeu prior. Counts may be fractional; a negative count or an
+    empty table raises ValueError.
+
+    Log-gammas are taken by math.lgamma, and the row terms and the cell
+    terms are each summed by numpy as one float64 array in row-major
+    order, so both ways of computing them give the same bits.
+    """
     if not ess > 0:
         raise ValueError("ess must be positive")
     q, r = counts.shape
-    a_row = ess / q
-    a_cell = ess / (q * r)
-    n_row = counts.sum(axis=1)
-    val = (math.lgamma(a_row) - _lgamma(a_row + n_row)).sum()
-    val += (_lgamma(a_cell + counts) - math.lgamma(a_cell)).sum()
+    if not counts.size:
+        raise ValueError(f"cannot score an empty {counts.shape} table")
+    lgamma = math.lgamma
+    a_row, a_cell = ess / q, ess / (q * r)
+    lg_row, lg_cell = lgamma(a_row), lgamma(a_cell)
+    if counts.size <= _PYTHON_CELLS and counts.dtype.kind in "iu":
+        cells = counts.ravel().tolist()
+        if min(cells) < 0:
+            raise ValueError("counts must be nonnegative")
+        totals = map(sum, zip(*[iter(cells)] * r))  # row by row
+        row_terms = np.array([lg_row - lgamma(a_row + n) for n in totals])
+        cell_terms = np.array([lgamma(a_cell + c) - lg_cell for c in cells])
+    else:
+        if counts.min() < 0:
+            raise ValueError("counts must be nonnegative")
+        row_terms = lg_row - _lgamma(a_row + np.add.reduce(counts, axis=1))
+        cell_terms = _lgamma(a_cell + counts) - lg_cell
+    # numpy's pairwise sums, as ndarray.sum takes them, less its wrapper's cost
+    val = np.add.reduce(row_terms)
+    val += np.add.reduce(cell_terms)
     return float(val)
 
 
 def _penalized_loglik(table, weight, size) -> float:
-    """weight * sum_jk t_jk log(t_jk / t_j) - (q * (r-1) / 2) * log size."""
+    """weight * sum_jk t_jk log(t_jk / t_j) - (q * (r-1) / 2) * log size.
+
+    Zero cells and zero rows are logged as ones, so that each log still
+    runs over a whole array (a masked log runs another loop, whose last
+    bits differ); a zero cell's term is then a signed zero, which adds
+    nothing to the sum.
+    """
     rows = table.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = table * (np.log(table) - np.log(rows))
-    ll = float(np.where(table > 0, terms, 0.0).sum())
+    logs = np.log(np.where(table > 0, table, 1.0)) - np.log(np.where(rows > 0, rows, 1.0))
+    ll = float((table * logs).sum())
     q, r = table.shape
     return weight * ll - 0.5 * q * (r - 1) * math.log(size)
 
 
 def bic_local(counts: np.ndarray, m) -> float:
     """Maximized log likelihood of one node's (q, r) counts minus
-    (q * (r-1) / 2) * log m."""
+    (q * (r-1) / 2) * log m. A negative count or an empty table raises
+    ValueError."""
     if m < 1:
         raise ValueError("bic requires at least one record")
+    if not counts.size:
+        raise ValueError(f"cannot score an empty {counts.shape} table")
+    if counts.min() < 0:
+        raise ValueError("counts must be nonnegative")
     return _penalized_loglik(counts, 1, m)
 
 
@@ -216,6 +277,10 @@ class DecomposableScorer:
         self._classes = {}
 
     def local(self, child, parents) -> float:
+        try:  # a hit, for parents given as the sorted tuple of the key
+            return self.locals[child, parents]
+        except (KeyError, TypeError):
+            pass
         key = (child, tuple(sorted(parents)))
         if key not in self.locals:
             self.locals[key] = self._local_fn(*key)

@@ -7,17 +7,20 @@ rejection sampling that builds every column of every batch, and tallies
 that re-read all m records. The fast paths must reproduce their output
 exactly, because a seed's records are part of the contract (see
 gesbn.datagen). The BDeu kernel is checked against scipy's gammaln, which
-it replaced, within a relative 1e-12; the dataset loader against the
-csv-module loader it replaced, exactly. The batched CI pass, the bitmask
-class table and the one-call parameter draw are checked against the
-per-query, per-class and per-row code they replaced, exactly, and so is
-the graph code on graphs.Pdag and graphs.reachable against the per-caller
-dicts and walks it replaced.
+it replaced, within a relative 1e-12, and the BDeu, penalized
+log-likelihood and tally kernels against their numpy versions, bit for
+bit, since a last-bit change can flip a tie in a search step; the
+dataset loader against the csv-module loader it replaced, exactly. The
+batched CI pass, the bitmask class table and the one-call parameter draw
+are checked against the per-query, per-class and per-row code they
+replaced, exactly, and so is the graph code on graphs.Pdag and
+graphs.reachable against the per-caller dicts and walks it replaced.
 """
 
 import collections
 import csv
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,12 +32,14 @@ from scipy.special import gammaln
 from gesbn import search
 
 from gesbn.datagen import (
+    GOLD_STANDARDS,
     GoldStandard,
     MIN_ACCEPT_RATE,
     ParametricBn,
     RngSeed,
     _BLOCK,
     _cdf_thresholds,
+    _dirichlet_means,
     _node_block,
     _rng,
     basis_mean,
@@ -77,7 +82,9 @@ from gesbn.search import delete_moves, insert_moves
 from gesbn.scoring import (
     CategoricalDataset,
     ScoreConfig,
+    _penalized_loglik,
     bdeu_local,
+    bic_local,
     load_dataset,
     load_schema,
     save_dataset,
@@ -622,6 +629,144 @@ class TestBdeuMatchesGammaln:
         _assert_bdeu_matches(forward_sample(bn, 5000, seed=3), max_parents=3)
 
 
+# the BDeu, penalized log-likelihood and tally kernels before the Python
+# pass over small tables, kept verbatim: the new kernels must give the same
+# bits, since a last-bit change can flip a tie among a search step's moves
+
+
+def _ref_lgamma(x):
+    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def ref_bdeu_numpy(counts, ess=10.0):
+    if not ess > 0:
+        raise ValueError("ess must be positive")
+    q, r = counts.shape
+    a_row = ess / q
+    a_cell = ess / (q * r)
+    n_row = counts.sum(axis=1)
+    val = (math.lgamma(a_row) - _ref_lgamma(a_row + n_row)).sum()
+    val += (_ref_lgamma(a_cell + counts) - math.lgamma(a_cell)).sum()
+    return float(val)
+
+
+def ref_penalized_loglik(table, weight, size):
+    rows = table.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = table * (np.log(table) - np.log(rows))
+    ll = float(np.where(table > 0, terms, 0.0).sum())
+    q, r = table.shape
+    return weight * ll - 0.5 * q * (r - 1) * math.log(size)
+
+
+def _ref_config_indices(columns, parents, cards):
+    idx = 0
+    for p in parents:
+        idx = np.add(idx * cards[p], columns[p], dtype=np.int64)
+    return idx
+
+
+def ref_tally(data, child, parents):
+    parents = tuple(sorted(int(p) for p in parents))
+    cards = data.spec.cards
+    q = data.spec.config_count(parents)
+    r = cards[child]
+    configs, weights = data.count_table
+    j = _ref_config_indices(configs.T, parents, cards)
+    counts = np.bincount(j * r + configs[:, child], weights=weights, minlength=q * r)
+    return counts.astype(np.int64).reshape(q, r)
+
+
+def _count_tables(rng):
+    """Count tables of every shape q = 1..128 by r = 1..5: sparse small
+    counts, counts up to 1e6, and tables with zero cells and zero rows."""
+    for q in range(1, 129):
+        for r in range(1, 6):
+            yield rng.integers(0, 4, size=(q, r))
+            yield rng.integers(0, 10**6, size=(q, r), endpoint=True)
+            table = rng.integers(0, 50, size=(q, r)) * (rng.random((q, r)) < 0.5)
+            table[rng.random(q) < 0.3] = 0
+            yield table
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestKernelsBitIdentical:
+    @pytest.mark.parametrize("ess", [0.37, 1.0, 10.0])
+    def test_bdeu_on_every_shape(self, ess):
+        for counts in _count_tables(np.random.default_rng(int(ess * 100))):
+            for table in (counts, counts.astype(np.uint8) if counts.max() < 256 else counts):
+                got, want = bdeu_local(table, ess), ref_bdeu_numpy(table, ess)
+                assert _same_bits(got, want), (table.shape, ess, got, want)
+
+    @pytest.mark.parametrize("ess", [0.37, 1.0, 10.0])
+    def test_bdeu_on_fractional_counts(self, ess):
+        rng = np.random.default_rng(7)
+        for q, r in ((1, 2), (2, 8), (3, 9), (128, 5)):
+            counts = rng.random((q, r)) * rng.choice([0.0, 1.0, 1e3], size=(q, r))
+            got, want = bdeu_local(counts, ess), ref_bdeu_numpy(counts, ess)
+            assert _same_bits(got, want), (counts.shape, ess, got, want)
+
+    def test_bic_on_every_shape(self):
+        for counts in _count_tables(np.random.default_rng(3)):
+            m = max(int(counts.sum()), 1)
+            got, want = bic_local(counts, m), ref_penalized_loglik(counts, 1, m)
+            assert _same_bits(got, want), (counts.shape, got, want)
+
+    @pytest.mark.parametrize("weight", [12.5, 163840, 1e6])
+    def test_loglik_on_probability_tables(self, weight):
+        rng = np.random.default_rng(int(weight))
+        for counts in _count_tables(rng):
+            # products of random CPT entries, as in an exact margin, with
+            # the zero cells and zero rows of the counts; the oracle's
+            # tables are often transposed views
+            table = (counts > 0) * rng.random(counts.shape) * rng.random(counts.shape)
+            table = table / max(table.sum(), 1e-300)
+            for table in (counts / max(counts.sum(), 1), table, np.asfortranarray(table)):
+                got = _penalized_loglik(table, weight, weight)
+                assert _same_bits(got, ref_penalized_loglik(table, weight, weight)), table.shape
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 40).flatmap(lambda q: st.integers(1, 5).flatmap(lambda r: st.tuples(
+            st.just((q, r)),
+            st.lists(st.one_of(st.just(0), st.integers(0, 20), st.integers(0, 10**6)),
+                     min_size=q * r, max_size=q * r),
+        ))),
+        st.sampled_from([0.37, 1.0, 10.0]),
+    )
+    def test_hypothesis_tables(self, shaped, ess):
+        shape, cells = shaped
+        counts = np.array(cells, dtype=np.int64).reshape(shape)
+        assert _same_bits(bdeu_local(counts, ess), ref_bdeu_numpy(counts, ess))
+        m = max(int(counts.sum()), 1)
+        assert _same_bits(bic_local(counts, m), ref_penalized_loglik(counts, 1, m))
+        table = counts / max(counts.sum(), 1)
+        assert _same_bits(_penalized_loglik(table, 1e6, 1e6),
+                          ref_penalized_loglik(table, 1e6, 1e6))
+
+    @pytest.mark.parametrize("m,cards", [(0, (2, 3, 2)), (50, (2, 3, 2, 2)),
+                                         (3000, (5, 7, 3, 4, 6, 2, 3)), (200, (1, 2, 3))])
+    def test_tally(self, m, cards):
+        rng = np.random.default_rng(m + 1)
+        data = _random_dataset(rng, m, cards)
+        for child in range(len(cards)):
+            for parents in _parent_sets(rng, len(cards), child, 8):
+                got = tally(data, np.int64(child), np.array(parents, dtype=np.int32))
+                want = ref_tally(data, child, parents)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_tally_beyond_int64_codes(self):
+        # 70 binary columns: the count table comes from np.unique, C-ordered
+        rng = np.random.default_rng(70)
+        data = _random_dataset(rng, 400, (2,) * 70)
+        for child in (0, 33, 69):
+            for parents in _parent_sets(rng, 70, child, 5):
+                assert np.array_equal(tally(data, child, parents), ref_tally(data, child, parents))
+
+
 def ref_load_dataset(path, schema=None, infer_cards=False):
     """The dataset loader before numpy parsed the records: csv rows, one
     int() per cell."""
@@ -946,6 +1091,37 @@ class TestSampleParametersMatchesReference:
         want = ref_sample_parameters(structure, spec, ess, rng_ref).cpts
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+class TestParameterMemos:
+    def test_dirichlet_means_are_read_only(self):
+        alpha = _dirichlet_means(4, 3, 10.0)
+        assert _dirichlet_means(4, 3, 10.0) is alpha
+        with pytest.raises(ValueError, match="read-only"):
+            alpha[0, 0] = 1.0
+        expected = [10.0 * shifted_mean(basis_mean(3), j) for j in range(1, 5)]
+        assert np.array_equal(alpha, expected)
+
+    @pytest.mark.parametrize("name", sorted(GOLD_STANDARDS))
+    def test_template_is_built_once_and_kept_unchanged(self, name):
+        template = GOLD_STANDARDS[name]()
+        fields = (template.structure, template.spec, template.observed,
+                  template.hidden, template.selection)
+        gold = template.with_parameters(seed=RngSeed(5, 0))
+        assert GOLD_STANDARDS[name]() is template
+        assert template.bn is None and gold.bn is not None and gold is not template
+        assert (template.structure, template.spec, template.observed,
+                template.hidden, template.selection) == fields
+
+    @pytest.mark.parametrize("name", sorted(GOLD_STANDARDS))
+    def test_golds_over_seeds_0_to_99(self, name):
+        template = GOLD_STANDARDS[name]()
+        for seed in range(100):
+            got = sample_parameters(template.structure, template.spec, 10.0, seed)
+            want = ref_sample_parameters(template.structure, template.spec, 10.0, seed)
+            assert got == want, seed
+            assert got.parents == tuple(template.structure.parents(i)
+                                        for i in range(template.spec.n))
 
 
 # the graph code before Pdag and reachable: a pair -> orientation dict in

@@ -9,6 +9,7 @@ import pytest
 from gesbn.graphs import Cpdag, Dag, VariableSpec, canonical_member
 from gesbn.scoring import (
     CategoricalDataset,
+    DecomposableScorer,
     ScoreConfig,
     bdeu_local,
     bic_local,
@@ -54,6 +55,23 @@ class TestTally:
         with pytest.raises(ValueError):
             tally(YX_DATA, 1, (1,))
 
+    @pytest.mark.parametrize("child,parents,message", [
+        (0, (1, 1), "parent 1 appears twice"),
+        (0, (1.7,), "variable 1.7 is not an integer"),
+        (0.5, (1,), "variable 0.5 is not an integer"),
+        (0, (1.0,), "variable 1.0 is not an integer"),
+    ], ids=["repeated-parent", "float-parent", "float-child", "whole-float-parent"])
+    def test_misread_variables_raise(self, child, parents, message):
+        # each used to be read as another family: a 4 x 2 table for (1, 1),
+        # parent 1 for 1.7; a float child raised an unrelated TypeError
+        with pytest.raises(ValueError, match=message):
+            tally(YX_DATA, child, parents)
+
+    def test_numpy_integers_pass(self):
+        got = tally(YX_DATA, np.int64(1), (np.uint8(0),))
+        assert got.tolist() == tally(YX_DATA, 1, (0,)).tolist()
+        assert tally(YX_DATA, np.int32(1), np.array([0])).tolist() == got.tolist()
+
 
 class TestBdeuLocal:
     def test_two_record_value_against_direct_gamma(self):
@@ -72,6 +90,24 @@ class TestBdeuLocal:
         empty = CategoricalDataset(YX, np.zeros((0, 2), int))
         assert bdeu_local(tally(empty, 1, (0,)), ess=10.0) == 0.0
         assert bdeu_local(tally(empty, 1, ()), ess=3.0) == 0.0
+
+    @pytest.mark.parametrize("counts,message", [
+        (np.zeros((0, 2), np.int64), "empty"),
+        (np.zeros((3, 0), np.int64), "empty"),
+        (np.array([[-1, 2]]), "nonnegative"),
+        (np.array([[-20, 2]]), "nonnegative"),
+        (np.array([[0.5, -0.25]]), "nonnegative"),
+        (-np.ones((40, 2), np.int64), "nonnegative"),
+    ], ids=["no-rows", "no-states", "minus-one", "minus-twenty", "fractional", "wide"])
+    def test_rejects_tables_it_cannot_score(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            bdeu_local(counts, ess=10.0)
+
+    def test_fractional_counts_stay_legal(self):
+        got = bdeu_local(np.array([[0.5, 1.5]]), ess=1.0)
+        direct = (math.lgamma(1) - math.lgamma(3)
+                  + math.lgamma(1.0) - math.lgamma(0.5) + math.lgamma(2.0) - math.lgamma(0.5))
+        assert got == pytest.approx(direct, abs=1e-12)
 
     def test_requires_positive_ess(self):
         # NaN compares false with everything, so an "ess <= 0" test passes it
@@ -112,6 +148,15 @@ class TestBicLocal:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             bic_local(tally(YX_DATA, 1, ()), m=0)
+
+    @pytest.mark.parametrize("counts,message", [
+        (np.zeros((0, 2), np.int64), "empty"),
+        (np.array([[-1, 2]]), "nonnegative"),
+    ], ids=["no-rows", "minus-one"])
+    def test_rejects_tables_it_cannot_score(self, counts, message):
+        # [[-1, 2]] used to score 0.58
+        with pytest.raises(ValueError, match=message):
+            bic_local(counts, m=3)
 
 
 def random_dataset(rng, n=3, m=40, cards=None):
@@ -155,6 +200,13 @@ class TestTotalScore:
         scorer = make_scorer(ScoreConfig(), data=YX_DATA)
         scorer.score_dag(Dag(2, {(0, 1)}))
         assert set(scorer.locals) == {(0, ()), (1, (0,))}
+
+    def test_any_parent_collection_shares_one_entry(self):
+        calls = []
+        scorer = DecomposableScorer(lambda child, parents: calls.append(parents) or 1.5)
+        for parents in ((1, 2), (2, 1), [2, 1], frozenset({1, 2}), (np.int64(1), 2)):
+            assert scorer.local(0, parents) == 1.5
+        assert calls == [(1, 2)] and set(scorer.locals) == {(0, (1, 2))}
 
     def test_class_score_is_canonical_member_score(self):
         c = Cpdag(2, undirected={(0, 1)})
