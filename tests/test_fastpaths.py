@@ -758,14 +758,6 @@ class TestKernelsBitIdentical:
                 want = ref_tally(data, child, parents)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    def test_tally_beyond_int64_codes(self):
-        # 70 binary columns: the count table comes from np.unique, C-ordered
-        rng = np.random.default_rng(70)
-        data = _random_dataset(rng, 400, (2,) * 70)
-        for child in (0, 33, 69):
-            for parents in _parent_sets(rng, 70, child, 5):
-                assert np.array_equal(tally(data, child, parents), ref_tally(data, child, parents))
-
 
 def ref_load_dataset(path, schema=None, infer_cards=False):
     """The dataset loader before numpy parsed the records: csv rows, one
