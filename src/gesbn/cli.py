@@ -14,7 +14,10 @@ from .graphs import (
     parameter_count,
 )
 from .harness import (
+    DATA_STREAM,
     DESK_SIZES,
+    GENERATIVE_ESS,
+    PARAM_STREAM,
     ExperimentPlan,
     paper_plan,
     run_experiment,
@@ -45,14 +48,19 @@ def _add_score_flags(p, criteria=CRITERIA):
                    help="equivalent sample size for bdeu (default 10)")
 
 
-def _int_at_least(low):
-    """argparse type: an integer no smaller than low."""
+def _int_at_least(low, stop=None):
+    """argparse type: an integer no smaller than low and, given stop, below it."""
     def integer(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if stop is not None and value >= stop:
+            raise argparse.ArgumentTypeError(f"must be below {stop}, got {value}")
         return value
     return integer
+
+
+_seed = _int_at_least(0, 2**64)  # a 64-bit seed, as RngSeed and replicate_seed take
 
 
 def _positive(text):
@@ -81,9 +89,9 @@ def _make_dir(path):
 def cmd_generate(args) -> int:
     _checked(args, args.out, _make_dir)
     gold = GOLD_STANDARDS[GOLD_FLAGS[args.gold]]().with_parameters(
-        ess=args.ess, seed=RngSeed(args.seed, 0)
+        ess=args.ess, seed=RngSeed(args.seed, PARAM_STREAM)
     )
-    data = observed_sample(gold, args.m, RngSeed(args.seed, 1))
+    data = observed_sample(gold, args.m, RngSeed(args.seed, DATA_STREAM))
     save_model(gold, os.path.join(args.out, "model.json"))
     save_dataset(data, os.path.join(args.out, "data.csv"))
     save_schema(data.spec, os.path.join(args.out, "data.schema.json"))
@@ -263,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", choices=tuple(GOLD_FLAGS), required=True)
     p.add_argument("--m", type=_int_at_least(0), required=True,
                    help="number of observed records")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ess", type=_positive, default=10.0,
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--ess", type=_positive, default=GENERATIVE_ESS,
                    help="concentration of the generative parameter prior")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
@@ -306,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="published protocol: sizes up to 655360, 100 replicates")
     p.add_argument("--replicates", type=_int_at_least(1),
                    help="replicates per size (default 50; not with --paper-scale)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_score_flags(p)
     p.add_argument("--algorithm", choices=ALGORITHMS, default="ges")
     p.add_argument("--workers", type=_int_at_least(1), default=1)

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import Dag, VariableSpec, topological_order
-from .scoring import CategoricalDataset, read_variables, variable_int
+from .scoring import CategoricalDataset, config_indices, read_variables, variable_int
 
 ROW_SUM_TOL = 1e-12
 
@@ -208,16 +208,14 @@ def _node_block(rng, states, i, parents, thresholds, cards, bufs):
     """Fill states[i], one block of node i's states, from the next
     len(states[i]) uniforms u of rng: state #{k : u > cdf[k]}, cdf the inner
     CDF values of the CPT row that the parents' states in u's column select.
-    bufs: a block of uniforms, of gathered CDF values, of configurations (in
-    states' dtype, then in int64, read fastest by np.take) and of bools."""
-    u, cdf, code, cfg, above = bufs
+    bufs: a block of uniforms, of gathered CDF values, of int64 parent
+    configurations (config_indices writes them, np.take reads them fastest
+    in int64) and of bools."""
+    u, cdf, cfg, above = bufs
     rng.random(out=u)
     ps, state = parents[i], states[i]
     if ps:
-        config = states[ps[0]]
-        for p in ps[1:]:
-            config = np.add(np.multiply(config, cards[p], out=code), states[p], out=code)
-        np.copyto(cfg, config)
+        config_indices(states, ps, cards, cfg)
     if not len(thresholds[i]):  # a one-state node
         state.fill(0)
     for k, row in enumerate(thresholds[i]):  # the first comparison writes state
@@ -264,7 +262,8 @@ def _sample(bn: ParametricBn, m, rng, batch, selection, keep) -> np.ndarray:
     """The columns `keep` of the first m rows meeting every (variable, state)
     pair of `selection`, in batches of `batch` ancestral draws, as one
     F-ordered (m, len(keep)) matrix in the states' dtype, the smallest
-    unsigned one that holds every state and configuration. A batch goes in
+    unsigned one that holds every state, as in CategoricalDataset (parent
+    configurations are built in int64). A batch goes in
     blocks of _BLOCK rows up to the m-th record; a node reaches its stream
     position by _skip_uniforms in the first block, by its saved state in
     later ones. rng ends as drawing every row would leave it, buffered
@@ -273,11 +272,10 @@ def _sample(bn: ParametricBn, m, rng, batch, selection, keep) -> np.ndarray:
     order, thresholds = topological_order(bn.structure), _cdf_thresholds(bn)
     parents = bn.parents
     rows = batch if selection else m  # the rows of a batch that can become records
-    # one dtype holds every state, configuration and cardinality
-    dtype = np.min_scalar_type(max(*cards, *(t.shape[1] for t in thresholds)))
+    dtype = np.min_scalar_type(max(cards))
     size = min(_BLOCK, rows)
     states, picked = np.empty((n, size), dtype=dtype), np.empty(size, dtype=dtype)
-    bufs = [np.empty(size, dtype=t) for t in (float, float, dtype, np.int64, bool)]
+    bufs = [np.empty(size, dtype=t) for t in (float, float, np.int64, bool)]
     records = np.empty((m, len(keep)), dtype=dtype, order="F")
     held = bitgen.state  # the caller's, buffered 32-bit value included
     saved, accepted, drawn = [None] * n, 0, 0

@@ -467,7 +467,7 @@ def encode_edges(graph, spec: VariableSpec) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _parse_edge_lines(text, spec):
+def cpdag_from_text(text, spec: VariableSpec) -> Cpdag:
     directed, undirected = set(), set()
     for raw in text.splitlines():
         line = raw.strip()
@@ -481,9 +481,4 @@ def _parse_edge_lines(text, spec):
             undirected.add((spec.index(lhs.strip()), spec.index(rhs.strip())))
         else:
             raise GraphError(f"unparseable edge line: {raw!r}")
-    return directed, undirected
-
-
-def cpdag_from_text(text, spec: VariableSpec) -> Cpdag:
-    directed, undirected = _parse_edge_lines(text, spec)
     return Cpdag(spec.n, frozenset(directed), frozenset(undirected))

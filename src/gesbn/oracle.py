@@ -93,10 +93,10 @@ def joint_from_bn(bn: ParametricBn) -> JointTable:
     cells = int(np.prod(cards))
     if cells > MAX_JOINT_CELLS:
         raise ValueError(f"state space of {cells} cells exceeds the oracle limit")
-    idx = np.indices(cards)
+    idx, cfg = np.indices(cards), np.empty(cards, dtype=np.int64)
     probs = np.ones(cards)
     for i in range(bn.spec.n):
-        cfg = config_indices(idx, bn.parents[i], cards)
+        config_indices(idx, bn.parents[i], cards, cfg)
         probs = probs * bn.cpts[i][cfg, idx[i]]
     return JointTable(bn.spec, probs)
 

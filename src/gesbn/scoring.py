@@ -10,7 +10,7 @@ scored through one member DAG.
 Parent-configuration indexing is mixed-radix over the parent list sorted
 ascending, lowest index most significant. Every consumer of conditional
 tables in this package (tallies, CPT rows, exact conditionals) uses this
-one convention.
+one convention, and config_indices is its one implementation.
 """
 
 from __future__ import annotations
@@ -110,9 +110,8 @@ class CategoricalDataset:
             return configs.astype(np.int64), counts
         # each record's mixed-radix code, in the smallest dtype that holds
         # every code and every cardinality
-        code = values[:, 0].astype(np.min_scalar_type(size))
-        for v in range(1, self.spec.n):
-            np.add(np.multiply(code, cards[v], out=code), values[:, v], out=code)
+        code = np.empty(self.m, dtype=np.min_scalar_type(size))
+        config_indices(values.T, range(self.spec.n), cards, code)
         if size <= self.m:
             counts = np.bincount(code, minlength=size)
             code = np.flatnonzero(counts)
@@ -122,13 +121,15 @@ class CategoricalDataset:
         return np.array(np.unravel_index(code, cards), dtype=np.int64).T, counts
 
 
-def config_indices(columns, parents, cards):
-    """Mixed-radix configuration index of the parents' values, as int64,
-    where columns[v] holds the values of v; 0 for no parents."""
-    idx = 0
-    for p in parents:
-        idx = np.add(idx * cards[p], columns[p], dtype=np.int64)
-    return idx
+def config_indices(columns, variables, cards, out):
+    """Write into out, and return, the mixed-radix code of the variables'
+    values, the first variable most significant, where columns[v] holds
+    v's values; 0 for no variables. The arithmetic runs in out's dtype,
+    which must hold every code; the columns' dtype may be narrower."""
+    out[...] = columns[variables[0]] if variables else 0
+    for v in variables[1:]:
+        np.add(np.multiply(out, cards[v], out=out), columns[v], out=out)
+    return out
 
 
 def _variable(data: CategoricalDataset, v) -> int:
@@ -159,13 +160,9 @@ def tally(data: CategoricalDataset, child, parents) -> np.ndarray:
     q = data.spec.config_count(parents)
     r = cards[child]
     configs, weights = data.count_table
-    # the family's mixed-radix code, parents most significant and the child
-    # as the lowest digit, so that code = j * r + state
-    digits = (*parents, child)
-    code = configs[:, digits[0]]
-    for v in digits[1:]:
-        code = code * cards[v]
-        code += configs[:, v]
+    # the family's code, with the child as the lowest digit: j * r + state
+    code = np.empty(len(weights), dtype=np.int64)
+    config_indices(configs.T, (*parents, child), cards, code)
     # float64 weights sum exactly while every count stays below 2**53
     counts = np.bincount(code, weights=weights, minlength=q * r)
     return counts.astype(np.int64).reshape(q, r)

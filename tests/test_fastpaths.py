@@ -85,6 +85,7 @@ from gesbn.scoring import (
     _penalized_loglik,
     bdeu_local,
     bic_local,
+    config_indices,
     load_dataset,
     load_schema,
     save_dataset,
@@ -288,7 +289,7 @@ class TestSamplerMatchesReference:
 
         rows = grid.size**2
         states = np.empty((2, rows), dtype=np.uint8)
-        bufs = [np.empty(rows, dtype=t) for t in (float, float, np.uint8, np.int64, bool)]
+        bufs = [np.empty(rows, dtype=t) for t in (float, float, np.int64, bool)]
         replay = Replay()
         parents = [bn.structure.parents(i) for i in range(2)]
         for i in range(2):
@@ -322,6 +323,40 @@ def _parent_sets(rng, n, child, count):
         yield tuple(int(v) for v in rng.choice(others, size=k, replace=False))
 
 
+class TestConfigIndicesMatchesReference:
+    # variables (0, 2, 4) have 4 * 16 * 4 = 256 codes, and the all-maximum
+    # record takes the largest, 255, which a uint8 out must hold
+    CARDS = (4, 3, 16, 2, 4, 1)
+
+    def _records(self, m):
+        rng = np.random.default_rng(m)
+        records = np.column_stack([rng.integers(0, c, size=m) for c in self.CARDS])
+        return np.vstack([records, np.array(self.CARDS) - 1, np.zeros_like(self.CARDS)])
+
+    @pytest.mark.parametrize("m", [0, 1, 3000])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "out_dtype,in_dtypes",
+        [(np.uint8, (np.uint8,)), (np.uint16, (np.uint8,)), (np.int64, (np.uint8, np.int64))],
+    )
+    def test_every_variable_tuple_that_fits(self, m, order, out_dtype, in_dtypes):
+        records = self._records(m)
+        top = np.iinfo(out_dtype).max
+        for in_dtype in in_dtypes:
+            columns = np.array(records.T, dtype=in_dtype, order=order)
+            before = columns.copy()
+            for k in range(len(self.CARDS) + 1):
+                for variables in itertools.permutations(range(len(self.CARDS)), k):
+                    if math.prod(self.CARDS[v] for v in variables) - 1 > top:
+                        continue
+                    out = np.empty(len(records), dtype=out_dtype)
+                    got = config_indices(columns, variables, self.CARDS, out)
+                    want = ref_config_indices(records, variables, self.CARDS)
+                    assert got is out
+                    assert np.array_equal(got, want), (variables, out_dtype, in_dtype)
+            assert np.array_equal(columns, before)
+
+
 class TestTallyMatchesReference:
     @pytest.mark.parametrize(
         "m,cards",
@@ -350,6 +385,23 @@ class TestTallyMatchesReference:
             for parents in _parent_sets(rng, 70, child, 5):
                 got = tally(data, child, parents)
                 assert np.array_equal(got, ref_tally_counts(data, child, parents))
+
+    @pytest.mark.parametrize("m", [0, 1, 2000])
+    def test_tallies_leave_the_count_table_and_records_unchanged(self, m):
+        rng = np.random.default_rng(m)
+        for data in (_random_dataset(rng, m, (2, 3, 1, 4)),
+                     observed_sample(CASES["w_structure"], m, seed=5)):
+            configs, counts = data.count_table
+            before = configs.copy(), counts.copy(), data._values.copy()
+            n = data.spec.n
+            for child in range(n):
+                others = [v for v in range(n) if v != child]
+                for k in range(n):
+                    for parents in itertools.combinations(others, k):
+                        tally(data, child, parents)
+            assert data.count_table[0] is configs and data.count_table[1] is counts
+            for got, want in zip((configs, counts, data._values), before):
+                assert np.array_equal(got, want)
 
     def test_sampled_gold_data(self):
         data = observed_sample(CASES["four_cycle"], 20000, seed=4)

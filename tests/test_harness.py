@@ -538,10 +538,21 @@ class TestCliRejectsBadValues:
          "argument --replicates: not allowed with argument --paper-scale"),
         (["experiment", "--gold", "w", "--workers", "0", "--out", "r.csv"],
          "argument --workers: must be at least 1, got 0"),
+        (["generate", "--gold", "w", "--m", "10", "--seed", "-1", "--out", "gen"],
+         "argument --seed: must be at least 0, got -1"),
+        (["generate", "--gold", "w", "--m", "10", "--seed", str(2**64), "--out", "gen"],
+         f"argument --seed: must be below {2**64}, got {2**64}"),
+        (["experiment", "--gold", "w", "--seed", "-1", "--out", "r.csv"],
+         "argument --seed: must be at least 0, got -1"),
+        (["experiment", "--gold", "w", "--seed", str(2**64), "--out", "r.csv"],
+         f"argument --seed: must be below {2**64}, got {2**64}"),
+        (["experiment", "--gold", "w", "--seed", "1.5", "--out", "r.csv"],
+         "argument --seed: invalid integer value: '1.5'"),
     ], ids=[
         "generate-ess-zero", "learn-ess-negative", "score-ess-nan",
         "experiment-ess-zero", "ess-not-a-number", "paper-scale-with-replicates",
-        "zero-workers",
+        "zero-workers", "generate-seed-negative", "generate-seed-2**64",
+        "experiment-seed-negative", "experiment-seed-2**64", "seed-not-an-integer",
     ])
     def test_exit_with_usage(self, tmp_path, capsys, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -552,6 +563,18 @@ class TestCliRejectsBadValues:
         assert err.startswith("usage: gesbn ")
         assert message in err
         assert not os.listdir(tmp_path)
+
+    def test_largest_64_bit_seed_is_accepted(self, tmp_path, monkeypatch):
+        top = 2**64 - 1
+        assert main(["generate", "--gold", "w", "--m", "10", "--seed", str(top),
+                     "--out", str(tmp_path / "gen")]) == 0
+        assert load_dataset(tmp_path / "gen" / "data.csv", infer_cards=True).m == 10
+        plans = []
+        monkeypatch.setattr(
+            "gesbn.cli.run_experiment", lambda plan, **kw: plans.append(plan) or []
+        )
+        main(["experiment", "--gold", "w", "--seed", str(top), "--out", str(tmp_path / "r.csv")])
+        assert [p.base_seed for p in plans] == [top]
 
     def test_replicates_default_to_fifty(self, tmp_path, monkeypatch):
         plans = []
