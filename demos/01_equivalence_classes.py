@@ -3,7 +3,6 @@ equivalence classes represented as completed PDAGs."""
 
 from gesbn import (
     Dag,
-    SepQuery,
     VariableSpec,
     consistent_extensions,
     d_separated,
@@ -25,9 +24,9 @@ print("w-structure edges:")
 print(encode_edges(w, spec))
 
 print("d-separation facts read off the graph:")
-print("  X1 _||_ X4            :", d_separated(w, SepQuery(0, 3)))
-print("  X1 _||_ X3            :", d_separated(w, SepQuery(0, 2)))
-print("  X1 _||_ X3 | X2       :", d_separated(w, SepQuery(0, 2, frozenset({1}))))
+print("  X1 _||_ X4            :", d_separated(w, 0, 3))
+print("  X1 _||_ X3            :", d_separated(w, 0, 2))
+print("  X1 _||_ X3 | X2       :", d_separated(w, 0, 2, 1))
 
 # covered edges can be reversed without changing the equivalence class
 chain = Dag(3, {(0, 1), (1, 2)})

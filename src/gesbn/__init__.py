@@ -10,11 +10,11 @@ from .graphs import (
     Cpdag,
     Dag,
     GraphError,
-    SepQuery,
     VariableSpec,
     canonical_key,
     canonical_member,
     complete_cpdag,
+    ci_query,
     consistent_extensions,
     d_separated,
     dag_to_cpdag,
@@ -53,7 +53,6 @@ from .datagen import (
     shifted_mean,
 )
 from .oracle import (
-    CiStatement,
     JointTable,
     ci_holds,
     composition_holds,

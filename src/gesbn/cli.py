@@ -9,6 +9,7 @@ import sys
 from .datagen import GOLD_STANDARDS, RngSeed, load_model, observed_sample, save_model
 from .graphs import (
     canonical_member,
+    ci_query,
     cpdag_from_text,
     encode_edges,
     parameter_count,
@@ -77,7 +78,7 @@ def _positive(text):
 def _sizes(text):
     """argparse type for --sizes, checked as ExperimentPlan checks its sizes."""
     try:
-        return ExperimentPlan(sizes=text.split(",")).sizes
+        return ExperimentPlan(sizes=[int(s) for s in text.split(",")]).sizes
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -192,19 +193,18 @@ def cmd_score(args) -> int:
 
 
 def _parse_ci_flag(args, text, spec):
-    """A --ci 'X,Y|Z1,Z2' query as (x, y, z); a malformed one exits 2."""
+    """A --ci 'X,Y|Z1,Z2' query as graphs.ci_query's (x, y, z); a malformed
+    one exits 2."""
     lhs, _, zpart = text.partition("|")
     try:
         names = [s.strip() for s in lhs.split(",")]
         if len(names) != 2:
             raise ValueError("expected 'X,Y' or 'X,Y|Z1,Z2'")
         x, y = (spec.index(s) for s in names)
-        z = frozenset(spec.index(s.strip()) for s in zpart.split(",") if s.strip())
-        if x == y or {x, y} & z:
-            raise ValueError("x, y, z must be pairwise disjoint")
+        z = [spec.index(s.strip()) for s in zpart.split(",") if s.strip()]
+        return ci_query(spec.n, x, y, z)
     except (ValueError, KeyError) as exc:
         _fail(args, f"--ci {text!r}: {exc.args[0]}")
-    return x, y, z
 
 
 def cmd_oracle(args) -> int:
@@ -225,11 +225,11 @@ def cmd_oracle(args) -> int:
     comp = composition_holds(margin)
     print(f"composition property: {'holds' if comp.holds else 'FAILS'}")
     if not comp.holds:
-        cx = comp.counterexample
-        names = lambda vs: "{" + ",".join(spec.names[v] for v in sorted(vs)) + "}"
-        print(f"  counterexample: {names(cx.x)} dep {names(cx.y)} | {names(cx.z)}")
-    for ci, (x, y, z) in queries:
-        verdict = "independent" if ci_holds(margin, x, y, z) else "dependent"
+        x, y, z = ("{" + ",".join(spec.names[v] for v in sorted(vs)) + "}"
+                   for vs in comp.counterexample)
+        print(f"  counterexample: {x} dep {y} | {z}")
+    for ci, query in queries:
+        verdict = "independent" if ci_holds(margin, *query) else "dependent"
         print(f"ci {ci}: {verdict}")
     return 0
 

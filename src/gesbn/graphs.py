@@ -14,6 +14,7 @@ build, change and read.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -209,22 +210,6 @@ def dag_key(g: Dag) -> tuple:
     return tuple(sorted(g.edges))
 
 
-@dataclass(frozen=True)
-class SepQuery:
-    """A d-separation triple: is x independent of y given the set z?"""
-
-    x: int
-    y: int
-    z: frozenset = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", frozenset(int(v) for v in self.z))
-        if self.x == self.y:
-            raise ValueError("x and y must differ")
-        if self.x in self.z or self.y in self.z:
-            raise ValueError("x and y must not appear in z")
-
-
 def topological_order(g: Dag) -> list:
     """Node order in which every edge points forward; ties by node index."""
     dag = Pdag(g.n, g.edges)
@@ -255,28 +240,50 @@ def reachable(sources, step, blocked=()) -> set:
     return seen
 
 
-def d_separated(g: Dag, q: SepQuery) -> bool:
-    """Decide d-separation via the moralized ancestral graph.
+def ci_query(n, x, y, z=()) -> tuple:
+    """The query "x independent of y given z" on nodes 0..n-1, as three
+    frozensets. Each argument is one node index or a collection of them;
+    an empty x or y, overlapping sets or a node out of range raise."""
+    x, y, z = (_nodes(v) for v in (x, y, z))
+    if not x or not y:
+        raise GraphError("x and y must be nonempty")
+    if x & y or x & z or y & z:
+        raise GraphError("x, y, z must be pairwise disjoint")
+    for v in x | y | z:
+        if not 0 <= v < n:
+            raise GraphError(f"node {v} out of range for n={n}")
+    return x, y, z
+
+
+def _nodes(v) -> frozenset:
+    """One node index, or a collection of them, as a frozenset."""
+    try:
+        return frozenset((operator.index(v),))
+    except TypeError:
+        return frozenset(map(operator.index, v))
+
+
+def d_separated(g: Dag, x, y, z=()) -> bool:
+    """Decide d-separation of the node sets x and y by z, each given as
+    ci_query takes them, via the moralized ancestral graph.
 
     x and y are d-separated by z iff they are disconnected after taking the
-    subgraph on ancestors of {x,y} u z, marrying co-parents, dropping
+    subgraph on ancestors of x | y | z, marrying co-parents, dropping
     directions, and deleting z.
     """
-    for v in (q.x, q.y, *q.z):
-        if not (0 <= v < g.n):
-            raise GraphError(f"node {v} out of range for n={g.n}")
-    return _separated(Pdag(g.n, g.edges), q.x, q.y, q.z)
+    return _separated(Pdag(g.n, g.edges), *ci_query(g.n, x, y, z))
 
 
 def _separated(dag: Pdag, x, y, z) -> bool:
-    """d_separated on a Pdag of the DAG's edges, without range checks."""
-    anc = reachable({x, y} | z, dag.parents.__getitem__)
+    """d_separated on a Pdag of the DAG's edges, for node collections
+    x, y, z, without checks."""
+    anc = reachable({*x, *y, *z}, dag.parents.__getitem__)
 
     def moral_neighbours(v):  # parents, children and co-parents within anc
         kids = dag.children[v] & anc
         return dag.parents[v].union(kids, *(dag.parents[c] for c in kids))
 
-    return y not in reachable({x}, moral_neighbours, z)
+    return reachable(x, moral_neighbours, z).isdisjoint(y)
 
 
 def pair_queries(n):
@@ -293,7 +300,7 @@ def pair_queries(n):
 def dsep_triples(g: Dag) -> frozenset:
     """The pair_queries (x, y, z) of g that hold as d-separations."""
     dag = Pdag(g.n, g.edges)
-    return frozenset(t for t in pair_queries(g.n) if _separated(dag, *t))
+    return frozenset(t for t in pair_queries(g.n) if _separated(dag, t[:1], t[1:2], t[2]))
 
 
 def is_covered(g: Dag, edge) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -50,7 +51,9 @@ class ExperimentPlan:
     algorithm: str = "ges"
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(_integer(s, "sample size") for s in self.sizes))
+        for name in ("replicates", "base_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.gold not in GOLD_STANDARDS:
             raise ValueError(f"gold must be one of {tuple(GOLD_STANDARDS)}")
         if not self.sizes or any(s <= 0 for s in self.sizes):
@@ -59,8 +62,17 @@ class ExperimentPlan:
             raise ValueError("sample sizes must be strictly increasing")
         if self.replicates < 1:
             raise ValueError("need at least one replicate per size")
+        if not 0 <= self.base_seed <= _MASK64:
+            raise ValueError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+
+
+def _integer(value, name) -> int:
+    """value as an int; a boolean, a float or a string raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} is not an integer: {value!r}")
+    return int(value)
 
 
 def paper_plan(gold="w_structure", base_seed=0, **kw) -> ExperimentPlan:

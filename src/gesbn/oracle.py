@@ -29,6 +29,7 @@ from .graphs import (
     VariableSpec,
     canonical_key,
     canonical_member,
+    ci_query,
     dag_key,
     dag_to_cpdag,
     dsep_triples,
@@ -61,27 +62,9 @@ class JointTable:
 
 
 @dataclass(frozen=True)
-class CiStatement:
-    """One conditional-independence claim X indep Y given Z, with its truth."""
-
-    x: frozenset
-    y: frozenset
-    z: frozenset
-    holds: bool
-
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, frozenset(int(v) for v in getattr(self, name)))
-        if not self.x or not self.y:
-            raise ValueError("x and y must be nonempty")
-        if self.x & self.y or self.x & self.z or self.y & self.z:
-            raise ValueError("x, y, z must be pairwise disjoint")
-
-
-@dataclass(frozen=True)
 class CompositionResult:
     holds: bool
-    counterexample: CiStatement | None = None
+    counterexample: tuple | None = None  # (x, y, z) frozensets: x dep y | z
 
     def __bool__(self):
         return self.holds
@@ -134,12 +117,6 @@ def observed_margin(gold: GoldStandard) -> JointTable:
     return condition_and_marginalize(joint, fix, drop)
 
 
-def _as_set(v) -> frozenset:
-    if isinstance(v, (int, np.integer)):
-        return frozenset((int(v),))
-    return frozenset(int(i) for i in v)
-
-
 def _subset_masks(x, y, z) -> tuple:
     """Bitmasks of the variable subsets x|y|z, z, x|z and y|z."""
     xm, ym, zm = (sum(1 << v for v in vs) for vs in (x, y, z))
@@ -164,18 +141,12 @@ def _independent(pxyz, pz, pxz, pyz):
 
 
 def ci_holds(p: JointTable, x, y, z=()) -> bool:
-    """True iff max_z-config |p(x,y|z) - p(x|z) p(y|z)| <= CI_TOL.
+    """True iff max_z-config |p(x,y|z) - p(x|z) p(y|z)| <= CI_TOL, for
+    variable sets x, y, z given as graphs.ci_query takes them.
 
     Configurations of z with zero probability are skipped.
     """
-    x, y, z = _as_set(x), _as_set(y), _as_set(z)
-    if not x or not y:
-        raise ValueError("x and y must be nonempty")
-    if x & y or x & z or y & z:
-        raise ValueError("x, y, z must be pairwise disjoint")
-    if min(x | y | z) < 0 or max(x | y | z) >= p.n:
-        raise ValueError("variable index out of range")
-    return bool(_independent(*_marginals(p, _subset_masks(x, y, z))))
+    return bool(_independent(*_marginals(p, _subset_masks(*ci_query(p.n, x, y, z)))))
 
 
 def composition_holds(p: JointTable) -> CompositionResult:
@@ -195,11 +166,9 @@ def composition_holds(p: JointTable) -> CompositionResult:
                     for zset in combinations(others, zsize):
                         if ci_holds(p, x, yset, zset):
                             continue
-                        if all(ci_holds(p, x, (y,), zset) for y in yset):
-                            stmt = CiStatement(
-                                frozenset((x,)), frozenset(yset), frozenset(zset), False
-                            )
-                            return CompositionResult(False, stmt)
+                        if all(ci_holds(p, x, y, zset) for y in yset):
+                            query = frozenset((x,)), frozenset(yset), frozenset(zset)
+                            return CompositionResult(False, query)
     return CompositionResult(True)
 
 

@@ -66,14 +66,14 @@ class CategoricalDataset:
 
     def __init__(self, spec: VariableSpec, records):
         values = np.asarray(records)
-        if values.size == 0:
+        if values.ndim == 1 and values.size == 0:  # [] is no records
             values = values.reshape(0, spec.n)
         if values.ndim != 2 or values.shape[1] != spec.n:
             raise ValueError(f"records must have shape (m, {spec.n})")
         kind = values.dtype.kind
         if kind not in "biuf" or (kind == "f" and (np.trunc(values) != values).any()):
             raise ValueError("record values must be whole numbers")
-        if values.shape[0]:
+        if values.size:
             if values.min() < 0 or (values.max(axis=0) >= spec.cards).any():
                 raise ValueError("record values out of range for spec cards")
         values = values.astype(np.min_scalar_type(max(spec.cards, default=0)), copy=False)
@@ -118,6 +118,8 @@ class CategoricalDataset:
             counts = counts[code]
         else:
             code, counts = np.unique(code, return_counts=True)
+        if not cards:  # no variables: the one empty record, if m > 0
+            return np.zeros((len(code), 0), np.int64), counts
         return np.array(np.unravel_index(code, cards), dtype=np.int64).T, counts
 
 
@@ -379,7 +381,8 @@ def load_dataset(path, schema=None, infer_cards=False) -> CategoricalDataset:
     """Read a dataset CSV: a header row of names, then integer records.
 
     State counts come from the schema (a VariableSpec or a sidecar path);
-    with infer_cards=True they are inferred as column max + 1 instead.
+    with infer_cards=True they are inferred as column max + 1, at least 1,
+    instead.
     Blank lines are skipped; a malformed file raises ValueError.
     """
     with open(path, newline="") as fh:
@@ -408,8 +411,7 @@ def load_dataset(path, schema=None, infer_cards=False) -> CategoricalDataset:
                 f"schema names {spec.names} do not match CSV header {names}"
             )
     elif infer_cards:
-        maxes = records.max(axis=0) if len(records) else np.zeros(len(names), int)
-        spec = VariableSpec(names, tuple(int(v) + 1 for v in maxes))
+        spec = VariableSpec(names, tuple(int(v) + 1 for v in records.max(axis=0, initial=0)))
     else:
         raise ValueError("need a schema, or pass infer_cards=True explicitly")
     return CategoricalDataset(spec, records)

@@ -55,7 +55,6 @@ from gesbn.graphs import (
     Dag,
     GraphError,
     Pdag,
-    SepQuery,
     VariableSpec,
     _vstructures,
     canonical_key,
@@ -1188,11 +1187,11 @@ def ref_ancestors(g, nodes):
     return closed
 
 
-def ref_d_separated(g, q):
-    for v in (q.x, q.y, *q.z):
+def ref_d_separated(g, x, y, z):
+    for v in (x, y, *z):
         if not (0 <= v < g.n):
             raise GraphError(f"node {v} out of range for n={g.n}")
-    anc = ref_ancestors(g, {q.x, q.y} | q.z)
+    anc = ref_ancestors(g, {x, y} | z)
     neigh = {v: set() for v in anc}
     for u, v in g.edges:
         if u in anc and v in anc:
@@ -1203,14 +1202,14 @@ def ref_d_separated(g, q):
         for a, b in itertools.combinations(ps, 2):
             neigh[a].add(b)
             neigh[b].add(a)
-    seen = {q.x}
-    frontier = [q.x]
+    seen = {x}
+    frontier = [x]
     while frontier:
         v = frontier.pop()
         for w in neigh[v]:
-            if w == q.y:
+            if w == y:
                 return False
-            if w not in seen and w not in q.z:
+            if w not in seen and w not in z:
                 seen.add(w)
                 frontier.append(w)
     return True
@@ -1392,9 +1391,8 @@ def _assert_graph_code_matches(g):
     assert pdag_extension(g.n, c.directed, c.undirected) == ref_pdag_extension(
         g.n, c.directed, c.undirected
     )
-    for x, y, z in pair_queries(g.n):
-        q = SepQuery(x, y, z)
-        assert d_separated(g, q) == ref_d_separated(g, q)
+    for q in pair_queries(g.n):
+        assert d_separated(g, *q) == ref_d_separated(g, *q)
     assert insert_moves.__wrapped__(c) == ref_insert_moves(c)
     assert delete_moves.__wrapped__(c) == ref_delete_moves(c)
 
@@ -1436,9 +1434,8 @@ class TestPdagCodeMatchesReference:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_pair_queries_on_every_dag(self, n):
         for g in enumerate_dags(n):
-            for x, y, z in pair_queries(n):
-                q = SepQuery(x, y, z)
-                assert d_separated(g, q) == ref_d_separated(g, q)
+            for q in pair_queries(n):
+                assert d_separated(g, *q) == ref_d_separated(g, *q)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_operators_on_every_class(self, n):

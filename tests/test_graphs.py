@@ -3,7 +3,7 @@ equivalence and inclusion. The exhaustive n<=4 sweeps double as the
 correctness argument for the completion rules and the equivalence
 criterion, which is why they stay in the default suite."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -12,8 +12,8 @@ from gesbn.graphs import (
     Cpdag,
     Dag,
     GraphError,
-    SepQuery,
     VariableSpec,
+    ci_query,
     complete_cpdag,
     consistent_extensions,
     d_separated,
@@ -25,6 +25,7 @@ from gesbn.graphs import (
     equivalent,
     included_in,
     is_covered,
+    pair_queries,
     parameter_count,
     reverse_covered,
     topological_order,
@@ -36,12 +37,13 @@ from gesbn.oracle import enumerate_dags
 W_DAG = Dag(5, {(0, 1), (4, 1), (4, 2), (3, 2)})  # X1->X2<-H->X3<-X4, H=node 4
 
 
-def all_sep_queries(n):
-    for x, y in combinations(range(n), 2):
-        rest = [v for v in range(n) if v not in (x, y)]
-        for k in range(len(rest) + 1):
-            for z in combinations(rest, k):
-                yield SepQuery(x, y, frozenset(z))
+def disjoint_set_queries(n):
+    """Every (x, y, z) of pairwise disjoint node sets on n nodes, x and y
+    nonempty."""
+    for labels in product(range(4), repeat=n):  # 3: in no set
+        x, y, z = (frozenset(v for v, k in enumerate(labels) if k == s) for s in range(3))
+        if x and y:
+            yield x, y, z
 
 
 def simple_paths(skeleton_adj, x, y):
@@ -55,22 +57,22 @@ def simple_paths(skeleton_adj, x, y):
                 stack.append((w, path + [w]))
 
 
-def d_separated_by_paths(g, q):
+def d_separated_by_paths(g, x, y, z):
     """Independent oracle: enumerate simple paths, check none is active."""
     adj = {v: set() for v in range(g.n)}
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
     anc_of_z = set()
-    for z in q.z:
-        stack = [z]
+    for w in z:
+        stack = [w]
         while stack:
             v = stack.pop()
             if v in anc_of_z:
                 continue
             anc_of_z.add(v)
             stack.extend(u for u, w in g.edges if w == v)
-    for path in simple_paths(adj, q.x, q.y):
+    for path in simple_paths(adj, x, y):
         active = True
         for i in range(1, len(path) - 1):
             prev, node, nxt = path[i - 1], path[i], path[i + 1]
@@ -78,7 +80,7 @@ def d_separated_by_paths(g, q):
             if collider and node not in anc_of_z:
                 active = False
                 break
-            if not collider and node in q.z:
+            if not collider and node in z:
                 active = False
                 break
         if active:
@@ -102,24 +104,40 @@ class TestTopologicalOrder:
 
 class TestDSeparation:
     def test_w_structure_x1_x4(self):
-        assert d_separated(W_DAG, SepQuery(0, 3))
+        assert d_separated(W_DAG, 0, 3)
 
     def test_w_structure_collider_opens(self):
         # conditioning on X2 activates X1 - X2 - H - X3
-        assert not d_separated(W_DAG, SepQuery(0, 2, frozenset({1})))
+        assert not d_separated(W_DAG, 0, 2, {1})
 
     def test_empty_graph_all_pairs(self):
         g = Dag(4)
-        assert all(d_separated(g, q) for q in all_sep_queries(4))
+        assert all(d_separated(g, *q) for q in pair_queries(4))
 
     def test_bad_node_index(self):
         with pytest.raises(GraphError):
-            d_separated(Dag(2), SepQuery(0, 5))
+            d_separated(Dag(2), 0, 5)
 
     def test_agrees_with_path_enumeration_oracle(self):
         for g in enumerate_dags(4)[::7]:
-            for q in all_sep_queries(4):
-                assert d_separated(g, q) == d_separated_by_paths(g, q)
+            for q in pair_queries(4):
+                assert d_separated(g, *q) == d_separated_by_paths(g, *q)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_node_sets_separate_iff_every_pair_does(self, n):
+        # d-separation is compositional: X and Y are separated by Z exactly
+        # when each x in X is separated from each y in Y by Z
+        queries = list(disjoint_set_queries(n))
+        for g in enumerate_dags(n)[::7]:
+            for x, y, z in queries:
+                want = all(d_separated(g, a, b, z) for a in x for b in y)
+                assert d_separated(g, x, y, z) == want
+
+    def test_takes_one_node_or_a_collection(self):
+        for x, y, z in ((0, 2, 1), ((0,), [2], {1}), (np.int64(0), frozenset({2}), (1,))):
+            assert not d_separated(W_DAG, x, y, z)
+        assert d_separated(W_DAG, {0, 1}, 3)
+        assert not d_separated(W_DAG, {0, 1}, 3, 2)  # X2 <- H -> X3 <- X4 opens
 
 
 class TestCoveredEdges:
@@ -341,11 +359,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             VariableSpec(("a",), (2, 2))
 
-    def test_sep_query_invariants(self):
-        with pytest.raises(ValueError):
-            SepQuery(1, 1)
-        with pytest.raises(ValueError):
-            SepQuery(0, 1, frozenset({0}))
+    def test_ci_query_takes_one_node_or_a_collection(self):
+        want = frozenset({0}), frozenset({1, 2}), frozenset()
+        assert ci_query(4, 0, (1, 2)) == want
+        assert ci_query(4, [0], {2, 1}, ()) == want
+        assert ci_query(4, np.int64(3), np.array([1, 2]), 0) == (
+            frozenset({3}), frozenset({1, 2}), frozenset({0})
+        )
+
+    @pytest.mark.parametrize("x,y,z,message", [
+        (1, 1, (), "x, y, z must be pairwise disjoint"),
+        (0, 1, (0,), "x, y, z must be pairwise disjoint"),
+        (0, 1, (1, 2), "x, y, z must be pairwise disjoint"),
+        ((0, 1), (1, 2), (), "x, y, z must be pairwise disjoint"),
+        ((), 1, (), "x and y must be nonempty"),
+        (0, set(), (), "x and y must be nonempty"),
+        (0, 4, (), "node 4 out of range for n=4"),
+        (-1, 1, (), "node -1 out of range for n=4"),
+        (0, 1, (2, 7), "node 7 out of range for n=4"),
+    ], ids=["x-equals-y", "x-in-z", "y-in-z", "x-meets-y", "empty-x", "empty-y",
+            "x-too-large", "x-negative", "z-too-large"])
+    def test_ci_query_rejects(self, x, y, z, message):
+        with pytest.raises(GraphError, match=message) as exc:
+            ci_query(4, x, y, z)
+        assert isinstance(exc.value, ValueError)
 
     def test_cpdag_pair_conflicts(self):
         with pytest.raises(GraphError):

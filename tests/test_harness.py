@@ -62,6 +62,26 @@ class TestPlans:
         with pytest.raises(ValueError):
             ExperimentPlan(replicates=0)
 
+    @pytest.mark.parametrize("kw,message", [
+        ({"sizes": (10.9,)}, "sample size is not an integer: 10.9"),
+        ({"sizes": (10, "40")}, "sample size is not an integer: '40'"),
+        ({"sizes": (True,)}, "sample size is not an integer: True"),
+        ({"replicates": 2.5}, "replicates is not an integer: 2.5"),
+        ({"base_seed": 1.0}, "base_seed is not an integer: 1.0"),
+        ({"base_seed": -1}, r"base_seed must be in \[0, 2\*\*64\), got -1"),
+        ({"base_seed": 2**64}, rf"base_seed must be in \[0, 2\*\*64\), got {2**64}"),
+    ], ids=["fractional-size", "string-size", "boolean-size", "fractional-replicates",
+            "float-seed", "negative-seed", "seed-2**64"])
+    def test_rejects_what_it_would_misread(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan(**kw)
+
+    def test_numpy_integers_and_the_largest_seed_pass(self):
+        plan = ExperimentPlan(sizes=(np.int64(10), 20), replicates=np.int32(2),
+                              base_seed=2**64 - 1)
+        assert plan.sizes == (10, 20) and type(plan.sizes[0]) is int
+        assert type(plan.replicates) is int and plan.base_seed == 2**64 - 1
+
     def test_replicate_seed_stable(self):
         # frozen: base_seed XOR first 8 bytes of sha256("m:replicate")
         assert replicate_seed(0, 10, 0) == replicate_seed(0, 10, 0)
@@ -259,6 +279,33 @@ class TestCli:
         assert "composition property: holds" in out
         assert "ci X1,X3|X2: dependent" in out
         assert "ci X1,X4: independent" in out
+
+    def test_oracle_command_reports_a_composition_counterexample(self, tmp_path, capsys):
+        # X1, X2 fair bits and X3 = X1 xor X2: X1 depends on {X2, X3} but on
+        # neither alone, so composition fails
+        model = {
+            "version": 1,
+            "variables": [{"name": f"X{i}", "cardinality": 2, "role": "observed"}
+                          for i in (1, 2, 3)],
+            "edges": [["X1", "X3"], ["X2", "X3"]],
+            "cpts": {"X1": [[0.5, 0.5]], "X2": [[0.5, 0.5]],
+                     "X3": [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]},
+        }
+        (tmp_path / "xor.json").write_text(json.dumps(model))
+        assert main([
+            "oracle", "--model", str(tmp_path / "xor.json"),
+            "--ci", "X1,X2", "--ci", "X1,X2|X3",
+        ]) == 0
+        assert capsys.readouterr().out == (
+            "inclusion-optimal classes: 3\n"
+            "  [6 parameters] (parameter optimal) X1 -> X2; X3 -> X2\n"
+            "  [6 parameters] (parameter optimal) X1 -> X3; X2 -> X3\n"
+            "  [6 parameters] (parameter optimal) X2 -> X1; X3 -> X1\n"
+            "composition property: FAILS\n"
+            "  counterexample: {X1} dep {X2,X3} | {}\n"
+            "ci X1,X2: independent\n"
+            "ci X1,X2|X3: dependent\n"
+        )
 
     def test_experiment_command(self, tmp_path, capsys):
         out_csv = tmp_path / "results.csv"
@@ -841,6 +888,19 @@ class TestCliRejectsBadData:
             main(["score", "--data", str(tmp_path / "d.csv"), "--graph", "g.txt"])
         assert exc.value.code == 2
         assert "--schema or --infer-schema is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["X1,X2\n0,-1\n1,-2\n", "X1,X2\n0,-1\n1,2\n"],
+                             ids=["only-negative", "negative-and-positive"])
+    def test_infer_schema_reports_negative_values(self, tmp_path, capsys, monkeypatch, text):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.csv").write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", "--data", "d.csv", "--infer-schema", "--out", "out"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "gesbn learn: error: d.csv: record values out of range for spec cards\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_leaves_out_scipy_and_the_process_pool():

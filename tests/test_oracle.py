@@ -11,7 +11,6 @@ from gesbn.graphs import (
     Dag,
     GraphError,
     VariableSpec,
-    SepQuery,
     consistent_extensions,
     d_separated,
     dag_to_cpdag,
@@ -21,7 +20,6 @@ from gesbn.graphs import (
     parameter_count,
 )
 from gesbn.oracle import (
-    CiStatement,
     JointTable,
     ci_holds,
     ci_triple_set,
@@ -131,14 +129,24 @@ class TestCiHolds:
         with pytest.raises(ValueError):
             ci_holds(p, 0, 1, (1,))
 
+    def test_queries_are_checked_as_d_separation_queries_are(self):
+        # ci_holds and d_separated read their arguments through ci_query
+        p, g = xor_triple(), Dag(3, {(0, 2), (1, 2)})
+        for args in ((0, ()), ((0, 1), 1), (0, 3), (0, np.int64(3)), (0, 1, (1,))):
+            messages = set()
+            for check, model in ((ci_holds, p), (d_separated, g)):
+                with pytest.raises(GraphError) as exc:
+                    check(model, *args)
+                messages.add(str(exc.value))
+            assert len(messages) == 1
+        assert ci_holds(p, [0], {1}, ()) == d_separated(g, (0,), np.int64(1))
+
 
 class TestComposition:
     def test_xor_counterexample(self):
         res = composition_holds(xor_triple())
         assert not res
-        assert res.counterexample == CiStatement(
-            frozenset({0}), frozenset({1, 2}), frozenset(), False
-        )
+        assert res.counterexample == (frozenset({0}), frozenset({1, 2}), frozenset())
 
     def test_gold_margins_satisfy_composition(self):
         for gold in (gold_w(), gold_four_cycle()):
@@ -218,11 +226,7 @@ def _includes_set_version(g, p):
                     others = rest - set(yset)
                     for zsize in range(len(others) + 1):
                         for zset in combinations(sorted(others), zsize):
-                            sep = all(
-                                d_separated(g, SepQuery(x, y, frozenset(zset)))
-                                for x in xset
-                                for y in yset
-                            )
+                            sep = d_separated(g, xset, yset, zset)
                             if sep and not ci_holds(p, xset, yset, zset):
                                 return False
     return True

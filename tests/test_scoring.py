@@ -322,6 +322,20 @@ class TestDatasetFiles:
         with pytest.raises(ValueError):
             CategoricalDataset(YX, [(-1, 0)])
 
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_dataset_without_variables(self, m):
+        # m empty records: one empty configuration seen m times
+        data = CategoricalDataset(VariableSpec((), ()), np.zeros((m, 0), int))
+        assert data.m == m and data.records.shape == (m, 0)
+        configs, counts = data.count_table
+        assert configs.shape == (int(m > 0), 0) and configs.dtype == np.int64
+        assert counts.tolist() == ([m] if m else [])
+
+    def test_empty_records_keep_their_shape(self):
+        assert CategoricalDataset(YX, []).m == 0
+        with pytest.raises(ValueError, match=r"records must have shape \(m, 2\)"):
+            CategoricalDataset(YX, np.zeros((0, 3), int))
+
     @pytest.mark.parametrize("records", [
         [(0.5, 1)],
         np.array([[1.7, 1.0]]),
