@@ -10,8 +10,8 @@ from gesbn import (
     consistent_extensions,
     dag_to_cpdag,
     forward_sample,
+    make_scorer,
     sample_parameters,
-    score,
 )
 
 spec = VariableSpec(("A", "B", "C"), (2, 3, 2))
@@ -21,6 +21,7 @@ data = forward_sample(bn, 20_000, seed=2)
 
 bdeu = ScoreConfig("bdeu", ess=10.0)
 bic = ScoreConfig("bic")
+bdeu_on_data, bic_on_data = make_scorer(bdeu, data=data), make_scorer(bic, data=data)
 
 print(f"{'structure':<22} {'BDeu':>14} {'BIC':>14}")
 for name, g in [
@@ -30,21 +31,22 @@ for name, g in [
     ("collider at B", Dag(3, {(0, 1), (2, 1)})),
     ("complete", Dag(3, {(0, 1), (0, 2), (1, 2)})),
 ]:
-    print(f"{name:<22} {score(g, data, bdeu):>14.2f} {score(g, data, bic):>14.2f}")
+    print(f"{name:<22} {bdeu_on_data.score_dag(g):>14.2f} {bic_on_data.score_dag(g):>14.2f}")
 
 # score equivalence: every member of a class gets the same BDeu total
 cls = dag_to_cpdag(generative)
-vals = [score(g, data, bdeu) for g in consistent_extensions(cls)]
+vals = [bdeu_on_data.score_dag(g) for g in consistent_extensions(cls)]
 print(f"\nBDeu spread across the chain class: {max(vals) - min(vals):.2e}")
 
 # local consistency: an edge fixing a violated independence helps, a
 # superfluous edge hurts
-base = score(Dag(3), data, bdeu)
-dep = score(Dag(3, {(0, 1)}), data, bdeu)
+base = bdeu_on_data.score_dag(Dag(3))
+dep = bdeu_on_data.score_dag(Dag(3, {(0, 1)}))
 indep_bn = sample_parameters(Dag(3), spec, seed=3)
 indep_data = forward_sample(indep_bn, 20_000, seed=4)
-base_i = score(Dag(3), indep_data, bdeu)
-extra = score(Dag(3, {(0, 1)}), indep_data, bdeu)
+bdeu_on_indep = make_scorer(bdeu, data=indep_data)
+base_i = bdeu_on_indep.score_dag(Dag(3))
+extra = bdeu_on_indep.score_dag(Dag(3, {(0, 1)}))
 print(f"adding a real edge:        delta = {dep - base:+.2f}")
 print(f"adding a superfluous edge: delta = {extra - base_i:+.2f}")
 
@@ -56,6 +58,7 @@ while m <= 160_000:
     from gesbn import CategoricalDataset
 
     part = CategoricalDataset(spec, full.records[:m])
-    gap = score(generative, part, bdeu) - score(generative, part, bic)
+    gap = (make_scorer(bdeu, data=part).score_dag(generative)
+           - make_scorer(bic, data=part).score_dag(generative))
     print(f"{m:>7} {gap:>10.3f} {gap / np.log(m):>10.3f}")
     m *= 4

@@ -3,9 +3,9 @@ variables, selection bias, and the inclusion-optimal classes of the
 induced observable margins."""
 
 from gesbn import (
+    canonical_member,
     ci_holds,
     composition_holds,
-    consistent_extensions,
     encode_edges,
     gold_four_cycle,
     gold_w,
@@ -27,7 +27,7 @@ for name, gold in [("w-structure", gold_w()), ("selection four-cycle", gold_four
     opt, popt = optimal_classes(margin)
     print(f"inclusion-optimal classes of the observable margin: {len(opt)}")
     for c in opt:
-        rep = consistent_extensions(c)[0]
+        rep = canonical_member(c)
         d = parameter_count(rep, spec)
         tag = "parameter optimal" if c in popt else "not parameter optimal"
         print(f"  [{d:>2} parameters, {tag}] " + "; ".join(encode_edges(c, spec).splitlines()))

@@ -4,7 +4,7 @@ the trace, and the optimality guarantees under the exact score."""
 from gesbn import (
     ScoreConfig,
     SearchConfig,
-    consistent_extensions,
+    canonical_member,
     encode_edges,
     gold_w,
     observed_margin,
@@ -23,7 +23,7 @@ print("GES with the exact large-sample score on the w-structure margin:")
 learned, trace = run_search(SearchConfig("ges", score=exact), joint=margin)
 for step in trace.steps:
     print(f"  {step.phase:<9} {step.move:<14} score={step.score:.2f}")
-d = parameter_count(consistent_extensions(learned)[0], spec)
+d = parameter_count(canonical_member(learned), spec)
 optimal = optimal_classes(margin)[0]
 print(f"landed on a {d}-parameter class; inclusion-optimal? {learned in optimal}")
 

@@ -35,7 +35,6 @@ from .scoring import (
     load_dataset,
     make_scorer,
     save_dataset,
-    score,
     tally,
 )
 from .datagen import (
@@ -63,14 +62,10 @@ from .oracle import (
     joint_from_bn,
     observed_margin,
     optimal_classes,
-    transformation_sequence,
 )
 from .search import (
     SearchConfig,
     SearchTrace,
-    backward_neighbors,
-    forward_neighbors,
-    greedy_phase,
     run_search,
 )
 from .harness import (

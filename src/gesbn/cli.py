@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -65,13 +66,13 @@ _seed = _int_at_least(0, 2**64)  # a 64-bit seed, as RngSeed and replicate_seed 
 
 
 def _positive(text):
-    """argparse type: a float above zero."""
+    """argparse type: a finite float above zero."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not value > 0:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0 < value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 

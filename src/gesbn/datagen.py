@@ -182,8 +182,8 @@ def sample_parameters(structure: Dag, spec: VariableSpec, ess=10.0, seed=0) -> P
     one call per node over its (q, r) alpha matrix, drawn row by row.
     Deterministic given (structure, spec, ess, seed).
     """
-    if not ess > 0:
-        raise ValueError("ess must be positive")
+    if not 0 < ess < math.inf:
+        raise ValueError("ess must be positive and finite")
     rng = _rng(seed)
     cpts = []
     for i in range(spec.n):

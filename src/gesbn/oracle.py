@@ -2,10 +2,8 @@
 
 Dense joint tables computed from parametric networks, conditional
 independence read directly off the table, complete DAG / equivalence-class
-enumerations, inclusion- and parameter-optimality sweeps, a numeric check
-of the composition property, and a breadth-first search for the
-covered-reversal-plus-addition sequences that witness inclusion between
-two DAGs.
+enumerations, inclusion- and parameter-optimality sweeps, and a numeric
+check of the composition property.
 
 Floating point with tolerances is the contract here: oracle joints are
 products of clean CPT entries, so a residual tolerance of 1e-10 sits far
@@ -15,7 +13,6 @@ the interior parameter sampler.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -33,7 +30,6 @@ from .graphs import (
     dag_key,
     dag_to_cpdag,
     dsep_triples,
-    included_in,
     pair_queries,
     parameter_count,
 )
@@ -267,56 +263,3 @@ def optimal_classes(p: JointTable) -> tuple:
     best = min((counts[k] for k in incl), default=None)
     return inclusion, tuple(classes[k] for k in incl if counts[k] == best)
 
-
-def transformation_sequence(g: Dag, h: Dag) -> list:
-    """Covered reversals and edge additions turning g into h, staying <= h.
-
-    Requires g <= h. Breadth-first search over {reverse covered edge, add
-    one edge} moves, every intermediate a DAG included in h; the returned
-    sequence has length at most r + 2a, where r counts edges of h with
-    opposite orientation in g and a counts adjacencies of h missing in g.
-    """
-    if g.n != h.n:
-        raise GraphError("node-count mismatch")
-    if not included_in(g, h):
-        raise GraphError("g is not included in h")
-    if g == h:
-        return []
-    r = sum(1 for u, v in h.edges if (v, u) in g.edges)
-    a = sum(1 for u, v in h.edges if (u, v) not in g.edges and (v, u) not in g.edges)
-    bound = r + 2 * a
-    target_dseps = dsep_triples(h)
-    target_skel = h.skeleton()
-    seen = {g}
-    queue = deque([(g, ())])
-    while queue:
-        cur, moves = queue.popleft()
-        if len(moves) >= bound:
-            continue
-        for nxt, mv in _transformation_moves(cur, target_skel):
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if not target_dseps <= dsep_triples(nxt):
-                continue
-            path = moves + (mv,)
-            if nxt == h:
-                return list(path)
-            queue.append((nxt, path))
-    raise GraphError(f"no transformation sequence of length <= {bound} found")
-
-
-def _transformation_moves(g: Dag, target_skel):
-    from .graphs import is_covered, reverse_covered
-
-    for e in sorted(g.edges):
-        if is_covered(g, e):
-            yield reverse_covered(g, e), ("reverse", e)
-    for u, v in sorted(target_skel):
-        if g.adjacent(u, v):
-            continue
-        for a, b in ((u, v), (v, u)):
-            try:
-                yield g.add_edge(a, b), ("add", (a, b))
-            except GraphError:
-                continue

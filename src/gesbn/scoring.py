@@ -46,10 +46,10 @@ class ScoreConfig:
     def __post_init__(self):
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
-        if not self.ess > 0:  # NaN fails too
-            raise ValueError("ess must be positive")
-        if not self.oracle_pseudo_m > 0:
-            raise ValueError("oracle_pseudo_m must be positive")
+        if not 0 < self.ess < math.inf:  # NaN fails too
+            raise ValueError("ess must be positive and finite")
+        if not 0 < self.oracle_pseudo_m < math.inf:
+            raise ValueError("oracle_pseudo_m must be positive and finite")
 
 
 class CategoricalDataset:
@@ -192,8 +192,8 @@ def bdeu_local(counts: np.ndarray, ess=10.0) -> float:
     terms are each summed by numpy as one float64 array in row-major
     order, so both ways of computing them give the same bits.
     """
-    if not ess > 0:
-        raise ValueError("ess must be positive")
+    if not 0 < ess < math.inf:
+        raise ValueError("ess must be positive and finite")
     q, r = counts.shape
     if not counts.size:
         raise ValueError(f"cannot score an empty {counts.shape} table")

@@ -17,6 +17,7 @@ of every run is captured.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
@@ -69,9 +70,9 @@ class SearchTrace:
 class SearchConfig:
     """Algorithm choice, start class, scoring setup and a step budget.
 
-    start is "empty", "complete", an explicit Cpdag, or None for the
-    algorithm's default (complete for bes, empty otherwise); max_steps = 0
-    selects the default budget of n^2 + n moves per phase.
+    start is "empty", "complete", a Cpdag with one node per variable, or
+    None for the algorithm's default (complete for bes, empty otherwise);
+    max_steps = 0 selects the default budget of n^2 + n moves per phase.
     """
 
     algorithm: str = "ges"
@@ -82,8 +83,11 @@ class SearchConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be positive (0 = default)")
+        if not (isinstance(self.start, Cpdag) or self.start in (None, "empty", "complete")):
+            raise ValueError(f"unknown start {self.start!r}")
+        steps = self.max_steps
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
+            raise ValueError(f"max_steps must be a whole number >= 0 (0 = default), got {steps!r}")
 
 
 def _single_edge_variants(c: Cpdag, add):
@@ -114,12 +118,6 @@ def forward_neighbors(c: Cpdag) -> tuple:
 def backward_neighbors(c: Cpdag) -> tuple:
     """Classes reachable by deleting one edge from some member DAG (brute force)."""
     return _single_edge_variants(c, add=False)
-
-
-@lru_cache(maxsize=None)
-def _both_neighbors(c: Cpdag) -> tuple:
-    merged = set(forward_neighbors(c)) | set(backward_neighbors(c))
-    return tuple(sorted(merged, key=canonical_key))
 
 
 class Move(NamedTuple):
@@ -287,7 +285,7 @@ def _move_desc(prev: Cpdag, new: Cpdag) -> str:
     return "; ".join(parts) if parts else "reorient"
 
 
-def greedy_phase(start: Cpdag, neighbors_fn, class_scorer, phase="forward", max_steps=None):
+def greedy_phase(start: Cpdag, neighbors_fn, class_scorer, phase="forward", max_steps=0):
     """Repeatedly move to the best strictly-improving neighbor.
 
     Returns (local maximum, SearchTrace). Ties among improving neighbors
@@ -295,9 +293,10 @@ def greedy_phase(start: Cpdag, neighbors_fn, class_scorer, phase="forward", max_
     Classes whose scores tie in exact arithmetic can still get float scores
     that differ by rounding, and then the larger float wins, so a change in
     the last bits of a local score can change which of them is picked.
-    Hitting max_steps before convergence yields a truncated trace.
+    Hitting max_steps before convergence yields a truncated trace;
+    max_steps = 0 selects the default budget of n^2 + n moves.
     """
-    if max_steps is None:
+    if max_steps == 0:
         max_steps = start.n * start.n + start.n
     cur = start
     cur_score = class_scorer(cur)
@@ -324,12 +323,10 @@ def _start_class(start, algorithm, n) -> Cpdag:
     if start is None:
         start = "complete" if algorithm == "bes" else "empty"
     if isinstance(start, Cpdag):
+        if start.n != n:
+            raise ValueError(f"start class has {start.n} nodes, but the search has {n} variables")
         return start
-    if start == "empty":
-        return empty_cpdag(n)
-    if start == "complete":
-        return complete_cpdag(n)
-    raise ValueError(f"unknown start {start!r}")
+    return empty_cpdag(n) if start == "empty" else complete_cpdag(n)
 
 
 def run_search(cfg: SearchConfig, data=None, joint=None):
@@ -343,8 +340,7 @@ def run_search(cfg: SearchConfig, data=None, joint=None):
     trace = SearchTrace()
     for phase in PHASES[cfg.algorithm]:
         cur, part = greedy_phase(
-            cur, operator_neighbors(phase, scorer), scorer.score_class, phase,
-            cfg.max_steps or None,
+            cur, operator_neighbors(phase, scorer), scorer.score_class, phase, cfg.max_steps
         )
         trace.steps += part.steps[1:] if trace.steps else part.steps
         trace.truncated = trace.truncated or part.truncated

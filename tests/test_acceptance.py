@@ -40,10 +40,10 @@ from gesbn.oracle import (
     enumerate_dags,
     observed_margin,
     optimal_classes,
-    transformation_sequence,
 )
 from gesbn.scoring import CategoricalDataset, ScoreConfig, score
 from gesbn.search import SearchConfig, run_search
+from reference import transformation_sequence
 
 EXACT = ScoreConfig(criterion="oracle", oracle_pseudo_m=1e6)
 BASE_SEED = 0

@@ -98,7 +98,8 @@ class TestSampleParameters:
         b = sample_parameters(self.G, self.SPEC, seed=RngSeed(7, 1))
         assert a != b
 
-    @pytest.mark.parametrize("ess", [0.0, float("nan")], ids=["zero", "nan"])
+    @pytest.mark.parametrize("ess", [0.0, float("nan"), float("inf")],
+                             ids=["zero", "nan", "inf"])
     def test_rejects_non_positive_ess(self, ess):
         with pytest.raises(ValueError, match="ess must be positive"):
             sample_parameters(self.G, self.SPEC, ess=ess, seed=0)

@@ -571,13 +571,19 @@ class TestGoldenCliOutputs:
 class TestCliRejectsBadValues:
     @pytest.mark.parametrize("argv,message", [
         (["generate", "--gold", "w", "--m", "10", "--ess", "0", "--out", "gen"],
-         "argument --ess: must be positive, got 0"),
+         "argument --ess: must be positive and finite, got 0"),
         (["learn", "--data", "d.csv", "--ess", "-1", "--out", "out"],
-         "argument --ess: must be positive, got -1"),
+         "argument --ess: must be positive and finite, got -1"),
         (["score", "--data", "d.csv", "--graph", "g.txt", "--ess", "nan"],
-         "argument --ess: must be positive, got nan"),
+         "argument --ess: must be positive and finite, got nan"),
         (["experiment", "--gold", "w", "--ess", "0.0", "--out", "r.csv"],
-         "argument --ess: must be positive, got 0.0"),
+         "argument --ess: must be positive and finite, got 0.0"),
+        (["generate", "--gold", "w", "--m", "10", "--ess", "inf", "--out", "gen"],
+         "argument --ess: must be positive and finite, got inf"),
+        (["learn", "--data", "d.csv", "--ess", "inf", "--out", "out"],
+         "argument --ess: must be positive and finite, got inf"),
+        (["score", "--data", "d.csv", "--graph", "g.txt", "--ess", "1e309"],
+         "argument --ess: must be positive and finite, got 1e309"),
         (["learn", "--data", "d.csv", "--ess", "ten", "--out", "out"],
          "argument --ess: invalid float value: 'ten'"),
         (["experiment", "--gold", "w", "--paper-scale", "--replicates", "3",
@@ -597,7 +603,8 @@ class TestCliRejectsBadValues:
          "argument --seed: invalid integer value: '1.5'"),
     ], ids=[
         "generate-ess-zero", "learn-ess-negative", "score-ess-nan",
-        "experiment-ess-zero", "ess-not-a-number", "paper-scale-with-replicates",
+        "experiment-ess-zero", "generate-ess-inf", "learn-ess-inf", "score-ess-1e309",
+        "ess-not-a-number", "paper-scale-with-replicates",
         "zero-workers", "generate-seed-negative", "generate-seed-2**64",
         "experiment-seed-negative", "experiment-seed-2**64", "seed-not-an-integer",
     ])

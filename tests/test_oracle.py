@@ -31,8 +31,8 @@ from gesbn.oracle import (
     joint_from_bn,
     observed_margin,
     optimal_classes,
-    transformation_sequence,
 )
+from reference import transformation_sequence
 
 
 def xor_triple() -> JointTable:

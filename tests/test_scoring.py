@@ -115,6 +115,11 @@ class TestBdeuLocal:
             with pytest.raises(ValueError):
                 bdeu_local(tally(YX_DATA, 1, ()), ess=ess)
 
+    def test_requires_finite_ess(self):
+        # an infinite ess would make every log-gamma difference nan
+        with pytest.raises(ValueError, match="ess must be positive and finite"):
+            bdeu_local(tally(YX_DATA, 1, ()), ess=math.inf)
+
 
 class TestScoreConfig:
     @pytest.mark.parametrize("kw,message", [
@@ -122,8 +127,11 @@ class TestScoreConfig:
         ({"ess": math.nan}, "ess must be positive"),
         ({"oracle_pseudo_m": -1.0}, "oracle_pseudo_m must be positive"),
         ({"oracle_pseudo_m": math.nan}, "oracle_pseudo_m must be positive"),
+        ({"ess": math.inf}, "ess must be positive and finite"),
+        ({"oracle_pseudo_m": math.inf}, "oracle_pseudo_m must be positive and finite"),
         ({"criterion": "aic"}, "criterion must be one of"),
-    ], ids=["ess-zero", "ess-nan", "pseudo-m-negative", "pseudo-m-nan", "criterion"])
+    ], ids=["ess-zero", "ess-nan", "pseudo-m-negative", "pseudo-m-nan", "ess-inf",
+            "pseudo-m-inf", "criterion"])
     def test_rejects_bad_knobs(self, kw, message):
         with pytest.raises(ValueError, match=message):
             ScoreConfig(**kw)

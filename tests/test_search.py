@@ -115,6 +115,15 @@ class TestGreedyPhase:
         )
         assert trace.steps[1].cpdag == Cpdag(3, undirected={(0, 1)})
 
+    def test_zero_budget_is_the_default(self):
+        # every neighbour improves, so only the budget of n^2 + n = 12 moves ends the walk
+        one_edge = Cpdag(3, undirected={(0, 1)})
+        flip = lambda c: (one_edge if c == empty_cpdag(3) else empty_cpdag(3),)
+        for kw in ({}, {"max_steps": 0}):
+            scores = iter(range(100))
+            _, trace = greedy_phase(empty_cpdag(3), flip, lambda c: next(scores), **kw)
+            assert trace.truncated and len(trace.steps) == 13
+
     def test_scores_strictly_increase(self):
         gold = gold_w().with_parameters(seed=3)
         margin = observed_margin(gold)
@@ -267,6 +276,29 @@ class TestRunSearch:
         with pytest.raises(ValueError):
             make_scorer(ScoreConfig(criterion="oracle"), data=data)
 
+    @pytest.mark.parametrize("kw,message", [
+        ({"algorithm": "dfs"}, "algorithm must be one of"),
+        ({"start": "full"}, "unknown start 'full'"),
+        ({"start": 4}, "unknown start 4"),
+        ({"max_steps": -1}, "max_steps must be a whole number >= 0"),
+        ({"max_steps": 2.5}, "max_steps must be a whole number >= 0"),
+        ({"max_steps": True}, "max_steps must be a whole number >= 0"),
+    ], ids=["algorithm", "start-name", "start-int", "steps-negative", "steps-float",
+            "steps-bool"])
+    def test_config_rejects_bad_fields(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            SearchConfig(**kw)
+
+    @pytest.mark.parametrize("start", [Cpdag(3), complete_cpdag(5)], ids=["3", "5"])
+    def test_start_class_must_match_the_variables(self, start):
+        margin = observed_margin(gold_w().with_parameters(seed=73))
+        data = CategoricalDataset(margin.spec, np.zeros((5, 4), int))
+        message = f"start class has {start.n} nodes, but the search has 4 variables"
+        with pytest.raises(ValueError, match=message):
+            run_search(SearchConfig(start=start), data=data)
+        with pytest.raises(ValueError, match=message):
+            run_search(SearchConfig("bes", start, EXACT), joint=margin)
+
 
 # ---------------------------------------------------------------------------
 # differential test of the phase-table engine against copies of the four
@@ -282,7 +314,8 @@ from gesbn.scoring import (
     oracle_local,
     tally,
 )
-from gesbn.search import SearchTrace, _both_neighbors
+from gesbn.graphs import canonical_key
+from gesbn.search import SearchTrace
 
 
 def ref_bic_local(counts, m):
@@ -352,38 +385,36 @@ def ref_fes(data=None, joint=None, cfg=None, start=None):
     cfg = cfg if cfg is not None else SearchConfig(algorithm="fes")
     class_scorer, n = ref_make_class_scorer(cfg.score, data, joint)
     start = ref_resolve_start(start if start is not None else cfg.start, n, "empty")
-    return greedy_phase(
-        start, forward_neighbors, class_scorer, "forward", cfg.max_steps or None
-    )
+    return greedy_phase(start, forward_neighbors, class_scorer, "forward", cfg.max_steps)
 
 
 def ref_bes(start=None, data=None, joint=None, cfg=None):
     cfg = cfg if cfg is not None else SearchConfig(algorithm="bes")
     class_scorer, n = ref_make_class_scorer(cfg.score, data, joint)
     start = ref_resolve_start(start if start is not None else cfg.start, n, "complete")
-    return greedy_phase(
-        start, backward_neighbors, class_scorer, "backward", cfg.max_steps or None
-    )
+    return greedy_phase(start, backward_neighbors, class_scorer, "backward", cfg.max_steps)
 
 
 def ref_ges(data=None, joint=None, cfg=None):
     cfg = cfg if cfg is not None else SearchConfig()
     class_scorer, n = ref_make_class_scorer(cfg.score, data, joint)
     start = ref_resolve_start(cfg.start, n, "empty")
-    budget = cfg.max_steps or None
-    mid, fwd = greedy_phase(start, forward_neighbors, class_scorer, "forward", budget)
-    out, bwd = greedy_phase(mid, backward_neighbors, class_scorer, "backward", budget)
+    mid, fwd = greedy_phase(start, forward_neighbors, class_scorer, "forward", cfg.max_steps)
+    out, bwd = greedy_phase(mid, backward_neighbors, class_scorer, "backward", cfg.max_steps)
     trace = SearchTrace(fwd.steps + bwd.steps[1:], fwd.truncated or bwd.truncated)
     return out, trace
+
+
+def ref_both_neighbors(c):
+    merged = set(forward_neighbors(c)) | set(backward_neighbors(c))
+    return tuple(sorted(merged, key=canonical_key))
 
 
 def ref_uges(data=None, joint=None, cfg=None, start=None):
     cfg = cfg if cfg is not None else SearchConfig(algorithm="uges")
     class_scorer, n = ref_make_class_scorer(cfg.score, data, joint)
     start = ref_resolve_start(start if start is not None else cfg.start, n, "empty")
-    return greedy_phase(
-        start, _both_neighbors, class_scorer, "bidirectional", cfg.max_steps or None
-    )
+    return greedy_phase(start, ref_both_neighbors, class_scorer, "bidirectional", cfg.max_steps)
 
 
 def ref_run_search(cfg, data=None, joint=None):
