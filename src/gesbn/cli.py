@@ -7,7 +7,6 @@ import math
 import os
 import sys
 
-from .datagen import GOLD_STANDARDS, RngSeed, load_model, observed_sample, save_model
 from .graphs import (
     canonical_member,
     ci_query,
@@ -15,17 +14,6 @@ from .graphs import (
     encode_edges,
     parameter_count,
 )
-from .harness import (
-    DATA_STREAM,
-    DESK_SIZES,
-    GENERATIVE_ESS,
-    PARAM_STREAM,
-    ExperimentPlan,
-    paper_plan,
-    run_experiment,
-    write_results,
-)
-from .oracle import ci_holds, composition_holds, observed_margin, optimal_classes
 from .scoring import (
     CRITERIA,
     ScoreConfig,
@@ -78,6 +66,8 @@ def _positive(text):
 
 def _sizes(text):
     """argparse type for --sizes, checked as ExperimentPlan checks its sizes."""
+    from .harness import ExperimentPlan
+
     try:
         return ExperimentPlan(sizes=[int(s) for s in text.split(",")]).sizes
     except ValueError as exc:
@@ -89,9 +79,13 @@ def _make_dir(path):
 
 
 def cmd_generate(args) -> int:
+    from .datagen import GOLD_STANDARDS, RngSeed, observed_sample, save_model
+    from .harness import DATA_STREAM, GENERATIVE_ESS, PARAM_STREAM
+
     _checked(args, args.out, _make_dir)
+    ess = GENERATIVE_ESS if args.ess is None else args.ess
     gold = GOLD_STANDARDS[GOLD_FLAGS[args.gold]]().with_parameters(
-        ess=args.ess, seed=RngSeed(args.seed, PARAM_STREAM)
+        ess=ess, seed=RngSeed(args.seed, PARAM_STREAM)
     )
     data = observed_sample(gold, args.m, RngSeed(args.seed, DATA_STREAM))
     save_model(gold, os.path.join(args.out, "model.json"))
@@ -136,6 +130,9 @@ def _load_class(path, spec):
 
 
 def _load_margin(path):
+    from .datagen import load_model
+    from .oracle import observed_margin
+
     gold = load_model(path)
     if gold.bn is None:
         raise ValueError('the model has no "cpts" field')
@@ -209,6 +206,8 @@ def _parse_ci_flag(args, text, spec):
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import ci_holds, composition_holds, optimal_classes
+
     margin = _checked(args, args.model, _load_margin)
     spec = margin.spec
     queries = [(ci, _parse_ci_flag(args, ci, spec)) for ci in args.ci or ()]
@@ -236,6 +235,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from .harness import DESK_SIZES, ExperimentPlan, paper_plan, run_experiment, write_results
+
     gold = GOLD_FLAGS[args.gold]
     score_cfg = _score_config(args)
     if args.paper_scale:
@@ -273,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_int_at_least(0), required=True,
                    help="number of observed records")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--ess", type=_positive, default=GENERATIVE_ESS,
-                   help="concentration of the generative parameter prior")
+    p.add_argument("--ess", type=_positive,  # None: harness.GENERATIVE_ESS
+                   help="concentration of the generative parameter prior (default 10)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 

@@ -85,6 +85,8 @@ class SearchConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if not (isinstance(self.start, Cpdag) or self.start in (None, "empty", "complete")):
             raise ValueError(f"unknown start {self.start!r}")
+        if not isinstance(self.score, ScoreConfig):
+            raise ValueError(f"score must be a ScoreConfig, got {self.score!r}")
         steps = self.max_steps
         if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
             raise ValueError(f"max_steps must be a whole number >= 0 (0 = default), got {steps!r}")

@@ -2,6 +2,7 @@
 summaries, and byte-level determinism."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -625,7 +626,7 @@ class TestCliRejectsBadValues:
         assert load_dataset(tmp_path / "gen" / "data.csv", infer_cards=True).m == 10
         plans = []
         monkeypatch.setattr(
-            "gesbn.cli.run_experiment", lambda plan, **kw: plans.append(plan) or []
+            "gesbn.harness.run_experiment", lambda plan, **kw: plans.append(plan) or []
         )
         main(["experiment", "--gold", "w", "--seed", str(top), "--out", str(tmp_path / "r.csv")])
         assert [p.base_seed for p in plans] == [top]
@@ -633,7 +634,7 @@ class TestCliRejectsBadValues:
     def test_replicates_default_to_fifty(self, tmp_path, monkeypatch):
         plans = []
         monkeypatch.setattr(
-            "gesbn.cli.run_experiment", lambda plan, **kw: plans.append(plan) or []
+            "gesbn.harness.run_experiment", lambda plan, **kw: plans.append(plan) or []
         )
         for extra in ([], ["--replicates", "3"], ["--paper-scale"]):
             main(["experiment", "--gold", "w", *extra, "--out", str(tmp_path / "r.csv")])
@@ -851,8 +852,9 @@ class TestCliRejectsBadData:
         (tmp_path / "d.csv").write_text("X1,X2\n0,1\n1,2\n")
         (tmp_path / "taken").write_text("")
         (tmp_path / "folder").mkdir()
-        for name in ("run_search", "run_experiment", "observed_sample"):
-            monkeypatch.setattr(f"gesbn.cli.{name}", lambda *a, **kw: pytest.fail("ran"))
+        for target in ("gesbn.cli.run_search", "gesbn.harness.run_experiment",
+                       "gesbn.datagen.observed_sample"):
+            monkeypatch.setattr(target, lambda *a, **kw: pytest.fail("ran"))
         before = sorted(os.listdir(tmp_path))
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -910,38 +912,131 @@ class TestCliRejectsBadData:
         assert not (tmp_path / "out").exists()
 
 
-def test_cli_import_leaves_out_scipy_and_the_process_pool():
-    # scipy is a test dependency only, and the process pool is imported by
-    # parallel sweeps alone: either would add to every CLI call's start-up
-    probe = (
-        "import sys, gesbn.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
-    )
+def fresh_interpreter(code) -> str:
+    """The last line `code` prints, run in a new interpreter on this checkout."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+NOT_ON_THE_LEARN_PATH = ("gesbn.datagen", "gesbn.harness", "gesbn.oracle")
+
+
+def test_cli_import_leaves_out_scipy_and_the_process_pool():
+    # scipy is a test dependency only, and the process pool is imported by
+    # parallel sweeps alone: either would add to every CLI call's start-up
+    assert fresh_interpreter(
+        "import sys, gesbn.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
+    ) == "[]"
 
 
 def test_cli_import_leaves_the_oracle_memos_empty():
     # the class table costs ~70 ms to build; only a call that classifies
     # should pay for it, not every CLI start
-    probe = (
+    assert fresh_interpreter(
         "import gesbn.cli, gesbn.harness as h, gesbn.oracle as o; "
         "print([f.cache_info().currsize for f in "
         "(o._query_plan, o._class_table, o._parameter_counts, h.compact_class)])"
-    )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
-    )
-    assert out.stdout.strip() == "[0, 0, 0, 0]"
+    ) == "[0, 0, 0, 0]"
+
+
+def test_package_import_loads_no_module():
+    assert fresh_interpreter(
+        "import sys, gesbn; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('gesbn', 'numpy')))"
+    ) == "['gesbn']"
+    # a module still resolves as an attribute of the bare package, as it did
+    # when the package imported every module
+    assert fresh_interpreter("import gesbn; print(gesbn.search.__name__)") == "gesbn.search"
+
+
+def test_cli_import_loads_only_the_learn_path():
+    assert fresh_interpreter(
+        f"import sys, gesbn.cli; print([m for m in {NOT_ON_THE_LEARN_PATH} if m in sys.modules])"
+    ) == "[]"
+
+
+def test_learn_command_loads_only_the_learn_path(tmp_path):
+    (tmp_path / "d.csv").write_text("X1,X2,X3\n0,1,1\n1,0,1\n1,1,0\n0,0,0\n")
+    save_schema(VariableSpec(("X1", "X2", "X3"), (2, 2, 2)), tmp_path / "s.json")
+    argv = ["gesbn", "learn", "--data", str(tmp_path / "d.csv"),
+            "--schema", str(tmp_path / "s.json"), "--out", str(tmp_path / "out")]
+    assert fresh_interpreter(
+        f"import runpy, sys; sys.argv = {argv!r}\n"
+        "try:\n    runpy.run_module('gesbn.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+        f"print([m for m in {NOT_ON_THE_LEARN_PATH} if m in sys.modules])"
+    ) == "[]"
+    assert (tmp_path / "out" / "class.txt").read_text().startswith("# vars: X1 X2 X3\n")
+
+
+PACKAGE_EXPORTS = {
+    "graphs": (
+        "Cpdag", "Dag", "GraphError", "VariableSpec", "canonical_key",
+        "canonical_member", "complete_cpdag", "ci_query", "consistent_extensions",
+        "d_separated", "dag_to_cpdag", "empty_cpdag", "encode_edges", "equivalent",
+        "included_in", "is_covered", "parameter_count", "reverse_covered",
+        "topological_order",
+    ),
+    "scoring": (
+        "CategoricalDataset", "ScoreConfig", "bdeu_local", "bic_local",
+        "load_dataset", "make_scorer", "save_dataset", "tally",
+    ),
+    "datagen": (
+        "GoldStandard", "ParametricBn", "RngSeed", "basis_mean", "forward_sample",
+        "gold_four_cycle", "gold_w", "load_model", "observed_sample",
+        "sample_parameters", "save_model", "shifted_mean",
+    ),
+    "oracle": (
+        "JointTable", "ci_holds", "composition_holds", "condition_and_marginalize",
+        "enumerate_classes", "enumerate_dags", "includes", "joint_from_bn",
+        "observed_margin", "optimal_classes",
+    ),
+    "search": ("SearchConfig", "SearchTrace", "run_search"),
+    "harness": (
+        "ExperimentPlan", "ExperimentRow", "classify_outcome", "paper_plan",
+        "replicate_seed", "run_experiment", "run_replicate", "summarize",
+    ),
+}
+
+
+def test_package_exports():
+    import gesbn
+
+    names = {name: module for module, names in PACKAGE_EXPORTS.items() for name in names}
+    assert len(names) == 60
+    assert set(gesbn.__all__) == set(names)
+    for name, module in names.items():
+        assert getattr(gesbn, name) is getattr(importlib.import_module(f"gesbn.{module}"), name)
+    assert set(names) <= set(dir(gesbn))
+    star = {}
+    exec("from gesbn import *", star)
+    assert set(names) <= set(star)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gesbn.no_such_name
+
+
+def test_generate_ess_defaults_to_the_generative_ess(tmp_path, capsys):
+    outs = []
+    for extra in ([], ["--ess", "10"]):
+        out = tmp_path / f"gen{len(outs)}"
+        assert main(["generate", "--gold", "cycle4", "--m", "50", "--seed", "9",
+                     *extra, "--out", str(out)]) == 0
+        outs.append(out)
+    for name in ("model.json", "data.csv", "data.schema.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--help"])
+    assert exc.value.code == 0
+    assert harness.GENERATIVE_ESS == 10
+    assert "generative parameter prior (default 10)" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("gold", ["w_structure", "four_cycle"])

@@ -283,8 +283,9 @@ class TestRunSearch:
         ({"max_steps": -1}, "max_steps must be a whole number >= 0"),
         ({"max_steps": 2.5}, "max_steps must be a whole number >= 0"),
         ({"max_steps": True}, "max_steps must be a whole number >= 0"),
+        ({"score": "bdeu"}, "score must be a ScoreConfig, got 'bdeu'"),
     ], ids=["algorithm", "start-name", "start-int", "steps-negative", "steps-float",
-            "steps-bool"])
+            "steps-bool", "score-name"])
     def test_config_rejects_bad_fields(self, kw, message):
         with pytest.raises(ValueError, match=message):
             SearchConfig(**kw)
