@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -100,6 +101,13 @@ def _load_learn_inputs(args):
     if args.score == "oracle":
         if not args.joint:
             _fail(args, "--score oracle requires --joint <model file>")
+        unread = [flag for flag, given in (
+            ("--data", args.data is not None),
+            ("--schema", args.schema is not None),
+            ("--infer-schema", args.infer_schema),
+        ) if given]
+        if unread:
+            _fail(args, f"--score oracle does not read {', '.join(unread)}")
         margin = _checked(args, args.joint, _load_margin)
         return None, margin, margin.spec
     if args.joint:
@@ -114,6 +122,8 @@ def _load_data_flag(args):
     """The --data dataset, checked for the --score criterion."""
     if args.schema is None and not args.infer_schema:
         _fail(args, "--schema or --infer-schema is required with --data")
+    if args.schema is not None and args.infer_schema:
+        _fail(args, "--schema and --infer-schema cannot be combined")
     schema = args.schema and _checked(args, args.schema, load_schema)
     data = _checked(args, args.data, load_dataset, schema, args.infer_schema)
     if args.score == "bic" and data.m == 0:
@@ -335,5 +345,16 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def run():
+    """The process entry of `gesbn` and `python -m gesbn.cli`: main(), then
+    exit. Freezing the collector first leaves every object alive at exit out
+    of the interpreter's shutdown collections, which would otherwise spend
+    longer freeing module cycles than a small search takes; the OS reclaims
+    the memory. main() itself freezes nothing, so it can run in-process."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

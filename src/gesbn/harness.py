@@ -19,6 +19,7 @@ import io
 import numbers
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -187,7 +188,9 @@ def summarize(rows) -> dict:
 
 
 def results_csv(rows, timings=False) -> str:
-    """Render rows plus the summary block.
+    """Render rows plus the summary block: one line per size with its
+    inclusion-optimal and parameter-optimal fractions and, for a size with
+    error rows only, the error fraction as a last field.
 
     The millis column is written as 0 unless timings is set: wall time is
     not reproducible, and the results file must be byte-identical across
@@ -202,8 +205,12 @@ def results_csv(rows, timings=False) -> str:
             f"{row.encoded_class},{millis}\n"
         )
     gold = rows[0].gold if rows else ""
+    errors = Counter(row.m for row in rows if row.outcome == "error")
     for m, (n_incl, n_popt, total) in summarize(rows).items():
-        buf.write(f"# summary,{gold},{m},{n_incl}/{total},{n_popt}/{total}\n")
+        line = f"# summary,{gold},{m},{n_incl}/{total},{n_popt}/{total}"
+        if errors[m]:
+            line += f",{errors[m]}/{total} errors"
+        buf.write(line + "\n")
     return buf.getvalue()
 
 
@@ -214,7 +221,7 @@ def parse_results_csv(text):
         if not line or line == CSV_HEADER:
             continue
         if line.startswith("# summary,"):
-            _, _, m, incl, popt = line.split(",")
+            _, _, m, incl, popt, *_errors = line.split(",")  # the error count follows if any
             n_incl, total = map(int, incl.split("/"))
             n_popt, _ = map(int, popt.split("/"))
             summary[int(m)] = (n_incl, n_popt, total)

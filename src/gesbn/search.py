@@ -162,15 +162,19 @@ def insert_moves(c: Cpdag) -> tuple:
     out, seen = [], set()
     for y in range(c.n):
         adj_y = g.adj(y)
+        # the clique and path tests read y and NA | T, not x: one walk per set
+        walks = {}  # NA | T -> nodes reached from y around it, or False if no clique
         for x in range(c.n):
             if x == y or x in adj_y:
                 continue
             adj_x = g.adj(x)
             na = g.neigh[y] & adj_x
             for t in _subsets(g.neigh[y] - adj_x):
-                cond = na | set(t)
+                cond = frozenset(na.union(t))
+                if cond not in walks:
+                    walks[cond] = g.is_clique(cond) and reachable({y}, semi_directed, cond)
                 # x is not in cond, so reaching it means a path avoids cond
-                if not g.is_clique(cond) or x in reachable({y}, semi_directed, cond):
+                if not walks[cond] or x in walks[cond]:
                     continue
                 colliders = (g.parents[y] - adj_x) | set(t)
                 key = (min(x, y), max(x, y), (y, frozenset(colliders)) if colliders else ())

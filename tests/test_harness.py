@@ -1,6 +1,8 @@
 """Experiment harness and CLI: file outputs, outcome classification,
 summaries, and byte-level determinism."""
 
+import ast
+import gc
 import hashlib
 import importlib
 import json
@@ -180,6 +182,26 @@ class TestErrorRows:
         text = results_csv(rows)  # still renders and parses
         parsed, _ = parse_results_csv(text)
         assert all(r.outcome == "error" for r in parsed)
+
+    def test_summary_counts_errors_only_where_they_occur(self, monkeypatch, tiny_rows):
+        real = harness.run_replicate
+
+        def fail_one(gold, m, replicate, *rest):
+            if (m, replicate) == (40, 1):
+                raise RuntimeError("synthetic failure")
+            return real(gold, m, replicate, *rest)
+
+        monkeypatch.setattr(harness, "run_replicate", fail_one)
+        rows = run_experiment(TINY)
+        text = results_csv(rows)
+        summaries = [l for l in text.splitlines() if l.startswith("# summary,")]
+        clean = results_csv(tiny_rows).splitlines()
+        assert summaries[0] in clean  # an error-free size keeps its bytes
+        assert summaries[1].startswith("# summary,w_structure,40,")
+        assert summaries[1].endswith(",1/3 errors")
+        parsed, summary = parse_results_csv(text)
+        assert summary == summarize(rows) == summarize(parsed)
+        assert summary[40][2] == 3
 
 
 class TestCli:
@@ -752,6 +774,17 @@ class TestCliRejectsBadData:
          "string-cpt.json: \"cpts\" table for 'X1' is not an array of numbers"),
         (["learn", "--score", "oracle", "--joint", "string-cpt-entry.json", "--out", "out"],
          "string-cpt-entry.json: \"cpts\" table for 'X1' is not an array of numbers"),
+        (["learn", "--score", "oracle", "--joint", "cycle.json", "--data", "d.csv",
+          "--schema", "s.json", "--out", "out"],
+         "--score oracle does not read --data, --schema"),
+        (["learn", "--score", "oracle", "--joint", "cycle.json", "--infer-schema",
+          "--out", "out"],
+         "--score oracle does not read --infer-schema"),
+        (["learn", "--data", "d.csv", "--schema", "s.json", "--infer-schema", "--out", "out"],
+         "--schema and --infer-schema cannot be combined"),
+        (["score", "--data", "d.csv", "--schema", "s.json", "--infer-schema",
+          "--graph", "arc.txt"],
+         "--schema and --infer-schema cannot be combined"),
     ], ids=[
         "score-graph-missing", "score-graph-unknown-variable", "learn-start-missing",
         "learn-joint-missing", "learn-oracle-without-joint", "learn-without-data",
@@ -769,7 +802,9 @@ class TestCliRejectsBadData:
         "oracle-model-fractional-cardinality", "learn-schema-fractional-cardinality",
         "oracle-model-boolean-cardinality", "oracle-model-fractional-selection-value",
         "oracle-model-null-cpt-entry", "oracle-model-string-cpt",
-        "learn-joint-string-cpt-entry",
+        "learn-joint-string-cpt-entry", "learn-oracle-with-data",
+        "learn-oracle-with-infer-schema", "learn-schema-and-infer-schema",
+        "score-schema-and-infer-schema",
     ])
     def test_other_inputs_exit_with_one_line(
         self, tmp_path, capsys, monkeypatch, argv, message
@@ -912,15 +947,20 @@ class TestCliRejectsBadData:
         assert not (tmp_path / "out").exists()
 
 
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+
+def new_interpreter(*args, check=True) -> subprocess.CompletedProcess:
+    """`python args` in a new interpreter on this checkout."""
+    return subprocess.run(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, check=check, timeout=60,
+    )
+
+
 def fresh_interpreter(code) -> str:
     """The last line `code` prints, run in a new interpreter on this checkout."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
-    )
-    return out.stdout.strip().splitlines()[-1]
+    return new_interpreter("-c", code).stdout.strip().splitlines()[-1]
 
 
 NOT_ON_THE_LEARN_PATH = ("gesbn.datagen", "gesbn.harness", "gesbn.oracle")
@@ -974,6 +1014,59 @@ def test_learn_command_loads_only_the_learn_path(tmp_path):
         f"print([m for m in {NOT_ON_THE_LEARN_PATH} if m in sys.modules])"
     ) == "[]"
     assert (tmp_path / "out" / "class.txt").read_text().startswith("# vars: X1 X2 X3\n")
+
+
+class TestProcessEntry:
+    """`python -m gesbn.cli` and the `gesbn` script run cli.run, which ends
+    the process without the shutdown collections; main() stays in-process."""
+
+    def test_module_run_writes_what_main_writes(self, tmp_path):
+        argv = ["learn", *learn_inputs(tmp_path, 8), "--algorithm", "uges"]
+        assert main([*argv, "--out", str(tmp_path / "in")]) == 0
+        done = new_interpreter("-m", "gesbn.cli", *argv, "--out", str(tmp_path / "sub"))
+        assert done.stdout == f"learned class written to {tmp_path / 'sub' / 'class.txt'}\n"
+        for name in ("class.txt", "trace.log"):
+            assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "in" / name).read_bytes()
+
+    def test_bad_flag_exits_2_with_one_line(self, tmp_path):
+        done = new_interpreter("-m", "gesbn.cli", "generate", "--gold", "w", "--m", "10",
+                               "--seed", "-1", "--out", str(tmp_path / "gen"), check=False)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.endswith(
+            "\ngesbn generate: error: argument --seed: must be at least 0, got -1\n"
+        )
+        assert not (tmp_path / "gen").exists()
+
+    def test_run_freezes_the_collector_and_still_runs_atexit(self, tmp_path):
+        argv = ["gesbn", "learn", *learn_inputs(tmp_path, 4), "--out", str(tmp_path / "out")]
+        assert fresh_interpreter(
+            "import atexit, gc, sys, gesbn.cli\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            f"sys.argv = {argv!r}\n"
+            "gesbn.cli.run()"
+        ) == "frozen True"
+        assert (tmp_path / "out" / "trace.log").exists()
+
+    def test_main_leaves_the_collector_unfrozen(self, tmp_path):
+        assert gc.get_freeze_count() == 0
+        assert main(["learn", *learn_inputs(tmp_path, 4), "--out", str(tmp_path / "out")]) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_console_script_and_module_share_the_entry(self):
+        import tomllib
+
+        import gesbn.cli
+
+        root = os.path.join(SRC, os.pardir)
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            script = tomllib.load(fh)["project"]["scripts"]["gesbn"]
+        with open(gesbn.cli.__file__) as fh:
+            tree = ast.parse(fh.read())
+        [block] = [node for node in tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+        [call] = block.body  # a bare call: the entry function exits itself
+        assert isinstance(call, ast.Expr) and ast.unparse(call) == "run()"
+        assert script == "gesbn.cli:run"
 
 
 PACKAGE_EXPORTS = {

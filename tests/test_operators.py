@@ -5,8 +5,10 @@ on the search path."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import insert_moves as ref_insert_moves
+from test_harness import sparse_network
 
-from gesbn.datagen import gold_four_cycle, gold_w, observed_sample
+from gesbn.datagen import RngSeed, gold_four_cycle, gold_w, observed_sample
 from gesbn.graphs import (
     Dag,
     canonical_member,
@@ -19,11 +21,13 @@ from gesbn.graphs import (
 from gesbn.oracle import enumerate_classes, observed_margin
 from gesbn.scoring import ScoreConfig, make_scorer
 from gesbn.search import (
+    SearchConfig,
     apply_move,
     backward_neighbors,
     delete_moves,
     forward_neighbors,
     insert_moves,
+    run_search,
 )
 
 # fixed examples, and no example database written next to the sources
@@ -61,6 +65,26 @@ class TestNeighbourSetsMatchBruteForce:
         # per set of the other two nodes that become colliders
         assert insert_moves(complete_cpdag(4)) == ()
         assert len(delete_moves(complete_cpdag(4))) == 6 * 4
+
+
+class TestInsertMovesMatchReference:
+    """insert_moves walks each path test once per y and NA | T; the
+    reference walks it again for every x. The moves, their order and
+    their T sets must agree tuple for tuple."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_class(self, n):
+        for c in enumerate_classes(n):
+            assert insert_moves.__wrapped__(c) == ref_insert_moves.__wrapped__(c), c
+
+    @pytest.mark.parametrize("n,seed", [(8, 0), (8, 1), (10, 0), (10, 1), (12, 0)])
+    def test_classes_ges_visits(self, n, seed):
+        data = observed_sample(sparse_network(n, seed), 5000, RngSeed(seed, 100 + n))
+        _, trace = run_search(SearchConfig("ges"), data)
+        assert len(trace.steps) > n // 2
+        for step in trace.steps:
+            c = step.cpdag
+            assert insert_moves.__wrapped__(c) == ref_insert_moves.__wrapped__(c), c
 
 
 class TestCanonicalMember:
