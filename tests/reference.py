@@ -1,8 +1,9 @@
 """Test references that the library does not run.
 
-insert_moves is search.insert_moves before it memoized its path tests:
-it walks every semi-directed path from y again for each x, and the tests
-check that the library's moves equal its moves tuple for tuple.
+insert_moves is search.insert_moves before it memoized its path tests,
+less its lru_cache: it walks every semi-directed path from y again for
+each x, and the tests check that the library's moves equal its moves
+tuple for tuple.
 
 transformation_sequence witnesses Chickering's (2002) transformational
 characterization of inclusion: g <= h iff a sequence of covered edge
@@ -12,7 +13,6 @@ only the tests read it (acceptance criterion 7 and test_oracle).
 """
 
 from collections import deque
-from functools import lru_cache
 
 from gesbn.graphs import (
     Cpdag,
@@ -80,7 +80,6 @@ def _transformation_moves(g: Dag, target_skel):
                 continue
 
 
-@lru_cache(maxsize=None)
 def insert_moves(c: Cpdag) -> tuple:
     """The valid Insert(x, y, T) operators of Chickering (2002), Theorem
     15, one per class they lead to.
