@@ -181,7 +181,10 @@ def cmd_learn(args) -> int:
         score=_score_config(args),
     )
     _checked(args, args.out, _make_dir)
-    learned, trace = run_search(cfg, data=data, joint=joint)
+    try:
+        learned, trace = run_search(cfg, data=data, joint=joint)
+    except ValueError as exc:  # a family too wide to count (scoring.MAX_TABLE_CELLS)
+        _fail(args, str(exc))
     class_path = os.path.join(args.out, "class.txt")
     with open(class_path, "w") as fh:
         fh.write("# vars: " + " ".join(spec.names) + "\n")
@@ -195,7 +198,10 @@ def cmd_learn(args) -> int:
 def cmd_score(args) -> int:
     data = _load_data_flag(args)
     c = _checked(args, args.graph, _load_class, data.spec)
-    total = make_scorer(_score_config(args), data=data).score_class(c)
+    try:
+        total = make_scorer(_score_config(args), data=data).score_class(c)
+    except ValueError as exc:  # a family too wide to count (scoring.MAX_TABLE_CELLS)
+        _fail(args, str(exc))
     print(f"{args.score} score: {total!r}")
     return 0
 

@@ -30,7 +30,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -138,7 +139,7 @@ class GoldStandard:
     def selection_dict(self) -> dict:
         return dict(self.selection)
 
-    @property
+    @cached_property
     def observed_spec(self) -> VariableSpec:
         return self.spec.subset(self.observed)
 
@@ -156,6 +157,17 @@ def _dirichlet_means(q, r, ess) -> np.ndarray:
     alpha = ess * basis_mean(r)[shift]
     alpha.setflags(write=False)
     return alpha
+
+
+@lru_cache(maxsize=256)
+def _dirichlet_layout(shapes, ess) -> tuple:
+    """The _dirichlet_means(q, r, ess) of each (q, r) in shapes, concatenated
+    flat in C order as one read-only vector, and the offsets where the
+    blocks start, followed by the vector's length."""
+    blocks = [_dirichlet_means(q, r, ess).ravel() for q, r in shapes]
+    alpha = np.concatenate([np.empty(0), *blocks])
+    alpha.setflags(write=False)
+    return alpha, tuple(accumulate((b.size for b in blocks), initial=0))
 
 
 def basis_mean(k) -> np.ndarray:
@@ -179,17 +191,20 @@ def sample_parameters(structure: Dag, spec: VariableSpec, ess=10.0, seed=0) -> P
 
     Row j (1-based) of node i uses mean shifted_mean(basis_mean(r_i), j)
     and concentration ess; rows are built from per-component Gamma draws,
-    one call per node over its (q, r) alpha matrix, drawn row by row.
-    Deterministic given (structure, spec, ess, seed).
+    one call over every node's (q, r) alpha matrix in node order, each
+    drawn row by row. Deterministic given (structure, spec, ess, seed).
     """
     if not 0 < ess < math.inf:
         raise ValueError("ess must be positive and finite")
-    rng = _rng(seed)
+    if spec.n != structure.n:
+        raise ValueError("spec does not match structure size")
+    shapes = tuple((spec.config_count(structure.parents(i)), spec.cards[i]) for i in range(spec.n))
+    alpha, offsets = _dirichlet_layout(shapes, ess)
+    draws = _rng(seed).standard_gamma(alpha)
     cpts = []
-    for i in range(spec.n):
-        q = spec.config_count(structure.parents(i))
-        draws = rng.standard_gamma(_dirichlet_means(q, spec.cards[i], ess))
-        cpts.append(draws / draws.sum(axis=1, keepdims=True))
+    for shape, start, stop in zip(shapes, offsets, offsets[1:]):
+        block = draws[start:stop].reshape(shape)
+        cpts.append(block / block.sum(axis=1, keepdims=True))
     return ParametricBn(structure, spec, cpts)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 
@@ -73,7 +73,10 @@ class Dag:
     """Directed acyclic graph over nodes 0..n-1.
 
     Edges are ordered (parent, child) pairs. Construction validates index
-    range, absence of self loops and 2-cycles, and acyclicity.
+    range, absence of self loops and 2-cycles, and acyclicity, and keeps
+    nothing else: the parent tuples are built on the first parents call and
+    kept outside the fields, so equality, hashing, repr and pickling see
+    the fields only.
     """
 
     n: int
@@ -89,10 +92,21 @@ class Dag:
                 raise GraphError(f"self loop at node {u}")
             if (v, u) in edges:
                 raise GraphError(f"both orientations of {u}-{v} present")
-        topological_order(self)  # raises on cycles
+        _topological_order.__wrapped__(self)  # raises on cycles; memoizes nothing
+
+    def __getstate__(self):  # the fields only: a copy builds its own parent tuples
+        return {"n": self.n, "edges": self.edges}
+
+    @cached_property
+    def _parent_tuples(self) -> tuple:
+        """parents(v) of every node v, in node order."""
+        out = [[] for _ in range(self.n)]
+        for u, v in sorted(self.edges):
+            out[v].append(u)
+        return tuple(map(tuple, out))
 
     def parents(self, v) -> tuple:
-        return tuple(sorted(u for u, w in self.edges if w == v))
+        return self._parent_tuples[v]
 
     def adjacent(self, u, v) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges
@@ -212,6 +226,13 @@ def dag_key(g: Dag) -> tuple:
 
 def topological_order(g: Dag) -> list:
     """Node order in which every edge points forward; ties by node index."""
+    return list(_topological_order(g))
+
+
+@lru_cache(maxsize=256)
+def _topological_order(g: Dag) -> tuple:
+    """topological_order(g) as a tuple, memoized per DAG; a cycle raises
+    GraphError."""
     dag = Pdag(g.n, g.edges)
     indeg = [len(ps) for ps in dag.parents]
     order = []
@@ -224,7 +245,7 @@ def topological_order(g: Dag) -> list:
         order.append(u)
         for v in dag.children[u]:
             indeg[v] -= 1
-    return order
+    return tuple(order)
 
 
 def reachable(sources, step, blocked=()) -> set:

@@ -72,12 +72,21 @@ def joint_from_bn(bn: ParametricBn) -> JointTable:
     cells = int(np.prod(cards))
     if cells > MAX_JOINT_CELLS:
         raise ValueError(f"state space of {cells} cells exceeds the oracle limit")
-    idx, cfg = np.indices(cards), np.empty(cards, dtype=np.int64)
+    idx, cfg = _state_grid(cards), np.empty(cards, dtype=np.int64)
     probs = np.ones(cards)
     for i in range(bn.spec.n):
         config_indices(idx, bn.parents[i], cards, cfg)
         probs = probs * bn.cpts[i][cfg, idx[i]]
     return JointTable(bn.spec, probs)
+
+
+@lru_cache(maxsize=8)
+def _state_grid(cards) -> np.ndarray:
+    """The read-only np.indices(cards) grid, in the smallest dtype that holds
+    every state."""
+    idx = np.indices(cards, dtype=np.min_scalar_type(max(cards, default=0)))
+    idx.setflags(write=False)
+    return idx
 
 
 def condition_and_marginalize(p: JointTable, fix=None, drop=()) -> JointTable:
@@ -123,10 +132,16 @@ def _marginals(p: JointTable, subsets) -> np.ndarray:
     """One row per variable subset (a bitmask): its marginal, broadcast
     over every joint cell."""
     out = np.empty((len(subsets), *p.probs.shape))
-    for row, s in zip(out, subsets):
-        drop = tuple(v for v in range(p.n) if not s >> v & 1)
-        row[...] = p.probs.sum(axis=drop, keepdims=True)
+    for row, drop in zip(out, _dropped_axes(p.n, subsets)):
+        row[...] = np.add.reduce(p.probs, axis=drop, keepdims=True)  # as ndarray.sum
     return out.reshape(len(subsets), -1)
+
+
+@lru_cache(maxsize=256)
+def _dropped_axes(n, subsets) -> tuple:
+    """For each variable subset (a bitmask) of 0..n-1, the variables
+    outside it, as a tuple."""
+    return tuple(tuple(v for v in range(n) if not s >> v & 1) for s in subsets)
 
 
 def _independent(pxyz, pz, pxz, pyz):

@@ -39,6 +39,7 @@ from gesbn.datagen import (
     RngSeed,
     _BLOCK,
     _cdf_thresholds,
+    _dirichlet_layout,
     _dirichlet_means,
     _node_block,
     _rng,
@@ -69,6 +70,8 @@ from gesbn.graphs import (
 )
 from gesbn.oracle import (
     CI_TOL,
+    _dropped_axes,
+    _state_grid,
     ci_holds,
     ci_triple_set,
     enumerate_classes,
@@ -615,26 +618,28 @@ class TestSkippedDraws:
     def test_selection_peak_memory_per_record(self, seed):
         """Traced peak of four-cycle sampling at m = 100000 (acceptance
         0.38-0.54): 144.7 bytes per record for every seed when each batch
-        was generated whole, 73.1-86.7 since rows past the m-th acceptance
-        are left undrawn."""
+        was generated whole, 73.1-86.7 once rows past the m-th acceptance
+        were left undrawn, and 10.3-10.7 now."""
         gold = gold_four_cycle().with_parameters(seed=RngSeed(seed, 0))
         assert self._peak_bytes(gold, 100000, RngSeed(seed, 1)) < 100 * 100000
 
     @pytest.mark.parametrize("seed", range(4))
     def test_selection_peak_memory_per_record_in_blocks(self, seed):
         """The same run under a tighter bound: 38.5-38.9 bytes per record
-        since each batch is walked in blocks of _BLOCK rows, whose kept
+        once each batch was walked in blocks of _BLOCK rows, whose kept
         columns go straight into the one record matrix (32 bytes per
-        record)."""
+        record in int64), and 10.3-10.7 now that the matrix keeps the
+        states' one-byte dtype (4 bytes per record)."""
         gold = gold_four_cycle().with_parameters(seed=RngSeed(seed, 0))
         assert self._peak_bytes(gold, 100000, RngSeed(seed, 1)) < 45 * 100000
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hidden_variable_peak_memory_per_record(self, seed):
         """Traced peak of w-structure sampling at m = 100000: 41.1 bytes
-        per record when the first m rows went through their own path, and
-        37.0 through the shared batch loop, which takes them by slice and
-        returns the one record matrix uncopied."""
+        per record when the first m rows went through their own path, 37.0
+        through the shared batch loop, which takes them by slice and
+        returns the one record matrix uncopied, and 9.8 now that the
+        matrix keeps the states' one-byte dtype."""
         gold = gold_w().with_parameters(seed=RngSeed(seed, 0))
         assert self._peak_bytes(gold, 100000, RngSeed(seed, 1)) < 40 * 100000
 
@@ -1037,6 +1042,42 @@ def _random_joints(n, count, seed):
     ]
 
 
+def ref_joint_from_bn(bn):
+    """joint_from_bn before its state grid was memoized: a fresh int64
+    np.indices grid on every call."""
+    cards = bn.spec.cards
+    idx, cfg = np.indices(cards), np.empty(cards, dtype=np.int64)
+    probs = np.ones(cards)
+    for i in range(bn.spec.n):
+        config_indices(idx, bn.parents[i], cards, cfg)
+        probs = probs * bn.cpts[i][cfg, idx[i]]
+    return probs
+
+
+class TestOracleMemos:
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_joint_keeps_its_bits(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(30):
+            bn = _random_network(rng, n, max_card=4)
+            assert np.array_equal(joint_from_bn(bn).probs, ref_joint_from_bn(bn))
+
+    def test_state_grid_is_read_only(self):
+        grid = _state_grid((2, 3, 4))
+        assert _state_grid((2, 3, 4)) is grid
+        assert np.array_equal(grid, np.indices((2, 3, 4)))
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0, 0, 0] = 1
+        assert _state_grid.cache_info().maxsize is not None
+
+    def test_dropped_axes(self):
+        assert _dropped_axes(3, range(8)) == (
+            (0, 1, 2), (1, 2), (0, 2), (2,), (0, 1), (1,), (0,), (),
+        )
+        assert _dropped_axes(3, range(8)) is _dropped_axes(3, range(8))
+        assert _dropped_axes.cache_info().maxsize is not None
+
+
 class TestCiTripleSetMatchesReference:
     def test_gold_margins(self, gold_margins):
         for margin in gold_margins:
@@ -1104,11 +1145,19 @@ class TestOptimalClassesMatchReference:
 def _parameter_cases():
     w, cycle = gold_w(), gold_four_cycle()
     ones = VariableSpec(("a", "b", "c", "d", "e"), (1, 3, 1, 2, 9))
+    # a random eight-node DAG over 1-, 3- and 4-state nodes: every node's
+    # rows share the one Gamma call, whatever its row width
+    rng = np.random.default_rng(22)
+    order = rng.permutation(8).tolist()
+    mixed = Dag(8, {(order[i], order[j]) for i, j in itertools.combinations(range(8), 2)
+                    if rng.random() < 0.4})
+    mixed_spec = VariableSpec(tuple("abcdefgh"), (1, 3, 4, 1, 4, 3, 3, 4))
     return {
         "w_structure": (w.structure, w.spec),
         "four_cycle": (cycle.structure, cycle.spec),
         "cards_one_and_nine": (Dag(5, {(0, 1), (1, 2), (2, 4), (3, 4), (0, 3)}), ones),
         "chain": (Dag(3, {(0, 1), (1, 2), (0, 2)}), VariableSpec(("a", "b", "c"), (3, 2, 4))),
+        "random_one_three_four": (mixed, mixed_spec),
     }
 
 
@@ -1144,6 +1193,23 @@ class TestParameterMemos:
             alpha[0, 0] = 1.0
         expected = [10.0 * shifted_mean(basis_mean(3), j) for j in range(1, 5)]
         assert np.array_equal(alpha, expected)
+
+    def test_dirichlet_layout_is_read_only(self):
+        shapes = ((4, 3), (1, 2), (6, 1))
+        alpha, offsets = _dirichlet_layout(shapes, 10.0)
+        assert _dirichlet_layout(shapes, 10.0)[0] is alpha
+        with pytest.raises(ValueError, match="read-only"):
+            alpha[0] = 1.0
+        assert offsets == (0, 12, 14, 20)
+        blocks = [_dirichlet_means(q, r, 10.0).ravel() for q, r in shapes]
+        assert np.array_equal(alpha, np.concatenate(blocks))
+        assert _dirichlet_layout.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("name", sorted(GOLD_STANDARDS))
+    def test_observed_spec_is_built_once_per_gold(self, name):
+        gold = GOLD_STANDARDS[name]().with_parameters(seed=RngSeed(5, 0))
+        assert gold.observed_spec is gold.observed_spec
+        assert gold.observed_spec == gold.spec.subset(gold.observed)
 
     @pytest.mark.parametrize("name", sorted(GOLD_STANDARDS))
     def test_template_is_built_once_and_kept_unchanged(self, name):

@@ -3,6 +3,10 @@ equivalence and inclusion. The exhaustive n<=4 sweeps double as the
 correctness argument for the completion rules and the equivalence
 criterion, which is why they stay in the default suite."""
 
+import copy
+import dataclasses
+import heapq
+import pickle
 from itertools import combinations, product
 
 import numpy as np
@@ -29,6 +33,7 @@ from gesbn.graphs import (
     parameter_count,
     reverse_covered,
     topological_order,
+    _topological_order,
     _vstructures,
 )
 from gesbn.oracle import enumerate_dags
@@ -100,6 +105,83 @@ class TestTopologicalOrder:
             Dag(2, {(0, 1), (1, 0)})
         with pytest.raises(GraphError):
             Dag(3, {(0, 1), (1, 2), (2, 0)})
+
+
+def ref_parents(g, v):
+    """Dag.parents before its cache: a sorted scan of every edge."""
+    return tuple(sorted(u for u, w in g.edges if w == v))
+
+
+def ref_topological_order(g):
+    """Kahn's algorithm, taking the smallest ready node first."""
+    indeg = [len(ref_parents(g, v)) for v in range(g.n)]
+    ready = [v for v in range(g.n) if not indeg[v]]
+    order = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for a, v in sorted(g.edges):
+            if a == u:
+                indeg[v] -= 1
+                if not indeg[v]:
+                    heapq.heappush(ready, v)
+    return order
+
+
+def random_dags(n, count, seed, density=0.3):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        order = rng.permutation(n).tolist()
+        out.append(Dag(n, {(order[i], order[j]) for i, j in combinations(range(n), 2)
+                           if rng.random() < density}))
+    return out
+
+
+class TestCachedFacts:
+    """Dag.parents reads a per-instance tuple built on first use, and
+    topological_order a bounded memo; neither changes what they return,
+    nor what a Dag is as a value."""
+
+    DAGS = [*enumerate_dags(4), *random_dags(10, 40, seed=5)]
+
+    def test_parents_equal_an_edge_scan(self):
+        for g in self.DAGS:
+            fresh = Dag(g.n, g.edges)
+            assert [fresh.parents(v) for v in range(g.n)] == [ref_parents(g, v) for v in range(g.n)]
+
+    def test_topological_order_equals_kahn(self):
+        for g in self.DAGS:
+            fresh = Dag(g.n, g.edges)
+            want = ref_topological_order(g)
+            assert topological_order(fresh) == want
+            assert topological_order(fresh) == want  # read back from the memo
+
+    def test_order_memo_is_bounded_and_hands_out_copies(self):
+        g = random_dags(10, 1, seed=9)[0]
+        order = topological_order(g)
+        order.reverse()
+        assert topological_order(g) == ref_topological_order(g)
+        assert _topological_order.cache_info().maxsize is not None
+
+    def test_construction_stores_and_memoizes_nothing(self):
+        before = _topological_order.cache_info()
+        g = random_dags(10, 1, seed=11)[0]
+        after = _topological_order.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert set(vars(g)) == {"n", "edges"}
+
+    def test_value_semantics_ignore_the_cache(self):
+        for g in (Dag(5), W_DAG, random_dags(10, 1, seed=13)[0]):
+            cold, warm = Dag(g.n, g.edges), Dag(g.n, g.edges)
+            warm.parents(1)
+            assert set(vars(warm)) > set(vars(cold))
+            assert cold == warm and hash(cold) == hash(warm) and repr(cold) == repr(warm)
+            assert [f.name for f in dataclasses.fields(warm)] == ["n", "edges"]
+            assert pickle.dumps(warm) == pickle.dumps(cold)
+            for back in (pickle.loads(pickle.dumps(warm)), copy.deepcopy(warm)):
+                assert back == warm and set(vars(back)) == {"n", "edges"}
+                assert back.parents(1) == warm.parents(1)
 
 
 class TestDSeparation:

@@ -946,6 +946,28 @@ class TestCliRejectsBadData:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["learn", "score"])
+    @pytest.mark.parametrize("value", [199_999, 10**8], ids=["199999", "id-like"])
+    def test_wide_count_table_exits_with_one_line(
+        self, tmp_path, capsys, monkeypatch, bounded_bincount, command, value
+    ):
+        # one stray record makes X2's inferred state count value + 1, and
+        # its dense count table that wide
+        monkeypatch.chdir(tmp_path)
+        rows = [f"{i % 2},{i // 2 % 2},{i // 4 % 2},{i // 8 % 2}\n" for i in range(100)]
+        (tmp_path / "d.csv").write_text("X1,X2,X3,X4\n" + "".join(rows) + f"0,{value},1,0\n")
+        (tmp_path / "g.txt").write_text("")
+        tail = ["--out", "out"] if command == "learn" else ["--graph", "g.txt"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", "d.csv", "--infer-schema", *tail])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"gesbn {command}: error: the counts of X2 given no parents need a table "
+            f"of 1 x {value + 1} cells, more than 65536\n"
+        )
+        if command == "learn":  # the output directory is made before the search
+            assert os.listdir(tmp_path / "out") == []
+
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 

@@ -2,12 +2,14 @@
 totals, the exact-joint oracle criterion, and the scorer's memos."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from gesbn.graphs import Cpdag, Dag, VariableSpec, canonical_member
 from gesbn.scoring import (
+    MAX_TABLE_CELLS,
     CategoricalDataset,
     DecomposableScorer,
     ScoreConfig,
@@ -71,6 +73,69 @@ class TestTally:
         got = tally(YX_DATA, np.int64(1), (np.uint8(0),))
         assert got.tolist() == tally(YX_DATA, 1, (0,)).tolist()
         assert tally(YX_DATA, np.int32(1), np.array([0])).tolist() == got.tolist()
+
+
+class TestTableBound:
+    """A family whose dense count table would pass MAX_TABLE_CELLS raises,
+    naming its child, instead of allocating the table."""
+
+    def test_id_like_column_raises_before_counting(self, bounded_bincount):
+        spec = VariableSpec(("X1", "ID"), (2, 10**8 + 1))
+        data = CategoricalDataset(spec, [(0, 5), (1, 10**8), (1, 7)])
+        for child, parents, table in ((1, (), "1 x 100000001"), (0, (1,), "100000001 x 2")):
+            with pytest.raises(ValueError, match=f"a table of {table} cells, more than"):
+                tally(data, child, parents)
+        with pytest.raises(ValueError, match="counts of ID given no parents"):
+            make_scorer(ScoreConfig(), data=data).score_dag(Dag(2))
+
+    def test_the_widest_table_allowed_is_counted(self, bounded_bincount):
+        spec = VariableSpec(("A", "B"), (MAX_TABLE_CELLS // 4, 4))
+        data = CategoricalDataset(spec, [(MAX_TABLE_CELLS // 4 - 1, 3), (0, 0), (0, 0)])
+        counts = tally(data, 1, (0,))
+        assert counts.shape == (MAX_TABLE_CELLS // 4, 4)
+        assert counts[-1, 3] == 1 and counts[0, 0] == 2 and counts.sum() == 3
+        wider = CategoricalDataset(VariableSpec(("A", "B"), (MAX_TABLE_CELLS // 4 + 1, 4)),
+                                   data.records)
+        with pytest.raises(ValueError, match="counts of B given A need a table of"):
+            tally(wider, 1, (0,))
+
+
+class TestScorerChecksFamilies:
+    """A dataset scorer checks each family once, on its miss, as tally
+    does, and then counts it without checking again."""
+
+    @pytest.mark.parametrize("criterion", ["bdeu", "bic"])
+    @pytest.mark.parametrize("child,parents,message", [
+        (5, (), "variable 5 out of range"),
+        (-1, (), "variable -1 out of range"),
+        (0, (2,), "variable 2 out of range"),
+        (0, (1, 1), "parent 1 appears twice"),
+        (1, (0, 1), "child 1 must not appear among its parents"),
+        (0, (1.0,), "variable 1.0 is not an integer"),
+    ], ids=["child-out-of-range", "negative-child", "parent-out-of-range",
+            "repeated-parent", "child-among-parents", "float-parent"])
+    def test_local_raises_naming_the_variable(self, criterion, child, parents, message):
+        scorer = make_scorer(ScoreConfig(criterion=criterion), data=YX_DATA)
+        with pytest.raises(ValueError, match=message):
+            scorer.local(child, parents)
+        assert scorer.locals == {}
+
+    @pytest.mark.parametrize("criterion", ["bdeu", "bic"])
+    def test_locals_keep_their_bits(self, criterion):
+        rng = np.random.default_rng(8)
+        spec = VariableSpec(("a", "b", "c", "d"), (2, 3, 4, 2))
+        data = CategoricalDataset(spec, rng.integers(0, spec.cards, size=(300, 4)))
+        cfg = ScoreConfig(criterion=criterion)
+        scorer = make_scorer(cfg, data=data)
+        for child in range(4):
+            others = [v for v in range(4) if v != child]
+            for k in range(4):
+                for parents in combinations(others, k):
+                    counts = tally(data, child, parents)
+                    want = (bdeu_local(counts, cfg.ess) if criterion == "bdeu"
+                            else bic_local(counts, data.m))
+                    assert scorer.local(child, parents[::-1]) == want  # bit for bit
+                    assert scorer.locals[child, parents] == want
 
 
 class TestBdeuLocal:
