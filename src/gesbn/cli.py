@@ -17,6 +17,7 @@ from .graphs import (
 )
 from .scoring import (
     CRITERIA,
+    CountTableTooLarge,
     ScoreConfig,
     load_dataset,
     load_schema,
@@ -183,7 +184,7 @@ def cmd_learn(args) -> int:
     _checked(args, args.out, _make_dir)
     try:
         learned, trace = run_search(cfg, data=data, joint=joint)
-    except ValueError as exc:  # a family too wide to count (scoring.MAX_TABLE_CELLS)
+    except CountTableTooLarge as exc:
         _fail(args, str(exc))
     class_path = os.path.join(args.out, "class.txt")
     with open(class_path, "w") as fh:
@@ -200,7 +201,7 @@ def cmd_score(args) -> int:
     c = _checked(args, args.graph, _load_class, data.spec)
     try:
         total = make_scorer(_score_config(args), data=data).score_class(c)
-    except ValueError as exc:  # a family too wide to count (scoring.MAX_TABLE_CELLS)
+    except CountTableTooLarge as exc:
         _fail(args, str(exc))
     print(f"{args.score} score: {total!r}")
     return 0

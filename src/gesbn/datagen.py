@@ -148,15 +148,12 @@ class GoldStandard:
         return replace(self, bn=bn)
 
 
-@lru_cache(maxsize=256)
 def _dirichlet_means(q, r, ess) -> np.ndarray:
-    """The read-only (q, r) matrix whose row j (counting from 1) is
+    """The (q, r) matrix whose row j (counting from 1) is
     ess * shifted_mean(basis_mean(r), j)."""
     # entry k of shifted_mean(base, j) is base[(k - j) % r]
     shift = (np.arange(r) - np.arange(1, q + 1)[:, None]) % r
-    alpha = ess * basis_mean(r)[shift]
-    alpha.setflags(write=False)
-    return alpha
+    return ess * basis_mean(r)[shift]
 
 
 @lru_cache(maxsize=256)

@@ -22,7 +22,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -30,9 +30,11 @@ from .graphs import Cpdag, Dag, VariableSpec, canonical_member
 
 CRITERIA = ("bdeu", "bic", "oracle")
 
-# the most cells of one family's dense count table; a wider family, say one
-# over an ID-like column, raises before its table is allocated
-MAX_TABLE_CELLS = 1 << 16
+# the most cells of one family's dense count table, the same bound as the
+# oracle's joint table (oracle.MAX_JOINT_CELLS): scoring a table costs about
+# 60 bytes a cell at its peak, so a wider one, say over an ID-like column,
+# is refused before it is allocated
+MAX_TABLE_CELLS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -138,42 +140,42 @@ def config_indices(columns, variables, cards, out):
     return out
 
 
-def _variable(n, v) -> int:
-    """v as a variable index below n; a float, or an index out of range,
+def _variable(data: CategoricalDataset, v) -> int:
+    """v as a variable index of data; a float, or an index out of range,
     raises ValueError naming it."""
     try:
         i = operator.index(v)
     except TypeError:
         raise ValueError(f"variable {v!r} is not an integer") from None
-    if not 0 <= i < n:
+    if not 0 <= i < data.spec.n:
         raise ValueError(f"variable {i} out of range")
     return i
 
 
-def _family(data: CategoricalDataset, child, parents) -> tuple:
-    """(child, sorted parents) as variable indices of data. A variable that
-    is not an integer index of data's variables, or that appears twice in
-    the family, raises ValueError naming it."""
-    n = data.spec.n
-    child = _variable(n, child)
-    parents = tuple(sorted(_variable(n, p) for p in parents))
+class CountTableTooLarge(ValueError):
+    """A family's dense count table would pass MAX_TABLE_CELLS cells."""
+
+
+def tally(data: CategoricalDataset, child, parents) -> np.ndarray:
+    """Exact contingency counts of the child against its parent set: an
+    int64 array of q parent configurations by r child states. A variable
+    that is not an integer index of data's variables, or that appears
+    twice in the family, raises ValueError naming it; a table of more than
+    MAX_TABLE_CELLS cells raises CountTableTooLarge before it is built."""
+    child = _variable(data, child)
+    parents = sorted(_variable(data, p) for p in parents)
     for a, b in zip(parents, parents[1:]):
         if a == b:
             raise ValueError(f"parent {a} appears twice")
     if child in parents:
         raise ValueError(f"child {child} must not appear among its parents")
-    return child, parents
-
-
-def _counts(data: CategoricalDataset, child, parents) -> np.ndarray:
-    """tally's count kernel, for a family as _family returns it."""
     cards = data.spec.cards
     q = data.spec.config_count(parents)
     r = cards[child]
     if q * r > MAX_TABLE_CELLS:
         names = ", ".join(data.spec.names[p] for p in parents) or "no parents"
-        raise ValueError(f"the counts of {data.spec.names[child]} given {names} need a table of "
-                         f"{q} x {r} cells, more than {MAX_TABLE_CELLS}")
+        raise CountTableTooLarge(f"the counts of {data.spec.names[child]} given {names} need a "
+                                 f"table of {q} x {r} cells, more than {MAX_TABLE_CELLS}")
     configs, weights = data.count_table
     # the family's code, with the child as the lowest digit: j * r + state
     code = np.empty(len(weights), dtype=np.int64)
@@ -181,15 +183,6 @@ def _counts(data: CategoricalDataset, child, parents) -> np.ndarray:
     # float64 weights sum exactly while every count stays below 2**53
     counts = np.bincount(code, weights=weights, minlength=q * r)
     return counts.astype(np.int64).reshape(q, r)
-
-
-def tally(data: CategoricalDataset, child, parents) -> np.ndarray:
-    """Exact contingency counts of the child against its parent set: an
-    int64 array of q parent configurations by r child states. A variable
-    that is not an integer index of data's variables, or that appears
-    twice in the family, raises ValueError naming it, as does a table of
-    more than MAX_TABLE_CELLS cells."""
-    return _counts(data, *_family(data, child, parents))
 
 
 # integer tables of at most this many cells are scored in one Python pass,
@@ -285,21 +278,15 @@ def oracle_local(joint, child, parents, pseudo_m) -> float:
     return _penalized_loglik(pjk, pseudo_m, pseudo_m)
 
 
-def _sorted_family(child, parents) -> tuple:
-    return child, tuple(sorted(parents))
-
-
 class DecomposableScorer:
     """DAG and class scores from one local-score function.
 
     Each local score is computed once and kept in locals, keyed by
-    (child, sorted parents) as family(child, parents) returns them on a
-    miss, which may also check the family; each class score is kept too.
+    (child, sorted parents); each class score is kept too.
     """
 
-    def __init__(self, local_fn, family=_sorted_family):
+    def __init__(self, local_fn):
         self._local_fn = local_fn
-        self._family = family
         self.locals = {}
         self._classes = {}
 
@@ -308,7 +295,7 @@ class DecomposableScorer:
             return self.locals[child, parents]
         except (KeyError, TypeError):
             pass
-        key = self._family(child, parents)
+        key = (child, tuple(sorted(parents)))
         if key not in self.locals:
             self.locals[key] = self._local_fn(*key)
         return self.locals[key]
@@ -327,22 +314,21 @@ class DecomposableScorer:
 
 def make_scorer(cfg: ScoreConfig, data=None, joint=None) -> DecomposableScorer:
     """A DecomposableScorer for cfg's criterion: oracle scores an exact
-    joint table, bdeu and bic a dataset; exactly one of them is given.
-    A dataset scorer checks each family as tally does, once, on its miss."""
+    joint table, bdeu and bic a dataset; exactly one of them is given."""
     if (data is None) == (joint is None):
         raise ValueError("provide exactly one of data or joint")
     if (cfg.criterion == "oracle") != (joint is not None):
         needs = "a joint table" if cfg.criterion == "oracle" else "a dataset"
         raise ValueError(f"the {cfg.criterion} criterion scores {needs}")
-    if cfg.criterion == "oracle":
-        return DecomposableScorer(
-            lambda child, parents: oracle_local(joint, child, parents, cfg.oracle_pseudo_m)
-        )
     if cfg.criterion == "bdeu":
-        local = lambda child, parents: bdeu_local(_counts(data, child, parents), cfg.ess)
+        local = lambda child, parents: bdeu_local(tally(data, child, parents), cfg.ess)
+    elif cfg.criterion == "bic":
+        local = lambda child, parents: bic_local(tally(data, child, parents), data.m)
     else:
-        local = lambda child, parents: bic_local(_counts(data, child, parents), data.m)
-    return DecomposableScorer(local, partial(_family, data))
+        local = lambda child, parents: oracle_local(
+            joint, child, parents, cfg.oracle_pseudo_m
+        )
+    return DecomposableScorer(local)
 
 
 def score(g: Dag, data: CategoricalDataset, cfg=None) -> float:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gesbn.scoring import MAX_TABLE_CELLS
+from gesbn import scoring
 
 
 @pytest.fixture
@@ -14,7 +14,7 @@ def bounded_bincount(monkeypatch):
     bincount = np.bincount
 
     def guarded(x, weights=None, minlength=0):
-        assert minlength <= MAX_TABLE_CELLS, f"asked for a {minlength}-cell table"
+        assert minlength <= scoring.MAX_TABLE_CELLS, f"asked for a {minlength}-cell table"
         return bincount(x, weights=weights, minlength=minlength)
 
     monkeypatch.setattr(np, "bincount", guarded)

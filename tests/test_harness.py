@@ -32,7 +32,7 @@ from gesbn.harness import (
     summarize,
 )
 from gesbn.oracle import enumerate_classes, observed_margin
-from gesbn.scoring import load_dataset
+from gesbn.scoring import MAX_TABLE_CELLS, load_dataset
 
 TINY = ExperimentPlan(
     gold="w_structure", sizes=(10, 40), replicates=3, base_seed=7
@@ -946,27 +946,41 @@ class TestCliRejectsBadData:
         )
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["learn", "score"])
-    @pytest.mark.parametrize("value", [199_999, 10**8], ids=["199999", "id-like"])
-    def test_wide_count_table_exits_with_one_line(
-        self, tmp_path, capsys, monkeypatch, bounded_bincount, command, value
-    ):
+    @staticmethod
+    def _write_stray_record(tmp_path, value):
         # one stray record makes X2's inferred state count value + 1, and
-        # its dense count table that wide
-        monkeypatch.chdir(tmp_path)
+        # its dense count tables that wide
         rows = [f"{i % 2},{i // 2 % 2},{i // 4 % 2},{i // 8 % 2}\n" for i in range(100)]
         (tmp_path / "d.csv").write_text("X1,X2,X3,X4\n" + "".join(rows) + f"0,{value},1,0\n")
         (tmp_path / "g.txt").write_text("")
+
+    @pytest.mark.parametrize("command", ["learn", "score"])
+    def test_id_like_column_exits_with_one_line(
+        self, tmp_path, capsys, monkeypatch, bounded_bincount, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        self._write_stray_record(tmp_path, 10**8)
         tail = ["--out", "out"] if command == "learn" else ["--graph", "g.txt"]
         with pytest.raises(SystemExit) as exc:
             main([command, "--data", "d.csv", "--infer-schema", *tail])
         assert exc.value.code == 2
         assert capsys.readouterr().err == (
             f"gesbn {command}: error: the counts of X2 given no parents need a table "
-            f"of 1 x {value + 1} cells, more than 65536\n"
+            f"of 1 x 100000001 cells, more than {MAX_TABLE_CELLS}\n"
         )
         if command == "learn":  # the output directory is made before the search
             assert os.listdir(tmp_path / "out") == []
+
+    def test_wide_state_column_is_still_counted(self, tmp_path, capsys, monkeypatch):
+        # X2 has 200 000 states; its widest family, 8 x 200 000 cells, is
+        # under the bound, so it learns and scores as before the bound
+        monkeypatch.chdir(tmp_path)
+        self._write_stray_record(tmp_path, 199_999)
+        assert main(["learn", "--data", "d.csv", "--infer-schema", "--out", "out"]) == 0
+        assert (tmp_path / "out" / "class.txt").read_text() == "# vars: X1 X2 X3 X4\n"
+        capsys.readouterr()
+        assert main(["score", "--data", "d.csv", "--infer-schema", "--graph", "g.txt"]) == 0
+        assert capsys.readouterr().out == "bdeu score: -351.642478240465\n"
 
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))

@@ -2,15 +2,16 @@
 totals, the exact-joint oracle criterion, and the scorer's memos."""
 
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
 
+from gesbn import scoring
 from gesbn.graphs import Cpdag, Dag, VariableSpec, canonical_member
 from gesbn.scoring import (
     MAX_TABLE_CELLS,
     CategoricalDataset,
+    CountTableTooLarge,
     DecomposableScorer,
     ScoreConfig,
     bdeu_local,
@@ -26,6 +27,7 @@ from gesbn.scoring import (
 )
 from gesbn.datagen import sample_parameters, forward_sample
 from gesbn.oracle import JointTable, joint_from_bn
+from gesbn.search import SearchConfig, run_search
 
 EXACT = ScoreConfig(criterion="oracle")
 YX = VariableSpec(("Y", "X"), (2, 2))
@@ -76,33 +78,50 @@ class TestTally:
 
 
 class TestTableBound:
-    """A family whose dense count table would pass MAX_TABLE_CELLS raises,
-    naming its child, instead of allocating the table."""
+    """A family whose dense count table would pass MAX_TABLE_CELLS raises
+    CountTableTooLarge, naming its child, instead of allocating the table;
+    narrower families are counted as before."""
 
     def test_id_like_column_raises_before_counting(self, bounded_bincount):
         spec = VariableSpec(("X1", "ID"), (2, 10**8 + 1))
         data = CategoricalDataset(spec, [(0, 5), (1, 10**8), (1, 7)])
         for child, parents, table in ((1, (), "1 x 100000001"), (0, (1,), "100000001 x 2")):
-            with pytest.raises(ValueError, match=f"a table of {table} cells, more than"):
+            with pytest.raises(CountTableTooLarge,
+                               match=f"a table of {table} cells, more than {MAX_TABLE_CELLS}"):
                 tally(data, child, parents)
-        with pytest.raises(ValueError, match="counts of ID given no parents"):
+        with pytest.raises(CountTableTooLarge, match="counts of ID given no parents"):
             make_scorer(ScoreConfig(), data=data).score_dag(Dag(2))
 
-    def test_the_widest_table_allowed_is_counted(self, bounded_bincount):
-        spec = VariableSpec(("A", "B"), (MAX_TABLE_CELLS // 4, 4))
-        data = CategoricalDataset(spec, [(MAX_TABLE_CELLS // 4 - 1, 3), (0, 0), (0, 0)])
+    def test_the_widest_table_allowed_is_counted(self, bounded_bincount, monkeypatch):
+        # the bound is read on each call; a small one keeps the table small
+        monkeypatch.setattr(scoring, "MAX_TABLE_CELLS", 4096)
+        spec = VariableSpec(("A", "B"), (1024, 4))
+        data = CategoricalDataset(spec, [(1023, 3), (0, 0), (0, 0)])
         counts = tally(data, 1, (0,))
-        assert counts.shape == (MAX_TABLE_CELLS // 4, 4)
+        assert counts.shape == (1024, 4)
         assert counts[-1, 3] == 1 and counts[0, 0] == 2 and counts.sum() == 3
-        wider = CategoricalDataset(VariableSpec(("A", "B"), (MAX_TABLE_CELLS // 4 + 1, 4)),
-                                   data.records)
-        with pytest.raises(ValueError, match="counts of B given A need a table of"):
+        wider = CategoricalDataset(VariableSpec(("A", "B"), (1025, 4)), data.records)
+        with pytest.raises(CountTableTooLarge, match="counts of B given A need a table of 1025 x 4"):
             tally(wider, 1, (0,))
+
+    def test_bes_from_complete_counts_every_family(self):
+        # the last family of the complete start has 7**6 = 117 649 cells;
+        # this is the class learned before any bound was put on tally
+        rng = np.random.default_rng(3)
+        spec = VariableSpec(tuple(f"X{i}" for i in range(6)), (7,) * 6)
+        data = CategoricalDataset(spec, rng.integers(0, 7, size=(30, 6)))
+        assert spec.config_count(range(5)) * 7 > 65536
+        learned, _ = run_search(SearchConfig(algorithm="bes"), data=data)
+        assert sorted(learned.directed) == [
+            (0, 1), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5),
+            (2, 1), (2, 3), (2, 5), (3, 4), (3, 5), (5, 4),
+        ]
+        assert not learned.undirected
 
 
 class TestScorerChecksFamilies:
-    """A dataset scorer checks each family once, on its miss, as tally
-    does, and then counts it without checking again."""
+    """A dataset scorer checks each family as tally does, before it keeps
+    a local score."""
 
     @pytest.mark.parametrize("criterion", ["bdeu", "bic"])
     @pytest.mark.parametrize("child,parents,message", [
@@ -119,23 +138,6 @@ class TestScorerChecksFamilies:
         with pytest.raises(ValueError, match=message):
             scorer.local(child, parents)
         assert scorer.locals == {}
-
-    @pytest.mark.parametrize("criterion", ["bdeu", "bic"])
-    def test_locals_keep_their_bits(self, criterion):
-        rng = np.random.default_rng(8)
-        spec = VariableSpec(("a", "b", "c", "d"), (2, 3, 4, 2))
-        data = CategoricalDataset(spec, rng.integers(0, spec.cards, size=(300, 4)))
-        cfg = ScoreConfig(criterion=criterion)
-        scorer = make_scorer(cfg, data=data)
-        for child in range(4):
-            others = [v for v in range(4) if v != child]
-            for k in range(4):
-                for parents in combinations(others, k):
-                    counts = tally(data, child, parents)
-                    want = (bdeu_local(counts, cfg.ess) if criterion == "bdeu"
-                            else bic_local(counts, data.m))
-                    assert scorer.local(child, parents[::-1]) == want  # bit for bit
-                    assert scorer.locals[child, parents] == want
 
 
 class TestBdeuLocal:
