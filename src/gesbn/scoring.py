@@ -11,20 +11,24 @@ Parent-configuration indexing is mixed-radix over the parent list sorted
 ascending, lowest index most significant. Every consumer of conditional
 tables in this package (tallies, CPT rows, exact conditionals) uses this
 one convention, and config_indices is its one implementation.
+
+numpy is imported only where arrays are built or read: a dataset CSV is
+parsed, counted and BDeu-scored in plain Python, so `gesbn learn` and
+`gesbn score` with BDeu load no numpy for it.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import numbers
 import operator
+import re
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
+from functools import cached_property, reduce
+from itertools import chain, repeat
 
 from .graphs import Cpdag, Dag, VariableSpec, canonical_member
 
@@ -35,6 +39,13 @@ CRITERIA = ("bdeu", "bic", "oracle")
 # 60 bytes a cell at its peak, so a wider one, say over an ID-like column,
 # is refused before it is allocated
 MAX_TABLE_CELLS = 10_000_000
+
+# a count table of at most this many distinct records is tallied for BDeu
+# by a Python loop, a longer one by numpy's bincount. The loop needs no
+# numpy import (~140 ms), but costs ~8x bincount per record (93 against
+# 11.5 us for a four-variable family over 600 records): GES at n = 50 on
+# 5000 distinct records took 8.8 s with it for every table, ~4 s without
+PYTHON_TALLY_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -58,6 +69,16 @@ class ScoreConfig:
             raise ValueError("oracle_pseudo_m must be positive and finite")
 
 
+def _compact(values, cards):
+    """values, read-only, in the smallest unsigned dtype that holds every
+    state; uncopied when they come in that dtype."""
+    import numpy as np
+
+    values = values.astype(np.min_scalar_type(max(cards, default=0)), copy=False)
+    values.setflags(write=False)
+    return values
+
+
 class CategoricalDataset:
     """m records of integer-coded observations for the variables in spec.
 
@@ -68,9 +89,17 @@ class CategoricalDataset:
     distinct records and how often each occurs), built from the compact
     records once, on first use, so their cost depends on the number of
     distinct records and not on m.
+
+    A dataset read by load_dataset keeps its records as int tuples instead
+    and counts them with a Counter when it is read; its compact records,
+    and the count table's arrays, are built from those tuples on first use.
     """
 
+    _rows = None  # the records as int tuples, for a dataset read from a file
+
     def __init__(self, spec: VariableSpec, records):
+        import numpy as np
+
         values = np.asarray(records)
         if values.ndim == 1 and values.size == 0:  # [] is no records
             values = values.reshape(0, spec.n)
@@ -82,23 +111,52 @@ class CategoricalDataset:
         if values.size:
             if values.min() < 0 or (values.max(axis=0) >= spec.cards).any():
                 raise ValueError("record values out of range for spec cards")
-        values = values.astype(np.min_scalar_type(max(spec.cards, default=0)), copy=False)
-        values.setflags(write=False)
         self.spec = spec
-        self._values = values
+        self._values = _compact(values, spec.cards)
+
+    @classmethod
+    def _from_rows(cls, spec: VariableSpec, rows: list) -> CategoricalDataset:
+        """A dataset of rows, int tuples of spec.n values each; a value
+        outside its variable's states raises ValueError. The distinct rows
+        are counted here, and kept as the Python count table when there are
+        at most PYTHON_TALLY_ROWS of them."""
+        counts = Counter(rows)
+        distinct = sorted(counts)
+        columns = [[row[v] for row in distinct] for v in range(spec.n)]
+        for column, card in zip(columns, spec.cards):
+            if column and (min(column) < 0 or max(column) >= card):
+                raise ValueError("record values out of range for spec cards")
+        data = cls.__new__(cls)
+        data.spec, data._rows = spec, rows
+        data._python_table = None
+        if len(distinct) <= PYTHON_TALLY_ROWS:
+            data._python_table = columns, [counts[row] for row in distinct]
+        return data
 
     @cached_property
-    def records(self) -> np.ndarray:
+    def _values(self):
+        """The compact records of a dataset read from a file."""
+        import numpy as np
+
+        records = np.array(self._rows, dtype=np.int64).reshape(self.m, self.spec.n)
+        return _compact(records, self.spec.cards)
+
+    @cached_property
+    def records(self):
         """The read-only int64 (m, n) record matrix."""
+        import numpy as np
+
         records = self._values.astype(np.int64)
         records.setflags(write=False)
         return records
 
     @property
     def m(self) -> int:
-        return self._values.shape[0]
+        return len(self._values if self._rows is None else self._rows)
 
     def __eq__(self, other):
+        import numpy as np
+
         return (
             isinstance(other, CategoricalDataset)
             and self.spec == other.spec
@@ -109,6 +167,8 @@ class CategoricalDataset:
     def count_table(self) -> tuple:
         """(configs, counts): the k distinct records as an int64 (k, n)
         array, and the number of records equal to each."""
+        import numpy as np
+
         cards, values = self.spec.cards, self._values
         size = math.prod(cards)
         if size >= 2**63:  # a record's mixed-radix code would overflow int64
@@ -128,6 +188,16 @@ class CategoricalDataset:
             return np.zeros((len(code), 0), np.int64), counts
         return np.array(np.unravel_index(code, cards), dtype=np.int64).T, counts
 
+    @cached_property
+    def _python_table(self):
+        """The count table as Python lists, (columns, counts), column v
+        holding v's state in each distinct record; None when there are more
+        than PYTHON_TALLY_ROWS distinct records."""
+        configs, counts = self.count_table
+        if len(counts) > PYTHON_TALLY_ROWS:
+            return None
+        return configs.T.tolist(), counts.tolist()
+
 
 def config_indices(columns, variables, cards, out):
     """Write into out, and return, the mixed-radix code of the variables'
@@ -136,7 +206,8 @@ def config_indices(columns, variables, cards, out):
     which must hold every code; the columns' dtype may be narrower."""
     out[...] = columns[variables[0]] if variables else 0
     for v in variables[1:]:
-        np.add(np.multiply(out, cards[v], out=out), columns[v], out=out)
+        out *= cards[v]
+        out += columns[v]
     return out
 
 
@@ -156,12 +227,9 @@ class CountTableTooLarge(ValueError):
     """A family's dense count table would pass MAX_TABLE_CELLS cells."""
 
 
-def tally(data: CategoricalDataset, child, parents) -> np.ndarray:
-    """Exact contingency counts of the child against its parent set: an
-    int64 array of q parent configurations by r child states. A variable
-    that is not an integer index of data's variables, or that appears
-    twice in the family, raises ValueError naming it; a table of more than
-    MAX_TABLE_CELLS cells raises CountTableTooLarge before it is built."""
+def _family(data: CategoricalDataset, child, parents) -> tuple:
+    """(child, sorted parents, q, r) of a family of data's variables, with
+    the checks tally documents."""
     child = _variable(data, child)
     parents = sorted(_variable(data, p) for p in parents)
     for a, b in zip(parents, parents[1:]):
@@ -169,68 +237,110 @@ def tally(data: CategoricalDataset, child, parents) -> np.ndarray:
             raise ValueError(f"parent {a} appears twice")
     if child in parents:
         raise ValueError(f"child {child} must not appear among its parents")
-    cards = data.spec.cards
     q = data.spec.config_count(parents)
-    r = cards[child]
+    r = data.spec.cards[child]
     if q * r > MAX_TABLE_CELLS:
         names = ", ".join(data.spec.names[p] for p in parents) or "no parents"
         raise CountTableTooLarge(f"the counts of {data.spec.names[child]} given {names} need a "
                                  f"table of {q} x {r} cells, more than {MAX_TABLE_CELLS}")
+    return child, parents, q, r
+
+
+def tally(data: CategoricalDataset, child, parents):
+    """Exact contingency counts of the child against its parent set: an
+    int64 array of q parent configurations by r child states. A variable
+    that is not an integer index of data's variables, or that appears
+    twice in the family, raises ValueError naming it; a table of more than
+    MAX_TABLE_CELLS cells raises CountTableTooLarge before it is built."""
+    import numpy as np
+
+    child, parents, q, r = _family(data, child, parents)
     configs, weights = data.count_table
     # the family's code, with the child as the lowest digit: j * r + state
     code = np.empty(len(weights), dtype=np.int64)
-    config_indices(configs.T, (*parents, child), cards, code)
+    config_indices(configs.T, (*parents, child), data.spec.cards, code)
     # float64 weights sum exactly while every count stays below 2**53
     counts = np.bincount(code, weights=weights, minlength=q * r)
     return counts.astype(np.int64).reshape(q, r)
 
 
-# integer tables of at most this many cells are scored in one Python pass,
-# which costs less than numpy's per-call overhead there; wider or fractional
-# tables are scored by numpy, which is faster per cell (the two break even
-# at about 40-48 cells)
-_PYTHON_CELLS = 40
+def _bdeu_counts(data: CategoricalDataset, child, parents):
+    """tally's counts as the BDeu scorer takes them: q lists of r counts,
+    counted by a Python loop over the dataset's Python count table, or,
+    when it has none, tally's array."""
+    table = data._python_table
+    if table is None:
+        return tally(data, child, parents)
+    child, parents, q, r = _family(data, child, parents)
+    columns, weights = table
+    cards = data.spec.cards
+    code, stride = columns[child], r
+    for p in reversed(parents):
+        code = [c + stride * s for c, s in zip(code, columns[p])]
+        stride *= cards[p]
+    flat = [0] * (q * r)
+    for c, w in zip(code, weights):
+        flat[c] += w
+    return [flat[j:j + r] for j in range(0, q * r, r)]
 
 
-def _lgamma(x) -> np.ndarray:
-    """Log-gamma of each entry of a float array, by math.lgamma, as a flat
-    array in row-major order."""
-    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size)
+def _pairwise_sum(x) -> float:
+    """The sum of a list of numbers with the bits np.add.reduce gives it as
+    a float64 vector: 0.0, its identity, plus numpy's pairwise sum, which
+    adds a run of under 8 terms in order to 0.0, one of up to 128 in 8
+    strided accumulators combined as a tree, and splits a longer run in two
+    at a multiple of 8. Adding 0.0 turns only -0.0 into 0.0, which sums
+    alike, so each run adds it."""
+    n = len(x)
+    if n < 8:
+        return reduce(operator.add, x, 0.0)
+    if n <= 128:
+        end = n - n % 8
+        r = x[:8]  # accumulator j adds x[j], x[j + 8], ... in order
+        for i in range(8, end, 8):
+            r = map(operator.add, r, x[i:i + 8])
+        a, b, c, d, e, f, g, h = r
+        return 0.0 + reduce(operator.add, x[end:], ((a + b) + (c + d)) + ((e + f) + (g + h)))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
 
 
-def bdeu_local(counts: np.ndarray, ess=10.0) -> float:
-    """Log marginal likelihood of one node's (q, r) counts under the
-    uniform-BDeu prior. Counts may be fractional; a negative count or an
-    empty table raises ValueError.
+def bdeu_local(counts, ess=10.0) -> float:
+    """Log marginal likelihood of one node's (q, r) counts, an array or q
+    lists of r numbers, under the uniform-BDeu prior. Counts may be
+    fractional; a negative count or an empty table raises ValueError.
 
-    Log-gammas are taken by math.lgamma, and the row terms and the cell
-    terms are each summed by numpy as one float64 array in row-major
-    order, so both ways of computing them give the same bits.
+    Log-gammas are taken by math.lgamma. Each row's total, the row terms
+    and the cell terms, in row-major order, are summed in numpy's pairwise
+    order, so the score has the bits that summing them as float64 arrays
+    with numpy gives.
     """
     if not 0 < ess < math.inf:
         raise ValueError("ess must be positive and finite")
-    q, r = counts.shape
-    if not counts.size:
-        raise ValueError(f"cannot score an empty {counts.shape} table")
-    lgamma = math.lgamma
-    a_row, a_cell = ess / q, ess / (q * r)
-    lg_row, lg_cell = lgamma(a_row), lgamma(a_cell)
-    if counts.size <= _PYTHON_CELLS and counts.dtype.kind in "iu":
-        cells = counts.ravel().tolist()
-        if min(cells) < 0:
-            raise ValueError("counts must be nonnegative")
-        totals = map(sum, zip(*[iter(cells)] * r))  # row by row
-        row_terms = np.array([lg_row - lgamma(a_row + n) for n in totals])
-        cell_terms = np.array([lgamma(a_cell + c) - lg_cell for c in cells])
+    if isinstance(counts, list):
+        q, r = len(counts), len(counts[0]) if counts else 0
+        cells = list(chain.from_iterable(counts))
     else:
-        if counts.min() < 0:
-            raise ValueError("counts must be nonnegative")
-        row_terms = lg_row - _lgamma(a_row + np.add.reduce(counts, axis=1))
-        cell_terms = _lgamma(a_cell + counts) - lg_cell
-    # numpy's pairwise sums, as ndarray.sum takes them, less its wrapper's cost
-    val = np.add.reduce(row_terms)
-    val += np.add.reduce(cell_terms)
-    return float(val)
+        (q, r), cells = counts.shape, counts.ravel().tolist()
+    if not q * r:
+        raise ValueError(f"cannot score an empty {(q, r)} table")
+    if min(cells) < 0:
+        raise ValueError("counts must be nonnegative")
+    lgamma, add, sub = math.lgamma, operator.add, operator.sub
+    a_row, a_cell = ess / q, ess / (q * r)
+    if r < 8:  # each row's _pairwise_sum, 0.0 plus its cells in order, column by column
+        totals = repeat(0.0)
+        for j in range(r):
+            totals = map(add, totals, cells[j::r])
+    else:
+        totals = [_pairwise_sum(cells[i:i + r]) for i in range(0, q * r, r)]
+    # lgamma(a_row) - lgamma(a_row + total) for each row, and
+    # lgamma(a_cell + count) - lgamma(a_cell) for each cell, by C-level maps
+    lg_row = map(lgamma, map(add, repeat(a_row), totals))
+    lg_cell = map(lgamma, map(add, repeat(a_cell), cells))
+    row_terms = list(map(sub, repeat(lgamma(a_row)), lg_row))
+    cell_terms = list(map(sub, lg_cell, repeat(lgamma(a_cell))))
+    return _pairwise_sum(row_terms) + _pairwise_sum(cell_terms)
 
 
 def _penalized_loglik(table, weight, size) -> float:
@@ -241,6 +351,8 @@ def _penalized_loglik(table, weight, size) -> float:
     bits differ); a zero cell's term is then a signed zero, which adds
     nothing to the sum.
     """
+    import numpy as np
+
     rows = table.sum(axis=1, keepdims=True)
     logs = np.log(np.where(table > 0, table, 1.0)) - np.log(np.where(rows > 0, rows, 1.0))
     ll = float((table * logs).sum())
@@ -248,8 +360,8 @@ def _penalized_loglik(table, weight, size) -> float:
     return weight * ll - 0.5 * q * (r - 1) * math.log(size)
 
 
-def bic_local(counts: np.ndarray, m) -> float:
-    """Maximized log likelihood of one node's (q, r) counts minus
+def bic_local(counts, m) -> float:
+    """Maximized log likelihood of one node's (q, r) counts array minus
     (q * (r-1) / 2) * log m. A negative count or an empty table raises
     ValueError."""
     if m < 1:
@@ -274,7 +386,7 @@ def oracle_local(joint, child, parents, pseudo_m) -> float:
     drop = tuple(i for i in range(probs.ndim) if i not in keep)
     marg = probs.sum(axis=drop) if drop else probs
     axes = [keep.index(p) for p in parents] + [keep.index(child)]
-    pjk = np.transpose(marg, axes).reshape(-1, joint.spec.cards[child])
+    pjk = marg.transpose(axes).reshape(-1, joint.spec.cards[child])
     return _penalized_loglik(pjk, pseudo_m, pseudo_m)
 
 
@@ -321,7 +433,7 @@ def make_scorer(cfg: ScoreConfig, data=None, joint=None) -> DecomposableScorer:
         needs = "a joint table" if cfg.criterion == "oracle" else "a dataset"
         raise ValueError(f"the {cfg.criterion} criterion scores {needs}")
     if cfg.criterion == "bdeu":
-        local = lambda child, parents: bdeu_local(tally(data, child, parents), cfg.ess)
+        local = lambda child, parents: bdeu_local(_bdeu_counts(data, child, parents), cfg.ess)
     elif cfg.criterion == "bic":
         local = lambda child, parents: bic_local(tally(data, child, parents), data.m)
     else:
@@ -392,13 +504,83 @@ def save_dataset(data: CategoricalDataset, path):
         writer.writerows(data._values.tolist())  # Python ints, as from the int64 records
 
 
+# np.loadtxt's int64 cell, stripped of the whitespace around it: a sign
+# and ASCII digits, whose value must also fit in int64
+_INT_CELL = re.compile(r"[+-]?[0-9]+")
+# a line of such cells with no whitespace and at most 18 digits each, all
+# of which int() reads as np.loadtxt does
+_PLAIN_LINE = re.compile(r"[+-]?[0-9]{1,18}(?:,[+-]?[0-9]{1,18})*")
+
+
+def _cell(text, row, column) -> int:
+    """One cell as np.loadtxt reads an int64, or its error, which quotes at
+    most 100 characters of the cell's repr."""
+    value = text.strip()
+    if _INT_CELL.fullmatch(value):
+        value = int(value)
+        if -2**63 <= value < 2**63:
+            return value
+    raise ValueError(f"could not convert string {repr(text)[:100]} to int64 "
+                     f"at row {row}, column {column}.")
+
+
+def _parse_line(line, row) -> tuple:
+    """The cells of one non-empty line, row `row` of the records."""
+    if _PLAIN_LINE.fullmatch(line):
+        return tuple(map(int, line.split(",")))
+    return tuple(_cell(text, row, c) for c, text in enumerate(line.split(","), 1))
+
+
+def _parse_records(body) -> list:
+    """The records of a CSV body as int tuples, read as np.loadtxt reads
+    them with delimiter=",", comments=None and dtype=int64, with its error
+    messages less their advice on usecols. Lines end at each "\\n", less
+    one "\\r" before it; another "\\r" is an error. Empty lines are
+    skipped, a line of whitespace is a row of one cell, and every row must
+    have the first one's number of cells.
+
+    Each distinct line is parsed once; a body in which one fails, or two
+    differ in width, is read again line by line for the first error."""
+    text = body.replace("\r\n", "\n")
+    text = text[:-1] if text.endswith("\r") else text
+    if "\r" not in text:
+        lines = text.split("\n")
+        parsed = dict.fromkeys(lines)
+        parsed.pop("", None)
+        try:
+            for line in parsed:
+                parsed[line] = _parse_line(line, 0)
+        except ValueError:
+            parsed = {}
+        if len({len(cells) for cells in parsed.values()}) == 1:
+            return list(map(parsed.__getitem__, filter(None, lines)))
+    rows, width = [], None
+    for line in body.split("\n"):
+        if line.endswith("\r"):
+            line = line[:-1]
+        if not line:
+            continue
+        if "\r" in line:
+            raise ValueError("Found an unquoted embedded newline within a single line of "
+                             "input.  This is currently not supported.")
+        cells = line.count(",") + 1
+        if width is None:
+            width = cells
+        elif cells != width:
+            raise ValueError(f"the number of columns changed from {width} to {cells} "
+                             f"at row {len(rows) + 1}")
+        rows.append(_parse_line(line, len(rows)))
+    return rows
+
+
 def load_dataset(path, schema=None, infer_cards=False) -> CategoricalDataset:
     """Read a dataset CSV: a header row of names, then integer records.
 
     State counts come from the schema (a VariableSpec or a sidecar path);
     with infer_cards=True they are inferred as column max + 1, at least 1,
     instead.
-    Blank lines are skipped; a malformed file raises ValueError.
+    Blank lines are skipped; a malformed file raises ValueError. The
+    records are parsed and counted without numpy.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -406,19 +588,9 @@ def load_dataset(path, schema=None, infer_cards=False) -> CategoricalDataset:
     if header is None:
         raise ValueError("no header row")
     names = tuple(h.strip() for h in header)
-    if body.strip():
-        try:
-            records = np.loadtxt(
-                io.StringIO(body), delimiter=",", comments=None, dtype=np.int64, ndmin=2
-            )
-        except ValueError as exc:  # numpy's message, less its advice on usecols
-            raise ValueError(str(exc).partition(";")[0]) from None
-    else:
-        records = np.zeros((0, len(names)), dtype=np.int64)
-    if records.shape[1] != len(names):
-        raise ValueError(
-            f"records have {records.shape[1]} columns, the header has {len(names)}"
-        )
+    rows = _parse_records(body) if body.strip() else []
+    if rows and len(rows[0]) != len(names):
+        raise ValueError(f"records have {len(rows[0])} columns, the header has {len(names)}")
     if schema is not None:
         spec = schema if isinstance(schema, VariableSpec) else load_schema(schema)
         if spec.names != names:
@@ -426,7 +598,8 @@ def load_dataset(path, schema=None, infer_cards=False) -> CategoricalDataset:
                 f"schema names {spec.names} do not match CSV header {names}"
             )
     elif infer_cards:
-        spec = VariableSpec(names, tuple(int(v) + 1 for v in records.max(axis=0, initial=0)))
+        maxes = [max(column) for column in zip(*rows)] or [0] * len(names)
+        spec = VariableSpec(names, tuple(max(v, 0) + 1 for v in maxes))
     else:
         raise ValueError("need a schema, or pass infer_cards=True explicitly")
-    return CategoricalDataset(spec, records)
+    return CategoricalDataset._from_rows(spec, rows)

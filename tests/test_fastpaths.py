@@ -9,8 +9,10 @@ exactly, because a seed's records are part of the contract (see
 gesbn.datagen). The BDeu kernel is checked against scipy's gammaln, which
 it replaced, within a relative 1e-12, and the BDeu, penalized
 log-likelihood and tally kernels against their numpy versions, bit for
-bit, since a last-bit change can flip a tie in a search step; the
-dataset loader against the csv-module loader it replaced, exactly. The
+bit, since a last-bit change can flip a tie in a search step, and so are
+the Python pairwise sum against np.add.reduce and the BDeu scorer's
+Python tally against tally; the dataset loader against the csv-module
+loader and the np.loadtxt parser it replaced, exactly. The
 batched CI pass, the bitmask class table and the one-call parameter draw
 are checked against the per-query, per-class and per-row code they
 replaced, exactly, and so is the graph code on graphs.Pdag and
@@ -19,6 +21,7 @@ graphs.reachable against the per-caller dicts and walks it replaced.
 
 import collections
 import csv
+import io
 import itertools
 import math
 import tracemalloc
@@ -29,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from gesbn import search
+from gesbn import scoring, search
 
 from gesbn.datagen import (
     GOLD_STANDARDS,
@@ -83,13 +86,18 @@ from gesbn.oracle import (
 from gesbn.search import delete_moves, insert_moves
 from gesbn.scoring import (
     CategoricalDataset,
+    CountTableTooLarge,
     ScoreConfig,
+    _bdeu_counts,
+    _pairwise_sum,
+    _parse_records,
     _penalized_loglik,
     bdeu_local,
     bic_local,
     config_indices,
     load_dataset,
     load_schema,
+    make_scorer,
     save_dataset,
     save_schema,
     score,
@@ -752,18 +760,26 @@ def _same_bits(a, b):
 class TestKernelsBitIdentical:
     @pytest.mark.parametrize("ess", [0.37, 1.0, 10.0])
     def test_bdeu_on_every_shape(self, ess):
+        # as an array, a uint8 array, and the row lists the scorer passes
         for counts in _count_tables(np.random.default_rng(int(ess * 100))):
-            for table in (counts, counts.astype(np.uint8) if counts.max() < 256 else counts):
-                got, want = bdeu_local(table, ess), ref_bdeu_numpy(table, ess)
-                assert _same_bits(got, want), (table.shape, ess, got, want)
+            want = ref_bdeu_numpy(counts, ess)
+            small = counts.astype(np.uint8) if counts.max() < 256 else counts
+            for table in (counts, small, counts.tolist()):
+                got = bdeu_local(table, ess)
+                assert _same_bits(got, want), (counts.shape, ess, got, want)
 
     @pytest.mark.parametrize("ess", [0.37, 1.0, 10.0])
     def test_bdeu_on_fractional_counts(self, ess):
+        # rows of 9 and more cells, and magnitudes 1e-3 to 1e16, make each
+        # row's pairwise total differ from a left-to-right one
         rng = np.random.default_rng(7)
-        for q, r in ((1, 2), (2, 8), (3, 9), (128, 5)):
-            counts = rng.random((q, r)) * rng.choice([0.0, 1.0, 1e3], size=(q, r))
-            got, want = bdeu_local(counts, ess), ref_bdeu_numpy(counts, ess)
-            assert _same_bits(got, want), (counts.shape, ess, got, want)
+        for q, r in ((1, 2), (2, 8), (3, 9), (128, 5), (4, 17), (2, 130), (1, 300)):
+            scale = rng.choice([0.0, 1e-3, 1.0, 1e3, 1e16], size=(q, r))
+            counts = rng.random((q, r)) * scale
+            want = ref_bdeu_numpy(counts, ess)
+            for table in (counts, counts.tolist()):
+                got = bdeu_local(table, ess)
+                assert _same_bits(got, want), (counts.shape, ess, got, want)
 
     def test_bic_on_every_shape(self):
         for counts in _count_tables(np.random.default_rng(3)):
@@ -797,6 +813,7 @@ class TestKernelsBitIdentical:
         shape, cells = shaped
         counts = np.array(cells, dtype=np.int64).reshape(shape)
         assert _same_bits(bdeu_local(counts, ess), ref_bdeu_numpy(counts, ess))
+        assert _same_bits(bdeu_local(counts.tolist(), ess), ref_bdeu_numpy(counts, ess))
         m = max(int(counts.sum()), 1)
         assert _same_bits(bic_local(counts, m), ref_penalized_loglik(counts, 1, m))
         table = counts / max(counts.sum(), 1)
@@ -814,6 +831,90 @@ class TestKernelsBitIdentical:
                 want = ref_tally(data, child, parents)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
+
+
+def _mixed_floats(rng, n):
+    """n floats of magnitudes 1e-300 to 1e300, of both signs, with +0.0 and
+    -0.0 among them."""
+    values = rng.standard_normal(n) * rng.choice([1e-300, 1e-8, 1.0, 1e8, 1e16, 1e300], size=n)
+    values[rng.random(n) < 0.1] = 0.0
+    values[rng.random(n) < 0.1] = -0.0
+    return values
+
+
+class TestPythonKernels:
+    """The Python pairwise sum against np.add.reduce, and the BDeu
+    scorer's Python tally against tally, on both sides of its cutoff."""
+
+    def test_pairwise_sum_matches_add_reduce(self):
+        # 0-1100 terms crosses the 8- and 128-term block edges and the
+        # recursive split
+        rng = np.random.default_rng(11)
+        for n in range(1101):
+            for values in (_mixed_floats(rng, n), -np.zeros(n), rng.integers(0, 9, n) * 1.0):
+                got = _pairwise_sum(values.tolist())
+                assert _same_bits(got, np.add.reduce(values)), (n, got)
+
+    def test_fractional_row_totals_skip_the_builtin_sum(self, monkeypatch):
+        # from Python 3.12 on sum() of floats is compensated, so it would
+        # not give numpy's bits
+        def no_sum(*args):
+            raise AssertionError("bdeu_local called the builtin sum")
+
+        monkeypatch.setattr(scoring, "sum", no_sum, raising=False)
+        rng = np.random.default_rng(12)
+        for q, r in ((1, 3), (3, 9), (2, 130)):
+            counts = np.abs(_mixed_floats(rng, q * r)).reshape(q, r) % 1e20
+            want = ref_bdeu_numpy(counts, 1.0)
+            assert _same_bits(bdeu_local(counts.tolist(), 1.0), want)
+            assert _same_bits(bdeu_local(counts, 1.0), want)
+
+    @staticmethod
+    def _datasets(tmp_path, m, cards):
+        """The same random records as an array dataset and a CSV one."""
+        rng = np.random.default_rng(m + len(cards))
+        data = _random_dataset(rng, m, cards)
+        save_dataset(data, tmp_path / "d.csv")
+        return data, load_dataset(tmp_path / "d.csv", schema=data.spec)
+
+    @pytest.mark.parametrize("m,cards", [(0, (2, 3)), (40, (2, 3)), (60, (2, 3, 2)),
+                                         (300, (3, 4, 2, 5))])
+    def test_tally_on_both_sides_of_the_cutoff(self, tmp_path, monkeypatch, m, cards):
+        # each dataset takes the cutoff in force when it is read or first
+        # tallied; wide is tallied in Python whatever its count table
+        monkeypatch.setattr(scoring, "PYTHON_TALLY_ROWS", 6)
+        data, read = self._datasets(tmp_path, m, cards)
+        k = len(data.count_table[1])
+        assert (data._python_table is None) == (read._python_table is None) == (k > 6)
+        monkeypatch.setattr(scoring, "PYTHON_TALLY_ROWS", 10**6)
+        wide, _ = self._datasets(tmp_path, m, cards)
+        for child in range(len(cards)):
+            for parents in _parent_sets(np.random.default_rng(child), len(cards), child, 6):
+                want = tally(data, child, parents)
+                for dataset in (data, read, wide):
+                    got = _bdeu_counts(dataset, child, parents)
+                    python = dataset is wide or k <= 6
+                    assert isinstance(got, list) == python, (k, child, parents)
+                    assert np.array_equal(np.asarray(got).reshape(want.shape), want)
+                    assert _same_bits(bdeu_local(got, 10.0), bdeu_local(want, 10.0))
+
+    def test_refusal_comes_before_the_python_table(self, monkeypatch):
+        # a 10^6-cell family of a 3-row table: the loop would allocate an
+        # 8 MB list, so a traced peak under 64 kB shows it did not
+        monkeypatch.setattr(scoring, "MAX_TABLE_CELLS", 1000)
+        data = CategoricalDataset(VariableSpec(("ID", "B"), (10**6, 2)), [(0, 1), (5, 0), (7, 1)])
+        assert data._python_table is not None
+        scorer = make_scorer(ScoreConfig(), data=data)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CountTableTooLarge, match="counts of ID given B need a table of"):
+                _bdeu_counts(data, 0, (1,))
+            with pytest.raises(CountTableTooLarge, match="counts of ID given no parents"):
+                scorer.local(0, ())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024 and scorer.locals == {}
 
 def ref_load_dataset(path, schema=None, infer_cards=False):
     """The dataset loader before numpy parsed the records: csv rows, one
@@ -909,6 +1010,94 @@ class TestLoaderMatchesReference:
         with pytest.raises(ValueError, match="at least one record"):
             score(Dag(2, set()), data, ScoreConfig(criterion="bic"))
 
+
+
+def ref_loadtxt(body):
+    """The records of a CSV body as tuples, as np.loadtxt read them for the
+    loader before the Python parser, or its message less the advice."""
+    try:
+        records = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                             dtype=np.int64, ndmin=2)
+    except ValueError as exc:
+        return str(exc).partition(";")[0]
+    return [tuple(row) for row in records.tolist()]
+
+
+def parsed(body):
+    try:
+        return _parse_records(body)
+    except ValueError as exc:
+        return str(exc)
+
+
+_LOADTXT_PIECES = ["0", "1", "7", "-", "+", ",", " ", "\t", "\r", "\n", "\r\n", "\xa0", "\x0c",
+                   " ", "\x1f", "_", ".", "e", "x", "#", '"', "０", "٣",
+                   "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+                   "-9223372036854775809", "00000000000000000000001"]
+
+
+class TestLoaderMatchesLoadtxt:
+    """The Python parser reads what np.loadtxt(..., delimiter=",",
+    comments=None, dtype=np.int64, ndmin=2) read, and fails where it
+    failed, with its message."""
+
+    @pytest.mark.parametrize("cell,value", [("1", 1), (" 1", 1), ("1 ", 1), ("+1", 1),
+                                            ("-1", -1), ("01", 1), ("\xa0\t1　", 1)])
+    def test_accepted_cells(self, cell, value):
+        body = f"0,0\n0,{cell}\n"
+        assert parsed(body) == ref_loadtxt(body) == [(0, 0), (0, value)]
+
+    @pytest.mark.parametrize("cell", ["1.0", "1e0", "1_0", "０", "", " ", "0x1",
+                                      "9223372036854775808", '"0"', "#", "٣", "1 2"])
+    def test_rejected_cells(self, cell):
+        # int() reads 1_0, a fullwidth zero and 2**63, and the csv module
+        # unquotes "0"; np.loadtxt reads none of them
+        body = f"0,0\n0,{cell}\n"
+        want = f"could not convert string {cell!r} to int64 at row 1, column 2."
+        assert parsed(body) == ref_loadtxt(body) == want
+
+    @pytest.mark.parametrize("body", [
+        "0,1\n\n1,1\n\n", "0,1\r\n1,1\r\n", "0,1\r\n\r\n1,1", "0,1\n1,1\r",
+        "0,1\n \n1,1\n", "0,1\n1,1,\n", "0,1\n1\n", "0,1\n\n\n1,1,1\n", "# 0,1\n",
+        "0\n#\n", "0,1\r1,1\n", "0,1\n1,1\r\r\n", "x,1\n1\n", "0,1\n1,x,1\n",
+        "9223372036854775807,-9223372036854775808\n", "-9223372036854775809,0\n",
+        "00000000000000000000001,+0\n", "\x1c0,-0\x85\n", "0," + "9" * 99 + "\n",
+        "0,\"" + "\u00e9" * 120 + "\n",
+    ], ids=["blank-lines", "crlf", "crlf-blank-line", "last-cr", "whitespace-line",
+            "trailing-comma", "short-row", "long-row-after-blanks", "comment-line",
+            "comment-one-column", "embedded-cr", "two-crs", "bad-cell-before-short-row",
+            "bad-cell-in-long-row", "int64-bounds", "below-int64", "leading-zeros",
+            "unicode-whitespace", "long-cell", "long-quoted-cell"])
+    def test_lines_and_rows(self, body):
+        assert parsed(body) == ref_loadtxt(body)
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from(_LOADTXT_PIECES), min_size=1, max_size=24))
+    def test_random_bodies(self, pieces):
+        body = "".join(pieces)
+        if body.strip():  # load_dataset reads a blank body as no records
+            assert parsed(body) == ref_loadtxt(body)
+
+    def test_messages_reach_load_dataset(self, tmp_path):
+        path = tmp_path / "d.csv"
+        _rewrite(path, "X1,X2\n0,1\n1,1,\n")
+        with pytest.raises(ValueError,
+                           match=r"^the number of columns changed from 2 to 3 at row 2$"):
+            load_dataset(path, infer_cards=True)
+        _rewrite(path, "X1,X2\n0,1\n1,1_0\n")
+        with pytest.raises(ValueError, match=r"^could not convert string '1_0' to int64 at row 1, "
+                                             r"column 2\.$"):
+            load_dataset(path, infer_cards=True)
+
+    def test_inferred_cards_are_max_plus_one_and_at_least_one(self, tmp_path):
+        path = tmp_path / "d.csv"
+        _rewrite(path, "A,B,C\n0,2,0\n1,5,0\n")
+        assert load_dataset(path, infer_cards=True).spec.cards == (2, 6, 1)
+        _rewrite(path, "A,B\n")
+        assert load_dataset(path, infer_cards=True).spec.cards == (1, 1)
+        _rewrite(path, "A,B\n0,-1\n1,-2\n")
+        with pytest.raises(ValueError, match="record values out of range for spec cards"):
+            load_dataset(path, infer_cards=True)
 
 def ref_sample_parameters(structure, spec, ess=10.0, seed=0):
     """The parameter draw before it took one Gamma call per node: one

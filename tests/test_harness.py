@@ -999,7 +999,7 @@ def fresh_interpreter(code) -> str:
     return new_interpreter("-c", code).stdout.strip().splitlines()[-1]
 
 
-NOT_ON_THE_LEARN_PATH = ("gesbn.datagen", "gesbn.harness", "gesbn.oracle")
+NOT_ON_THE_LEARN_PATH = ("gesbn.datagen", "gesbn.harness", "gesbn.oracle", "numpy")
 
 
 def test_cli_import_leaves_out_scipy_and_the_process_pool():
@@ -1050,6 +1050,38 @@ def test_learn_command_loads_only_the_learn_path(tmp_path):
         f"print([m for m in {NOT_ON_THE_LEARN_PATH} if m in sys.modules])"
     ) == "[]"
     assert (tmp_path / "out" / "class.txt").read_text().startswith("# vars: X1 X2 X3\n")
+
+
+def _run_cli_loaded(argv) -> list:
+    """The numpy and gesbn modules loaded by `gesbn argv`, run as the
+    console script runs it, in a new interpreter."""
+    return json.loads(fresh_interpreter(
+        f"import json, sys, gesbn.cli; sys.argv = {['gesbn', *argv]!r}\n"
+        "try:\n    gesbn.cli.run()\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('gesbn', 'numpy') and m.count('.') < 2)))"
+    ))
+
+
+@pytest.mark.parametrize("command", ["learn", "score"])
+def test_bdeu_on_a_csv_loads_no_numpy(tmp_path, command):
+    # 5000 records of eight variables: their parsing, count table, tallies
+    # and local scores all run without numpy
+    inputs = learn_inputs(tmp_path, 8)
+    (tmp_path / "g.txt").write_text("V0 -- V1\nV2 -- V3\n")
+    tail = {"learn": ["--out", str(tmp_path / "out")],
+            "score": ["--graph", str(tmp_path / "g.txt")]}[command]
+    assert _run_cli_loaded([command, *inputs, *tail]) == [
+        "gesbn", "gesbn.cli", "gesbn.graphs", "gesbn.scoring", "gesbn.search"]
+
+
+def test_bic_imports_numpy_on_demand(tmp_path):
+    argv = ["learn", *learn_inputs(tmp_path, 8, criterion="bic")]
+    assert "numpy" in _run_cli_loaded([*argv, "--out", str(tmp_path / "sub")])
+    assert main([*argv, "--out", str(tmp_path / "in")]) == 0
+    for name in ("class.txt", "trace.log"):
+        assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "in" / name).read_bytes()
 
 
 class TestProcessEntry:
