@@ -26,11 +26,10 @@ import numbers
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, repeat
 
-from .graphs import Cpdag, Dag, VariableSpec, canonical_member
+from .graphs import Cpdag, Dag, Value, VariableSpec, canonical_member
 
 CRITERIA = ("bdeu", "bic", "oracle")
 
@@ -48,25 +47,23 @@ MAX_TABLE_CELLS = 10_000_000
 PYTHON_TALLY_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class ScoreConfig:
+class ScoreConfig(Value):
     """Which criterion to use and its knobs.
 
     ess is the BDeu equivalent sample size; oracle_pseudo_m is the
     effective sample size of the oracle criterion.
     """
 
-    criterion: str = "bdeu"
-    ess: float = 10.0
-    oracle_pseudo_m: float = 1e6
+    _fields = ("criterion", "ess", "oracle_pseudo_m")
 
-    def __post_init__(self):
-        if self.criterion not in CRITERIA:
+    def __init__(self, criterion="bdeu", ess=10.0, oracle_pseudo_m=1e6):
+        if criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
-        if not 0 < self.ess < math.inf:  # NaN fails too
+        if not 0 < ess < math.inf:  # NaN fails too
             raise ValueError("ess must be positive and finite")
-        if not 0 < self.oracle_pseudo_m < math.inf:
+        if not 0 < oracle_pseudo_m < math.inf:
             raise ValueError("oracle_pseudo_m must be positive and finite")
+        self.__dict__.update(criterion=criterion, ess=ess, oracle_pseudo_m=oracle_pseudo_m)
 
 
 def _compact(values, cards):

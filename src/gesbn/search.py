@@ -18,7 +18,6 @@ of every run is captured.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
 from typing import NamedTuple
@@ -27,6 +26,7 @@ from .graphs import (
     Cpdag,
     GraphError,
     Pdag,
+    Value,
     canonical_key,
     complete_cpdag,
     consistent_extensions,
@@ -38,8 +38,7 @@ from .graphs import (
 from .scoring import ScoreConfig, make_scorer
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """A visited class, its score, and the move that reached it."""
 
     phase: str
@@ -48,12 +47,18 @@ class TraceStep:
     move: str
 
 
-@dataclass
-class SearchTrace:
-    """The visited classes in order; truncated marks a hit step budget."""
+class SearchTrace(Value):
+    """The visited classes in order; truncated marks a hit step budget.
+    Unlike the other values it is mutable, and so unhashable."""
 
-    steps: list = field(default_factory=list)
-    truncated: bool = False
+    _fields = ("steps", "truncated")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, steps=None, truncated=False):
+        self.steps = [] if steps is None else steps
+        self.truncated = truncated
 
     def to_log(self) -> str:
         """One move per line: phase, move, score before, score after."""
@@ -66,8 +71,7 @@ class SearchTrace:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Value):
     """Algorithm choice, start class, scoring setup and a step budget.
 
     start is "empty", "complete", a Cpdag with one node per variable, or
@@ -75,21 +79,19 @@ class SearchConfig:
     max_steps = 0 selects the default budget of n^2 + n moves per phase.
     """
 
-    algorithm: str = "ges"
-    start: object = None
-    score: ScoreConfig = field(default_factory=ScoreConfig)
-    max_steps: int = 0
+    _fields = ("algorithm", "start", "score", "max_steps")
 
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+    def __init__(self, algorithm="ges", start=None, score=ScoreConfig(), max_steps=0):
+        if algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if not (isinstance(self.start, Cpdag) or self.start in (None, "empty", "complete")):
-            raise ValueError(f"unknown start {self.start!r}")
-        if not isinstance(self.score, ScoreConfig):
-            raise ValueError(f"score must be a ScoreConfig, got {self.score!r}")
-        steps = self.max_steps
+        if not (isinstance(start, Cpdag) or start in (None, "empty", "complete")):
+            raise ValueError(f"unknown start {start!r}")
+        if not isinstance(score, ScoreConfig):
+            raise ValueError(f"score must be a ScoreConfig, got {score!r}")
+        steps = max_steps
         if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
             raise ValueError(f"max_steps must be a whole number >= 0 (0 = default), got {steps!r}")
+        self.__dict__.update(algorithm=algorithm, start=start, score=score, max_steps=max_steps)
 
 
 def _single_edge_variants(c: Cpdag, add):

@@ -4,9 +4,9 @@ correctness argument for the completion rules and the equivalence
 criterion, which is why they stay in the default suite."""
 
 import copy
-import dataclasses
 import heapq
 import pickle
+from types import SimpleNamespace
 from itertools import combinations, product
 
 import numpy as np
@@ -37,6 +37,8 @@ from gesbn.graphs import (
     _vstructures,
 )
 from gesbn.oracle import enumerate_dags
+from gesbn.scoring import ScoreConfig
+from gesbn.search import SearchConfig, SearchTrace, TraceStep
 
 
 W_DAG = Dag(5, {(0, 1), (4, 1), (4, 2), (3, 2)})  # X1->X2<-H->X3<-X4, H=node 4
@@ -171,13 +173,23 @@ class TestCachedFacts:
         assert (after.hits, after.misses) == (before.hits, before.misses)
         assert set(vars(g)) == {"n", "edges"}
 
+    def test_graphs_are_equal_only_on_every_field(self):
+        dags = [Dag(3), Dag(4), Dag(3, {(0, 1)}), Dag(3, {(1, 0)})]
+        classes = [Cpdag(3), Cpdag(4), Cpdag(3, {(0, 1)}), Cpdag(3, undirected={(0, 1)}),
+                   Cpdag(3, {(0, 2), (1, 2)}), Cpdag(3, {(0, 2), (1, 2)}, {(0, 1)})]
+        for graphs in (dags, classes):
+            assert len(set(graphs)) == len(graphs)
+            for a, b in combinations(graphs, 2):
+                assert a != b and not a == b
+            assert [copy.copy(g) for g in graphs] == graphs
+
     def test_value_semantics_ignore_the_cache(self):
         for g in (Dag(5), W_DAG, random_dags(10, 1, seed=13)[0]):
             cold, warm = Dag(g.n, g.edges), Dag(g.n, g.edges)
             warm.parents(1)
             assert set(vars(warm)) > set(vars(cold))
             assert cold == warm and hash(cold) == hash(warm) and repr(cold) == repr(warm)
-            assert [f.name for f in dataclasses.fields(warm)] == ["n", "edges"]
+            assert warm.__reduce__() == (Dag, (warm.n, warm.edges))
             assert pickle.dumps(warm) == pickle.dumps(cold)
             for back in (pickle.loads(pickle.dumps(warm)), copy.deepcopy(warm)):
                 assert back == warm and set(vars(back)) == {"n", "edges"}
@@ -466,6 +478,19 @@ class TestValidation:
             ci_query(4, x, y, z)
         assert isinstance(exc.value, ValueError)
 
+    @pytest.mark.parametrize("n", [-1, -2, 2.5, 3.0, True, False, "3", None],
+                             ids=repr)
+    @pytest.mark.parametrize("cls", [Dag, Cpdag], ids=lambda c: c.__name__)
+    def test_node_count_must_be_a_whole_number(self, cls, n):
+        with pytest.raises(GraphError, match=f"n must be a whole number >= 0, got {n!r}"):
+            cls(n)
+
+    @pytest.mark.parametrize("cls", [Dag, Cpdag], ids=lambda c: c.__name__)
+    def test_node_count_is_stored_as_int(self, cls):
+        assert cls(0).n == 0
+        g = cls(np.int64(3))
+        assert type(g.n) is int and g == cls(3)
+
     def test_cpdag_pair_conflicts(self):
         with pytest.raises(GraphError):
             Cpdag(2, directed={(0, 1)}, undirected={(0, 1)})
@@ -479,3 +504,56 @@ class TestValidation:
 
     def test_vstructures_of_w(self):
         assert _vstructures(W_DAG) == {(0, 1, 4), (3, 2, 4)}
+
+
+_CLASS = Cpdag(3, {(0, 2), (1, 2)})
+_STEP = TraceStep("forward", _CLASS, -12.5, "insert X1->X2")
+# one instance of each value type of the learn path, with every field set,
+# and its field names in order
+VALUES = [
+    (VariableSpec(("a", "b", "c"), (2, 3, 1)), ("names", "cards")),
+    (Dag(3, {(0, 1), (1, 2)}), ("n", "edges")),
+    (Cpdag(4, {(0, 2), (1, 2)}, {(0, 3)}), ("n", "directed", "undirected")),
+    (ScoreConfig("bic", 3.0, 1e4), ("criterion", "ess", "oracle_pseudo_m")),
+    (_STEP, ("phase", "cpdag", "score", "move")),
+    (SearchTrace([_STEP, _STEP], True), ("steps", "truncated")),
+    (SearchConfig("bes", _CLASS, ScoreConfig("bic"), 7),
+     ("algorithm", "start", "score", "max_steps")),
+]
+
+
+@pytest.mark.parametrize("value,names", VALUES, ids=lambda v: type(v).__name__)
+class TestValueSemantics:
+    """The plain value classes behave as the frozen dataclasses they
+    replaced: same hash, repr, equality, immutability and copies."""
+
+    def test_hash_is_that_of_the_field_tuple(self, value, names):
+        fields = tuple(getattr(value, name) for name in names)
+        if isinstance(value, SearchTrace):  # mutable, so unhashable
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(value) == hash(fields)
+
+    def test_repr_lists_the_fields(self, value, names):
+        fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in names)
+        assert repr(value) == f"{type(value).__name__}({fields})"
+
+    def test_equal_to_no_other_type(self, value, names):
+        lookalike = SimpleNamespace(**{name: getattr(value, name) for name in names})
+        assert value != lookalike and not value == lookalike
+        for other, _ in VALUES:
+            assert (value == other) == (other is value)
+
+    def test_only_the_trace_is_mutable(self, value, names):
+        value = copy.deepcopy(value)
+        for name in names:
+            if isinstance(value, SearchTrace):  # run_search fills it in place
+                setattr(value, name, getattr(value, name))
+            else:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, getattr(value, name))
+
+    def test_copies_are_equal(self, value, names):
+        for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(back) is type(value) and back == value and repr(back) == repr(value)

@@ -1000,6 +1000,18 @@ def fresh_interpreter(code) -> str:
 
 
 NOT_ON_THE_LEARN_PATH = ("gesbn.datagen", "gesbn.harness", "gesbn.oracle", "numpy")
+# ~11 ms of import, which the learn path's plain value classes avoid; a
+# bare interpreter may hold them already, through a site hook
+NOT_LOADED_BY_THE_LEARN_PATH = ("dataclasses", "inspect")
+
+
+def _loaded_beyond_a_bare_interpreter(code) -> list:
+    """The NOT_LOADED_BY_THE_LEARN_PATH modules that `code` run in a new
+    interpreter holds and a bare `python -c` run does not."""
+    probe = f"print(sorted(m for m in {NOT_LOADED_BY_THE_LEARN_PATH} if m in sys.modules))"
+    bare = ast.literal_eval(fresh_interpreter(f"import sys; {probe}"))
+    after = ast.literal_eval(fresh_interpreter(f"{code}\nimport sys; {probe}"))
+    return sorted(set(after) - set(bare))
 
 
 def test_cli_import_leaves_out_scipy_and_the_process_pool():
@@ -1036,6 +1048,7 @@ def test_cli_import_loads_only_the_learn_path():
     assert fresh_interpreter(
         f"import sys, gesbn.cli; print([m for m in {NOT_ON_THE_LEARN_PATH} if m in sys.modules])"
     ) == "[]"
+    assert _loaded_beyond_a_bare_interpreter("import gesbn.cli") == []
 
 
 def test_learn_command_loads_only_the_learn_path(tmp_path):
@@ -1043,12 +1056,15 @@ def test_learn_command_loads_only_the_learn_path(tmp_path):
     save_schema(VariableSpec(("X1", "X2", "X3"), (2, 2, 2)), tmp_path / "s.json")
     argv = ["gesbn", "learn", "--data", str(tmp_path / "d.csv"),
             "--schema", str(tmp_path / "s.json"), "--out", str(tmp_path / "out")]
-    assert fresh_interpreter(
+    learn = (
         f"import runpy, sys; sys.argv = {argv!r}\n"
         "try:\n    runpy.run_module('gesbn.cli', run_name='__main__')\n"
         "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
-        f"print([m for m in {NOT_ON_THE_LEARN_PATH} if m in sys.modules])"
+    )
+    assert fresh_interpreter(
+        f"{learn}print([m for m in {NOT_ON_THE_LEARN_PATH} if m in sys.modules])"
     ) == "[]"
+    assert _loaded_beyond_a_bare_interpreter(learn) == []
     assert (tmp_path / "out" / "class.txt").read_text().startswith("# vars: X1 X2 X3\n")
 
 

@@ -284,8 +284,9 @@ class TestRunSearch:
         ({"max_steps": 2.5}, "max_steps must be a whole number >= 0"),
         ({"max_steps": True}, "max_steps must be a whole number >= 0"),
         ({"score": "bdeu"}, "score must be a ScoreConfig, got 'bdeu'"),
+        ({"score": None}, "score must be a ScoreConfig, got None"),
     ], ids=["algorithm", "start-name", "start-int", "steps-negative", "steps-float",
-            "steps-bool", "score-name"])
+            "steps-bool", "score-name", "score-none"])
     def test_config_rejects_bad_fields(self, kw, message):
         with pytest.raises(ValueError, match=message):
             SearchConfig(**kw)
