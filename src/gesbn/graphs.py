@@ -33,8 +33,7 @@ class Value:
     frozen dataclass's, so set and memo orders are too; a copy or unpickled
     instance is rebuilt by __init__ from the field tuple."""
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         cls._values = operator.attrgetter(*cls._fields)  # the field tuple
 
     def __eq__(self, other):
