@@ -208,16 +208,16 @@ def config_indices(columns, variables, cards, out):
     return out
 
 
-def _variable(data: CategoricalDataset, v) -> int:
-    """v as a variable index of data; a float, or an index out of range,
-    raises ValueError naming it."""
-    try:
-        i = operator.index(v)
-    except TypeError:
-        raise ValueError(f"variable {v!r} is not an integer") from None
-    if not 0 <= i < data.spec.n:
-        raise ValueError(f"variable {i} out of range")
-    return i
+def _variable(v, n) -> int:
+    """v as an index of n variables; a bool, a float, or an index out of
+    range raises ValueError naming it."""
+    if type(v) is not int:  # a numpy integer, say
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"variable {v!r} is not an integer")
+        v = int(v)
+    if not 0 <= v < n:
+        raise ValueError(f"variable {v} out of range")
+    return v
 
 
 class CountTableTooLarge(ValueError):
@@ -227,15 +227,17 @@ class CountTableTooLarge(ValueError):
 def _family(data: CategoricalDataset, child, parents) -> tuple:
     """(child, sorted parents, q, r) of a family of data's variables, with
     the checks tally documents."""
-    child = _variable(data, child)
-    parents = sorted(_variable(data, p) for p in parents)
+    cards = data.spec.cards
+    n = len(cards)
+    child = _variable(child, n)
+    parents = sorted([_variable(p, n) for p in parents])
     for a, b in zip(parents, parents[1:]):
         if a == b:
             raise ValueError(f"parent {a} appears twice")
     if child in parents:
         raise ValueError(f"child {child} must not appear among its parents")
-    q = data.spec.config_count(parents)
-    r = data.spec.cards[child]
+    q = math.prod([cards[p] for p in parents])
+    r = cards[child]
     if q * r > MAX_TABLE_CELLS:
         names = ", ".join(data.spec.names[p] for p in parents) or "no parents"
         raise CountTableTooLarge(f"the counts of {data.spec.names[child]} given {names} need a "
@@ -246,9 +248,10 @@ def _family(data: CategoricalDataset, child, parents) -> tuple:
 def tally(data: CategoricalDataset, child, parents):
     """Exact contingency counts of the child against its parent set: an
     int64 array of q parent configurations by r child states. A variable
-    that is not an integer index of data's variables, or that appears
-    twice in the family, raises ValueError naming it; a table of more than
-    MAX_TABLE_CELLS cells raises CountTableTooLarge before it is built."""
+    that is not an integer index of data's variables (a bool or a float,
+    say), or that appears twice in the family, raises ValueError naming
+    it; a table of more than MAX_TABLE_CELLS cells raises
+    CountTableTooLarge before it is built."""
     import numpy as np
 
     child, parents, q, r = _family(data, child, parents)
@@ -261,24 +264,27 @@ def tally(data: CategoricalDataset, child, parents):
     return counts.astype(np.int64).reshape(q, r)
 
 
-def _bdeu_counts(data: CategoricalDataset, child, parents):
-    """tally's counts as the BDeu scorer takes them: q lists of r counts,
-    counted by a Python loop over the dataset's Python count table, or,
-    when it has none, tally's array."""
+def _bdeu_counts(data: CategoricalDataset, child, parents) -> tuple:
+    """tally's counts as the BDeu scorer takes them: (cells, q, r), the q x r
+    counts as one row-major list, counted by a Python loop over the
+    dataset's Python count table, or, when it has none, read off tally's
+    array."""
     table = data._python_table
     if table is None:
-        return tally(data, child, parents)
+        counts = tally(data, child, parents)
+        return counts.ravel().tolist(), *counts.shape
     child, parents, q, r = _family(data, child, parents)
     columns, weights = table
     cards = data.spec.cards
-    code, stride = columns[child], r
-    for p in reversed(parents):
-        code = [c + stride * s for c, s in zip(code, columns[p])]
-        stride *= cards[p]
-    flat = [0] * (q * r)
-    for c, w in zip(code, weights):
-        flat[c] += w
-    return [flat[j:j + r] for j in range(0, q * r, r)]
+    # each distinct record's parent configuration j
+    code = columns[parents[0]] if parents else repeat(0)
+    for p in parents[1:]:
+        k = cards[p]
+        code = [c * k + s for c, s in zip(code, columns[p])]
+    cells = [0] * (q * r)
+    for c, s, w in zip(code, columns[child], weights):
+        cells[c * r + s] += w
+    return cells, q, r
 
 
 def _pairwise_sum(x) -> float:
@@ -304,25 +310,37 @@ def _pairwise_sum(x) -> float:
 
 def bdeu_local(counts, ess=10.0) -> float:
     """Log marginal likelihood of one node's (q, r) counts, an array or q
-    lists of r numbers, under the uniform-BDeu prior. Counts may be
-    fractional; a negative count or an empty table raises ValueError.
+    lists of r numbers, under the uniform-BDeu prior, by the one kernel the
+    BDeu scorer calls. Counts may be fractional; rows of unequal length, a
+    count that is negative or not finite, or an empty table raise
+    ValueError."""
+    if not 0 < ess < math.inf:
+        raise ValueError("ess must be positive and finite")
+    if isinstance(counts, list):
+        q, r = len(counts), len(counts[0]) if counts else 0
+        if any(len(row) != r for row in counts):
+            raise ValueError("count rows must have equal length")
+        cells = list(chain.from_iterable(counts))
+    else:
+        (q, r), cells = counts.shape, counts.ravel().tolist()
+    if not q * r:
+        raise ValueError(f"cannot score an empty {(q, r)} table")
+    if not all(map(math.isfinite, cells)):
+        raise ValueError("counts must be finite")
+    if min(cells) < 0:
+        raise ValueError("counts must be nonnegative")
+    return _bdeu(cells, q, r, ess)
+
+
+def _bdeu(cells, q, r, ess) -> float:
+    """bdeu_local of a nonempty q x r table given as one row-major list of
+    finite nonnegative counts, unchecked.
 
     Log-gammas are taken by math.lgamma. Each row's total, the row terms
     and the cell terms, in row-major order, are summed in numpy's pairwise
     order, so the score has the bits that summing them as float64 arrays
     with numpy gives.
     """
-    if not 0 < ess < math.inf:
-        raise ValueError("ess must be positive and finite")
-    if isinstance(counts, list):
-        q, r = len(counts), len(counts[0]) if counts else 0
-        cells = list(chain.from_iterable(counts))
-    else:
-        (q, r), cells = counts.shape, counts.ravel().tolist()
-    if not q * r:
-        raise ValueError(f"cannot score an empty {(q, r)} table")
-    if min(cells) < 0:
-        raise ValueError("counts must be nonnegative")
     lgamma, add, sub = math.lgamma, operator.add, operator.sub
     a_row, a_cell = ess / q, ess / (q * r)
     if r < 8:  # each row's _pairwise_sum, 0.0 plus its cells in order, column by column
@@ -359,12 +377,16 @@ def _penalized_loglik(table, weight, size) -> float:
 
 def bic_local(counts, m) -> float:
     """Maximized log likelihood of one node's (q, r) counts array minus
-    (q * (r-1) / 2) * log m. A negative count or an empty table raises
-    ValueError."""
+    (q * (r-1) / 2) * log m. A count that is negative or not finite, or an
+    empty table, raises ValueError."""
+    import numpy as np
+
     if m < 1:
         raise ValueError("bic requires at least one record")
     if not counts.size:
         raise ValueError(f"cannot score an empty {counts.shape} table")
+    if not np.isfinite(counts).all():
+        raise ValueError("counts must be finite")
     if counts.min() < 0:
         raise ValueError("counts must be nonnegative")
     return _penalized_loglik(counts, 1, m)
@@ -401,13 +423,15 @@ class DecomposableScorer:
 
     def local(self, child, parents) -> float:
         try:  # a hit, for parents given as the sorted tuple of the key
-            return self.locals[child, parents]
-        except (KeyError, TypeError):
-            pass
-        key = (child, tuple(sorted(parents)))
-        if key not in self.locals:
-            self.locals[key] = self._local_fn(*key)
-        return self.locals[key]
+            value = self.locals.get((child, parents))
+        except TypeError:  # unhashable parents
+            value = None
+        if value is None:
+            key = (child, tuple(sorted(parents)))
+            value = self.locals.get(key)
+            if value is None:
+                value = self.locals[key] = self._local_fn(*key)
+        return value
 
     def score_dag(self, g: Dag) -> float:
         return sum((self.local(i, g.parents(i)) for i in range(g.n)), 0.0)
@@ -430,7 +454,7 @@ def make_scorer(cfg: ScoreConfig, data=None, joint=None) -> DecomposableScorer:
         needs = "a joint table" if cfg.criterion == "oracle" else "a dataset"
         raise ValueError(f"the {cfg.criterion} criterion scores {needs}")
     if cfg.criterion == "bdeu":
-        local = lambda child, parents: bdeu_local(_bdeu_counts(data, child, parents), cfg.ess)
+        local = lambda child, parents: _bdeu(*_bdeu_counts(data, child, parents), cfg.ess)
     elif cfg.criterion == "bic":
         local = lambda child, parents: bic_local(tally(data, child, parents), data.m)
     else:

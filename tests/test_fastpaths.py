@@ -88,6 +88,7 @@ from gesbn.scoring import (
     CategoricalDataset,
     CountTableTooLarge,
     ScoreConfig,
+    _bdeu,
     _bdeu_counts,
     _pairwise_sum,
     _parse_records,
@@ -760,7 +761,7 @@ def _same_bits(a, b):
 class TestKernelsBitIdentical:
     @pytest.mark.parametrize("ess", [0.37, 1.0, 10.0])
     def test_bdeu_on_every_shape(self, ess):
-        # as an array, a uint8 array, and the row lists the scorer passes
+        # as an array, a uint8 array, and row lists
         for counts in _count_tables(np.random.default_rng(int(ess * 100))):
             want = ref_bdeu_numpy(counts, ess)
             small = counts.astype(np.uint8) if counts.max() < 256 else counts
@@ -831,6 +832,55 @@ class TestKernelsBitIdentical:
                 want = ref_tally(data, child, parents)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    # 9 x 8 x 5 x 3 x 2 = 2160 configurations: 300 records have fewer than
+    # PYTHON_TALLY_ROWS distinct ones, 6000 more; children of 8 and 9
+    # states, and families of 128 and more cells, take the kernel's
+    # pairwise row totals and its recursive split
+    @pytest.mark.parametrize("m", [300, 6000])
+    @pytest.mark.parametrize("ess", [0.37, 10.0])
+    def test_scorer_on_both_sides_of_the_cutoff(self, tmp_path, m, ess):
+        rng = np.random.default_rng(m)
+        cards = (9, 8, 5, 3, 2)
+        data = _random_dataset(rng, m, cards)
+        save_dataset(data, tmp_path / "d.csv")
+        read = load_dataset(tmp_path / "d.csv", schema=data.spec)
+        python = len(data.count_table[1]) <= scoring.PYTHON_TALLY_ROWS
+        assert python == (m == 300)
+        assert (data._python_table is None) == (read._python_table is None) == (not python)
+        families = [(0, (1,)), (1, (0, 2)), (0, (1, 2, 3)), (4, (0, 1, 2))]
+        for child in range(len(cards)):
+            families += [(child, ps) for ps in _parent_sets(rng, len(cards), child, 4)]
+        shapes = set()
+        for dataset in (data, read):
+            scorer = make_scorer(ScoreConfig(ess=ess), data=dataset)
+            for child, parents in families:
+                counts = tally(data, child, parents)
+                shapes.add(counts.shape)
+                want = ref_bdeu_numpy(counts, ess)
+                assert _same_bits(scorer.local(child, parents), want), (child, parents)
+                fractional = counts / 3.0
+                want = ref_bdeu_numpy(fractional, ess)
+                assert _same_bits(bdeu_local(fractional, ess), want), (child, parents)
+                assert _same_bits(bdeu_local(fractional.tolist(), ess), want)
+        assert any(r >= 8 for q, r in shapes) and any(q * r >= 128 for q, r in shapes)
+
+    def test_scorer_never_calls_the_row_list_adapter(self, tmp_path, monkeypatch):
+        # the scorer scores its flat counts directly; bdeu_local would
+        # re-check and re-flatten every family
+        def refuse(*args):
+            raise AssertionError("the BDeu scorer called bdeu_local")
+
+        data = observed_sample(CASES["four_cycle"], 400, RngSeed(2, 1))
+        save_dataset(data, tmp_path / "d.csv")
+        read = load_dataset(tmp_path / "d.csv", schema=data.spec)
+        cfg = search.SearchConfig("ges")
+        wanted = [search.run_search(cfg, data=d) for d in (data, read)]
+        monkeypatch.setattr(scoring, "bdeu_local", refuse)
+        for d, (cpdag, trace) in zip((data, read), wanted):
+            got, got_trace = search.run_search(cfg, data=d)
+            assert got == cpdag and got_trace.to_log() == trace.to_log()
+            assert len(trace.steps) > 1
+
 
 
 def _mixed_floats(rng, n):
@@ -888,15 +938,23 @@ class TestPythonKernels:
         assert (data._python_table is None) == (read._python_table is None) == (k > 6)
         monkeypatch.setattr(scoring, "PYTHON_TALLY_ROWS", 10**6)
         wide, _ = self._datasets(tmp_path, m, cards)
+        counted = []  # the datasets whose BDeu counts came from tally
+
+        def spy(dataset, *family):
+            counted.append(dataset)
+            return tally(dataset, *family)
+
+        monkeypatch.setattr(scoring, "tally", spy)
         for child in range(len(cards)):
             for parents in _parent_sets(np.random.default_rng(child), len(cards), child, 6):
                 want = tally(data, child, parents)
                 for dataset in (data, read, wide):
-                    got = _bdeu_counts(dataset, child, parents)
+                    counted.clear()
+                    cells, q, r = _bdeu_counts(dataset, child, parents)
                     python = dataset is wide or k <= 6
-                    assert isinstance(got, list) == python, (k, child, parents)
-                    assert np.array_equal(np.asarray(got).reshape(want.shape), want)
-                    assert _same_bits(bdeu_local(got, 10.0), bdeu_local(want, 10.0))
+                    assert counted == ([] if python else [dataset]), (k, child, parents)
+                    assert (q, r) == want.shape and cells == want.ravel().tolist()
+                    assert _same_bits(_bdeu(cells, q, r, 10.0), bdeu_local(want, 10.0))
 
     def test_refusal_comes_before_the_python_table(self, monkeypatch):
         # a 10^6-cell family of a 3-row table: the loop would allocate an

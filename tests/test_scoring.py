@@ -64,10 +64,14 @@ class TestTally:
         (0, (1.7,), "variable 1.7 is not an integer"),
         (0.5, (1,), "variable 0.5 is not an integer"),
         (0, (1.0,), "variable 1.0 is not an integer"),
-    ], ids=["repeated-parent", "float-parent", "float-child", "whole-float-parent"])
+        (True, (), "variable True is not an integer"),
+        (1, (False,), "variable False is not an integer"),
+    ], ids=["repeated-parent", "float-parent", "float-child", "whole-float-parent",
+            "bool-child", "bool-parent"])
     def test_misread_variables_raise(self, child, parents, message):
         # each used to be read as another family: a 4 x 2 table for (1, 1),
-        # parent 1 for 1.7; a float child raised an unrelated TypeError
+        # parent 1 for 1.7, variable 1 for True; a float child raised an
+        # unrelated TypeError
         with pytest.raises(ValueError, match=message):
             tally(YX_DATA, child, parents)
 
@@ -131,8 +135,11 @@ class TestScorerChecksFamilies:
         (0, (1, 1), "parent 1 appears twice"),
         (1, (0, 1), "child 1 must not appear among its parents"),
         (0, (1.0,), "variable 1.0 is not an integer"),
+        (True, (), "variable True is not an integer"),
+        (1, (False,), "variable False is not an integer"),
     ], ids=["child-out-of-range", "negative-child", "parent-out-of-range",
-            "repeated-parent", "child-among-parents", "float-parent"])
+            "repeated-parent", "child-among-parents", "float-parent", "bool-child",
+            "bool-parent"])
     def test_local_raises_naming_the_variable(self, criterion, child, parents, message):
         scorer = make_scorer(ScoreConfig(criterion=criterion), data=YX_DATA)
         with pytest.raises(ValueError, match=message):
@@ -167,6 +174,22 @@ class TestBdeuLocal:
         (-np.ones((40, 2), np.int64), "nonnegative"),
     ], ids=["no-rows", "no-states", "minus-one", "minus-twenty", "fractional", "wide"])
     def test_rejects_tables_it_cannot_score(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            bdeu_local(counts, ess=10.0)
+
+    @pytest.mark.parametrize("counts,message", [
+        ([[1, 2], [3]], "count rows must have equal length"),
+        ([[1], [2, 3]], "count rows must have equal length"),
+        ([[], [1]], "count rows must have equal length"),
+        ([[1, math.nan]], "counts must be finite"),
+        ([[1, math.inf]], "counts must be finite"),
+        ([[1, -math.inf]], "counts must be finite"),
+        (np.array([[1.0, np.nan]]), "counts must be finite"),
+        (np.array([[np.inf], [1.0]]), "counts must be finite"),
+    ], ids=["short-last-row", "short-first-row", "empty-first-row", "nan", "inf",
+            "minus-inf", "nan-array", "inf-array"])
+    def test_rejects_malformed_tables(self, counts, message):
+        # the two ragged tables used to score 1.41 and 0.0, the others nan
         with pytest.raises(ValueError, match=message):
             bdeu_local(counts, ess=10.0)
 
@@ -227,9 +250,12 @@ class TestBicLocal:
     @pytest.mark.parametrize("counts,message", [
         (np.zeros((0, 2), np.int64), "empty"),
         (np.array([[-1, 2]]), "nonnegative"),
-    ], ids=["no-rows", "minus-one"])
+        (np.array([[1.0, np.nan]]), "counts must be finite"),
+        (np.array([[1.0], [np.inf]]), "counts must be finite"),
+        (np.array([[-np.inf, 1.0]]), "counts must be finite"),
+    ], ids=["no-rows", "minus-one", "nan", "inf", "minus-inf"])
     def test_rejects_tables_it_cannot_score(self, counts, message):
-        # [[-1, 2]] used to score 0.58
+        # [[-1, 2]] used to score 0.58, and [[1.0, nan]] nan
         with pytest.raises(ValueError, match=message):
             bic_local(counts, m=3)
 
