@@ -5,7 +5,9 @@ deterministic "oracle" criterion that scores a structure directly against
 an exact joint distribution (the large-sample limit of the penalized
 likelihood). All criteria decompose per node, so totals are sums of
 memoized local terms, and the criteria are score equivalent, so a class is
-scored through one member DAG.
+scored through one member DAG. Each local score sums its terms, and each
+row total, by math.fsum, which is correctly rounded: a score depends
+neither on the order of its terms nor on the zero terms of zero cells.
 
 Parent-configuration indexing is mixed-radix over the parent list sorted
 ascending, lowest index most significant. Every consumer of conditional
@@ -13,8 +15,8 @@ tables in this package (tallies, CPT rows, exact conditionals) uses this
 one convention, and config_indices is its one implementation.
 
 numpy is imported only where arrays are built or read: a dataset CSV is
-parsed, counted and BDeu-scored in plain Python, so `gesbn learn` and
-`gesbn score` with BDeu load no numpy for it.
+parsed, counted and scored by BDeu or BIC in plain Python, so `gesbn learn`
+and `gesbn score` on it load no numpy.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numbers
 import operator
 import re
 from collections import Counter
-from functools import cached_property, reduce
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain, compress, repeat
 
 from .graphs import Cpdag, Dag, Value, VariableSpec, canonical_member
 
@@ -208,13 +210,20 @@ def config_indices(columns, variables, cards, out):
     return out
 
 
-def _variable(v, n) -> int:
-    """v as an index of n variables; a bool, a float, or an index out of
-    range raises ValueError naming it."""
+def _index(v) -> int:
+    """v as a variable index, an int; a bool or a float raises ValueError
+    naming it."""
     if type(v) is not int:  # a numpy integer, say
         if isinstance(v, bool) or not isinstance(v, numbers.Integral):
             raise ValueError(f"variable {v!r} is not an integer")
         v = int(v)
+    return v
+
+
+def _variable(v, n) -> int:
+    """v as an index of n variables; a bool, a float, or an index out of
+    range raises ValueError naming it."""
+    v = _index(v)
     if not 0 <= v < n:
         raise ValueError(f"variable {v} out of range")
     return v
@@ -264,9 +273,9 @@ def tally(data: CategoricalDataset, child, parents):
     return counts.astype(np.int64).reshape(q, r)
 
 
-def _bdeu_counts(data: CategoricalDataset, child, parents) -> tuple:
-    """tally's counts as the BDeu scorer takes them: (cells, q, r), the q x r
-    counts as one row-major list, counted by a Python loop over the
+def _family_counts(data: CategoricalDataset, child, parents) -> tuple:
+    """tally's counts as the dataset scorers take them: (cells, q, r), the
+    q x r counts as one row-major list, counted by a Python loop over the
     dataset's Python count table, or, when it has none, read off tally's
     array."""
     table = data._python_table
@@ -287,35 +296,11 @@ def _bdeu_counts(data: CategoricalDataset, child, parents) -> tuple:
     return cells, q, r
 
 
-def _pairwise_sum(x) -> float:
-    """The sum of a list of numbers with the bits np.add.reduce gives it as
-    a float64 vector: 0.0, its identity, plus numpy's pairwise sum, which
-    adds a run of under 8 terms in order to 0.0, one of up to 128 in 8
-    strided accumulators combined as a tree, and splits a longer run in two
-    at a multiple of 8. Adding 0.0 turns only -0.0 into 0.0, which sums
-    alike, so each run adds it."""
-    n = len(x)
-    if n < 8:
-        return reduce(operator.add, x, 0.0)
-    if n <= 128:
-        end = n - n % 8
-        r = x[:8]  # accumulator j adds x[j], x[j + 8], ... in order
-        for i in range(8, end, 8):
-            r = map(operator.add, r, x[i:i + 8])
-        a, b, c, d, e, f, g, h = r
-        return 0.0 + reduce(operator.add, x[end:], ((a + b) + (c + d)) + ((e + f) + (g + h)))
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
-
-
-def bdeu_local(counts, ess=10.0) -> float:
-    """Log marginal likelihood of one node's (q, r) counts, an array or q
-    lists of r numbers, under the uniform-BDeu prior, by the one kernel the
-    BDeu scorer calls. Counts may be fractional; rows of unequal length, a
+def _flat(counts) -> tuple:
+    """(cells, q, r) of a (q, r) count table, an array or q lists of r
+    numbers, its counts as one row-major list. Rows of unequal length, a
     count that is negative or not finite, or an empty table raise
     ValueError."""
-    if not 0 < ess < math.inf:
-        raise ValueError("ess must be positive and finite")
     if isinstance(counts, list):
         q, r = len(counts), len(counts[0]) if counts else 0
         if any(len(row) != r for row in counts):
@@ -329,67 +314,74 @@ def bdeu_local(counts, ess=10.0) -> float:
         raise ValueError("counts must be finite")
     if min(cells) < 0:
         raise ValueError("counts must be nonnegative")
-    return _bdeu(cells, q, r, ess)
+    return cells, q, r
+
+
+def _row_totals(cells, r):
+    """The math.fsum of each row of r cells of a row-major list."""
+    return map(math.fsum, zip(*[iter(cells)] * r))
+
+
+def bdeu_local(counts, ess=10.0) -> float:
+    """Log marginal likelihood of one node's (q, r) counts, an array or q
+    lists of r numbers, under the uniform-BDeu prior, by the one kernel the
+    BDeu scorer calls. Counts may be fractional; rows of unequal length, a
+    count that is negative or not finite, or an empty table raise
+    ValueError."""
+    if not 0 < ess < math.inf:
+        raise ValueError("ess must be positive and finite")
+    return _bdeu(*_flat(counts), ess)
 
 
 def _bdeu(cells, q, r, ess) -> float:
     """bdeu_local of a nonempty q x r table given as one row-major list of
     finite nonnegative counts, unchecked.
 
-    Log-gammas are taken by math.lgamma. Each row's total, the row terms
-    and the cell terms, in row-major order, are summed in numpy's pairwise
-    order, so the score has the bits that summing them as float64 arrays
-    with numpy gives.
+    Log-gammas are taken by math.lgamma, each row's total by math.fsum,
+    and the row and cell terms are summed by one math.fsum. fsum is
+    correctly rounded, so the score depends neither on the order of the
+    terms nor on the zero terms of zero cells and zero rows, which are
+    skipped.
     """
     lgamma, add, sub = math.lgamma, operator.add, operator.sub
     a_row, a_cell = ess / q, ess / (q * r)
-    if r < 8:  # each row's _pairwise_sum, 0.0 plus its cells in order, column by column
-        totals = repeat(0.0)
-        for j in range(r):
-            totals = map(add, totals, cells[j::r])
-    else:
-        totals = [_pairwise_sum(cells[i:i + r]) for i in range(0, q * r, r)]
-    # lgamma(a_row) - lgamma(a_row + total) for each row, and
-    # lgamma(a_cell + count) - lgamma(a_cell) for each cell, by C-level maps
-    lg_row = map(lgamma, map(add, repeat(a_row), totals))
-    lg_cell = map(lgamma, map(add, repeat(a_cell), cells))
-    row_terms = list(map(sub, repeat(lgamma(a_row)), lg_row))
-    cell_terms = list(map(sub, lg_cell, repeat(lgamma(a_cell))))
-    return _pairwise_sum(row_terms) + _pairwise_sum(cell_terms)
+    # lgamma(a_row) - lgamma(a_row + total) for each nonzero row, and
+    # lgamma(a_cell + count) - lgamma(a_cell) for each nonzero cell, by
+    # C-level maps
+    totals = filter(None, _row_totals(cells, r))
+    row_terms = map(sub, repeat(lgamma(a_row)), map(lgamma, map(add, repeat(a_row), totals)))
+    lg_cell = map(lgamma, map(add, repeat(a_cell), filter(None, cells)))
+    return math.fsum(chain(row_terms, map(sub, lg_cell, repeat(lgamma(a_cell)))))
 
 
-def _penalized_loglik(table, weight, size) -> float:
-    """weight * sum_jk t_jk log(t_jk / t_j) - (q * (r-1) / 2) * log size.
+def _bic(cells, q, r, weight, size) -> float:
+    """weight * sum_jk t_jk log(t_jk / t_j) - (q * (r-1) / 2) * log size of
+    a nonempty q x r table given as one row-major list of finite
+    nonnegative numbers, unchecked: BIC at weight 1 and size m, and the
+    oracle criterion at weight = size = pseudo-m.
 
-    Zero cells and zero rows are logged as ones, so that each log still
-    runs over a whole array (a masked log runs another loop, whose last
-    bits differ); a zero cell's term is then a signed zero, which adds
-    nothing to the sum.
+    Each row's total t_j is taken by math.fsum, and the terms
+    t_jk (log t_jk - log t_j) of the nonzero cells are summed by one
+    math.fsum, so the sum does not depend on the order of the terms. (The
+    ratio t_jk / t_j would underflow to 0 for a subnormal cell in a row
+    whose total passes 1.)
     """
-    import numpy as np
-
-    rows = table.sum(axis=1, keepdims=True)
-    logs = np.log(np.where(table > 0, table, 1.0)) - np.log(np.where(rows > 0, rows, 1.0))
-    ll = float((table * logs).sum())
-    q, r = table.shape
-    return weight * ll - 0.5 * q * (r - 1) * math.log(size)
+    log = math.log
+    totals = chain.from_iterable(map(repeat, _row_totals(cells, r), repeat(r)))
+    present = list(filter(None, cells))
+    logs = map(operator.sub, map(log, present), map(log, compress(totals, cells)))
+    ll = math.fsum(map(operator.mul, present, logs))
+    return weight * ll - 0.5 * q * (r - 1) * log(size)
 
 
 def bic_local(counts, m) -> float:
-    """Maximized log likelihood of one node's (q, r) counts array minus
-    (q * (r-1) / 2) * log m. A count that is negative or not finite, or an
-    empty table, raises ValueError."""
-    import numpy as np
-
+    """Maximized log likelihood of one node's (q, r) counts, an array or q
+    lists of r numbers, minus (q * (r-1) / 2) * log m. m < 1, rows of
+    unequal length, a count that is negative or not finite, or an empty
+    table raise ValueError."""
     if m < 1:
         raise ValueError("bic requires at least one record")
-    if not counts.size:
-        raise ValueError(f"cannot score an empty {counts.shape} table")
-    if not np.isfinite(counts).all():
-        raise ValueError("counts must be finite")
-    if counts.min() < 0:
-        raise ValueError("counts must be nonnegative")
-    return _penalized_loglik(counts, 1, m)
+    return _bic(*_flat(counts), 1, m)
 
 
 def oracle_local(joint, child, parents, pseudo_m) -> float:
@@ -405,15 +397,18 @@ def oracle_local(joint, child, parents, pseudo_m) -> float:
     drop = tuple(i for i in range(probs.ndim) if i not in keep)
     marg = probs.sum(axis=drop) if drop else probs
     axes = [keep.index(p) for p in parents] + [keep.index(child)]
-    pjk = marg.transpose(axes).reshape(-1, joint.spec.cards[child])
-    return _penalized_loglik(pjk, pseudo_m, pseudo_m)
+    r = joint.spec.cards[child]
+    pjk = marg.transpose(axes).ravel().tolist()
+    return _bic(pjk, len(pjk) // r, r, pseudo_m, pseudo_m)
 
 
 class DecomposableScorer:
     """DAG and class scores from one local-score function.
 
     Each local score is computed once and kept in locals, keyed by
-    (child, sorted parents); each class score is kept too.
+    (child, sorted parents) as ints; each class score is kept too. A
+    variable given as a bool or a float raises ValueError naming it, memo
+    hit or not, though it compares and hashes as the int it equals.
     """
 
     def __init__(self, local_fn):
@@ -422,15 +417,16 @@ class DecomposableScorer:
         self._classes = {}
 
     def local(self, child, parents) -> float:
-        try:  # a hit, for parents given as the sorted tuple of the key
+        # a hit, for an int child and parents given as the sorted int tuple of the key
+        if (type(child) is int and type(parents) is tuple
+                and operator.countOf(map(type, parents), int) == len(parents)):
             value = self.locals.get((child, parents))
-        except TypeError:  # unhashable parents
-            value = None
+            if value is not None:
+                return value
+        key = (_index(child), tuple(sorted(map(_index, parents))))
+        value = self.locals.get(key)
         if value is None:
-            key = (child, tuple(sorted(parents)))
-            value = self.locals.get(key)
-            if value is None:
-                value = self.locals[key] = self._local_fn(*key)
+            value = self.locals[key] = self._local_fn(*key)
         return value
 
     def score_dag(self, g: Dag) -> float:
@@ -454,9 +450,11 @@ def make_scorer(cfg: ScoreConfig, data=None, joint=None) -> DecomposableScorer:
         needs = "a joint table" if cfg.criterion == "oracle" else "a dataset"
         raise ValueError(f"the {cfg.criterion} criterion scores {needs}")
     if cfg.criterion == "bdeu":
-        local = lambda child, parents: _bdeu(*_bdeu_counts(data, child, parents), cfg.ess)
+        local = lambda child, parents: _bdeu(*_family_counts(data, child, parents), cfg.ess)
     elif cfg.criterion == "bic":
-        local = lambda child, parents: bic_local(tally(data, child, parents), data.m)
+        if data.m < 1:
+            raise ValueError("bic requires at least one record")
+        local = lambda child, parents: _bic(*_family_counts(data, child, parents), 1, data.m)
     else:
         local = lambda child, parents: oracle_local(
             joint, child, parents, cfg.oracle_pseudo_m

@@ -10,9 +10,20 @@ characterization of inclusion: g <= h iff a sequence of covered edge
 reversals and edge additions turns g into h with every intermediate DAG
 included in h. It is an exponential breadth-first search over DAGs, and
 only the tests read it (acceptance criterion 7 and test_oracle).
+
+bdeu, penalized_loglik, bic_local and oracle_local are the local scores
+written out densely: every row's and every cell's term, zero or not, is
+computed on its own and the terms are summed by one math.fsum, each row
+total by another. The scoring kernels skip zero terms and sum by C-level
+maps, and must give the same bits. bdeu_numpy and penalized_loglik_numpy
+are the kernels that summed in numpy's order before the scores moved to
+math.fsum; the fsum kernels agree with them to a relative 1e-12.
 """
 
+import math
 from collections import deque
+
+import numpy as np
 
 from gesbn.graphs import (
     Cpdag,
@@ -115,3 +126,69 @@ def insert_moves(c: Cpdag) -> tuple:
                 old = tuple(sorted(g.parents[y] | cond))
                 out.append(Move(True, x, y, t, old, tuple(sorted(old + (x,)))))
     return tuple(out)
+
+
+def bdeu(counts, ess=10.0) -> float:
+    """BDeu local score of a (q, r) counts array."""
+    q, r = counts.shape
+    a_row, a_cell = ess / q, ess / (q * r)
+    rows = counts.tolist()
+    terms = [math.lgamma(a_row) - math.lgamma(a_row + math.fsum(row)) for row in rows]
+    terms += [math.lgamma(a_cell + c) - math.lgamma(a_cell) for row in rows for c in row]
+    return math.fsum(terms)
+
+
+def penalized_loglik(table, weight, size) -> float:
+    """weight * sum_jk t_jk (log t_jk - log t_j) - (q * (r-1) / 2) * log size
+    of a (q, r) array, a zero cell's term being 0."""
+    terms = []
+    for row in table.tolist():
+        total = math.fsum(row)
+        terms += [t * (math.log(t) - math.log(total)) if t else 0.0 for t in row]
+    q, r = table.shape
+    return weight * math.fsum(terms) - 0.5 * q * (r - 1) * math.log(size)
+
+
+def bic_local(counts, m) -> float:
+    if m < 1:
+        raise ValueError("bic requires at least one record")
+    return penalized_loglik(counts, 1, m)
+
+
+def family_table(joint, child, parents):
+    """The (q, r) joint probabilities of child's parent configurations and
+    states, read off an exact joint table."""
+    probs = joint.probs
+    parents = tuple(sorted(parents))
+    keep = sorted(set(parents) | {child})
+    drop = tuple(i for i in range(probs.ndim) if i not in keep)
+    marg = probs.sum(axis=drop) if drop else probs
+    axes = [keep.index(p) for p in parents] + [keep.index(child)]
+    return np.transpose(marg, axes).reshape(-1, joint.spec.cards[child])
+
+
+def oracle_local(joint, child, parents, pseudo_m) -> float:
+    return penalized_loglik(family_table(joint, child, parents), pseudo_m, pseudo_m)
+
+
+def _lgamma_array(x):
+    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def bdeu_numpy(counts, ess=10.0) -> float:
+    q, r = counts.shape
+    a_row = ess / q
+    a_cell = ess / (q * r)
+    n_row = counts.sum(axis=1)
+    val = (math.lgamma(a_row) - _lgamma_array(a_row + n_row)).sum()
+    val += (_lgamma_array(a_cell + counts) - math.lgamma(a_cell)).sum()
+    return float(val)
+
+
+def penalized_loglik_numpy(table, weight, size) -> float:
+    rows = table.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = table * (np.log(table) - np.log(rows))
+    ll = float(np.where(table > 0, terms, 0.0).sum())
+    q, r = table.shape
+    return weight * ll - 0.5 * q * (r - 1) * math.log(size)

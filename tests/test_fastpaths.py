@@ -7,12 +7,13 @@ rejection sampling that builds every column of every batch, and tallies
 that re-read all m records. The fast paths must reproduce their output
 exactly, because a seed's records are part of the contract (see
 gesbn.datagen). The BDeu kernel is checked against scipy's gammaln, which
-it replaced, within a relative 1e-12, and the BDeu, penalized
-log-likelihood and tally kernels against their numpy versions, bit for
-bit, since a last-bit change can flip a tie in a search step, and so are
-the Python pairwise sum against np.add.reduce and the BDeu scorer's
-Python tally against tally; the dataset loader against the csv-module
-loader and the np.loadtxt parser it replaced, exactly. The
+it replaced, within a relative 1e-12; the BDeu and penalized
+log-likelihood kernels against the dense math.fsum references of
+tests/reference.py, bit for bit, since a last-bit change can flip a tie in
+a search step, and against the numpy-order kernels they replaced within a
+relative 1e-12; the tally kernel against its numpy version and the
+scorers' Python tally against tally, exactly; the dataset loader against
+the csv-module loader and the np.loadtxt parser it replaced, exactly. The
 batched CI pass, the bitmask class table and the one-call parameter draw
 are checked against the per-query, per-class and per-row code they
 replaced, exactly, and so is the graph code on graphs.Pdag and
@@ -32,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+import reference
 from gesbn import scoring, search
 
 from gesbn.datagen import (
@@ -89,10 +91,9 @@ from gesbn.scoring import (
     CountTableTooLarge,
     ScoreConfig,
     _bdeu,
-    _bdeu_counts,
-    _pairwise_sum,
+    _bic,
+    _family_counts,
     _parse_records,
-    _penalized_loglik,
     bdeu_local,
     bic_local,
     config_indices,
@@ -694,34 +695,7 @@ class TestBdeuMatchesGammaln:
         _assert_bdeu_matches(forward_sample(bn, 5000, seed=3), max_parents=3)
 
 
-# the BDeu, penalized log-likelihood and tally kernels before the Python
-# pass over small tables, kept verbatim: the new kernels must give the same
-# bits, since a last-bit change can flip a tie among a search step's moves
-
-
-def _ref_lgamma(x):
-    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def ref_bdeu_numpy(counts, ess=10.0):
-    if not ess > 0:
-        raise ValueError("ess must be positive")
-    q, r = counts.shape
-    a_row = ess / q
-    a_cell = ess / (q * r)
-    n_row = counts.sum(axis=1)
-    val = (math.lgamma(a_row) - _ref_lgamma(a_row + n_row)).sum()
-    val += (_ref_lgamma(a_cell + counts) - math.lgamma(a_cell)).sum()
-    return float(val)
-
-
-def ref_penalized_loglik(table, weight, size):
-    rows = table.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = table * (np.log(table) - np.log(rows))
-    ll = float(np.where(table > 0, terms, 0.0).sum())
-    q, r = table.shape
-    return weight * ll - 0.5 * q * (r - 1) * math.log(size)
+# the tally kernel before the Python pass over small tables, kept verbatim
 
 
 def _ref_config_indices(columns, parents, cards):
@@ -758,12 +732,21 @@ def _same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def _probability_tables(rng, counts):
+    """A count table as frequencies, and products of random CPT entries,
+    as in an exact margin, with the count table's zero cells and zero rows;
+    the oracle's tables are often transposed views."""
+    table = (counts > 0) * rng.random(counts.shape) * rng.random(counts.shape)
+    table = table / max(table.sum(), 1e-300)
+    return counts / max(counts.sum(), 1), table, np.asfortranarray(table)
+
+
 class TestKernelsBitIdentical:
     @pytest.mark.parametrize("ess", [0.37, 1.0, 10.0])
     def test_bdeu_on_every_shape(self, ess):
         # as an array, a uint8 array, and row lists
         for counts in _count_tables(np.random.default_rng(int(ess * 100))):
-            want = ref_bdeu_numpy(counts, ess)
+            want = reference.bdeu(counts, ess)
             small = counts.astype(np.uint8) if counts.max() < 256 else counts
             for table in (counts, small, counts.tolist()):
                 got = bdeu_local(table, ess)
@@ -771,13 +754,13 @@ class TestKernelsBitIdentical:
 
     @pytest.mark.parametrize("ess", [0.37, 1.0, 10.0])
     def test_bdeu_on_fractional_counts(self, ess):
-        # rows of 9 and more cells, and magnitudes 1e-3 to 1e16, make each
-        # row's pairwise total differ from a left-to-right one
+        # magnitudes 1e-3 to 1e16 in one row, whose total a left-to-right
+        # sum would round
         rng = np.random.default_rng(7)
         for q, r in ((1, 2), (2, 8), (3, 9), (128, 5), (4, 17), (2, 130), (1, 300)):
             scale = rng.choice([0.0, 1e-3, 1.0, 1e3, 1e16], size=(q, r))
             counts = rng.random((q, r)) * scale
-            want = ref_bdeu_numpy(counts, ess)
+            want = reference.bdeu(counts, ess)
             for table in (counts, counts.tolist()):
                 got = bdeu_local(table, ess)
                 assert _same_bits(got, want), (counts.shape, ess, got, want)
@@ -785,21 +768,17 @@ class TestKernelsBitIdentical:
     def test_bic_on_every_shape(self):
         for counts in _count_tables(np.random.default_rng(3)):
             m = max(int(counts.sum()), 1)
-            got, want = bic_local(counts, m), ref_penalized_loglik(counts, 1, m)
+            got, want = bic_local(counts, m), reference.bic_local(counts, m)
             assert _same_bits(got, want), (counts.shape, got, want)
 
     @pytest.mark.parametrize("weight", [12.5, 163840, 1e6])
     def test_loglik_on_probability_tables(self, weight):
         rng = np.random.default_rng(int(weight))
         for counts in _count_tables(rng):
-            # products of random CPT entries, as in an exact margin, with
-            # the zero cells and zero rows of the counts; the oracle's
-            # tables are often transposed views
-            table = (counts > 0) * rng.random(counts.shape) * rng.random(counts.shape)
-            table = table / max(table.sum(), 1e-300)
-            for table in (counts / max(counts.sum(), 1), table, np.asfortranarray(table)):
-                got = _penalized_loglik(table, weight, weight)
-                assert _same_bits(got, ref_penalized_loglik(table, weight, weight)), table.shape
+            for table in _probability_tables(rng, counts):
+                got = _bic(table.ravel().tolist(), *table.shape, weight, weight)
+                want = reference.penalized_loglik(table, weight, weight)
+                assert _same_bits(got, want), table.shape
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -813,13 +792,13 @@ class TestKernelsBitIdentical:
     def test_hypothesis_tables(self, shaped, ess):
         shape, cells = shaped
         counts = np.array(cells, dtype=np.int64).reshape(shape)
-        assert _same_bits(bdeu_local(counts, ess), ref_bdeu_numpy(counts, ess))
-        assert _same_bits(bdeu_local(counts.tolist(), ess), ref_bdeu_numpy(counts, ess))
+        assert _same_bits(bdeu_local(counts, ess), reference.bdeu(counts, ess))
+        assert _same_bits(bdeu_local(counts.tolist(), ess), reference.bdeu(counts, ess))
         m = max(int(counts.sum()), 1)
-        assert _same_bits(bic_local(counts, m), ref_penalized_loglik(counts, 1, m))
+        assert _same_bits(bic_local(counts, m), reference.bic_local(counts, m))
         table = counts / max(counts.sum(), 1)
-        assert _same_bits(_penalized_loglik(table, 1e6, 1e6),
-                          ref_penalized_loglik(table, 1e6, 1e6))
+        assert _same_bits(_bic(table.ravel().tolist(), *shape, 1e6, 1e6),
+                          reference.penalized_loglik(table, 1e6, 1e6))
 
     @pytest.mark.parametrize("m,cards", [(0, (2, 3, 2)), (50, (2, 3, 2, 2)),
                                          (3000, (5, 7, 3, 4, 6, 2, 3)), (200, (1, 2, 3))])
@@ -834,8 +813,8 @@ class TestKernelsBitIdentical:
 
     # 9 x 8 x 5 x 3 x 2 = 2160 configurations: 300 records have fewer than
     # PYTHON_TALLY_ROWS distinct ones, 6000 more; children of 8 and 9
-    # states, and families of 128 and more cells, take the kernel's
-    # pairwise row totals and its recursive split
+    # states, and families of 128 and more cells, give long rows and long
+    # lists of terms
     @pytest.mark.parametrize("m", [300, 6000])
     @pytest.mark.parametrize("ess", [0.37, 10.0])
     def test_scorer_on_both_sides_of_the_cutoff(self, tmp_path, m, ess):
@@ -856,10 +835,10 @@ class TestKernelsBitIdentical:
             for child, parents in families:
                 counts = tally(data, child, parents)
                 shapes.add(counts.shape)
-                want = ref_bdeu_numpy(counts, ess)
+                want = reference.bdeu(counts, ess)
                 assert _same_bits(scorer.local(child, parents), want), (child, parents)
                 fractional = counts / 3.0
-                want = ref_bdeu_numpy(fractional, ess)
+                want = reference.bdeu(fractional, ess)
                 assert _same_bits(bdeu_local(fractional, ess), want), (child, parents)
                 assert _same_bits(bdeu_local(fractional.tolist(), ess), want)
         assert any(r >= 8 for q, r in shapes) and any(q * r >= 128 for q, r in shapes)
@@ -883,41 +862,54 @@ class TestKernelsBitIdentical:
 
 
 
-def _mixed_floats(rng, n):
-    """n floats of magnitudes 1e-300 to 1e300, of both signs, with +0.0 and
-    -0.0 among them."""
-    values = rng.standard_normal(n) * rng.choice([1e-300, 1e-8, 1.0, 1e8, 1e16, 1e300], size=n)
-    values[rng.random(n) < 0.1] = 0.0
-    values[rng.random(n) < 0.1] = -0.0
-    return values
+_TABLES = st.integers(1, 40).flatmap(lambda q: st.integers(1, 5).flatmap(lambda r: st.tuples(
+    st.just((q, r)),
+    st.lists(st.one_of(st.just(0), st.integers(0, 20), st.integers(0, 10**6),
+                       st.floats(0, 1e6), st.floats(0, 1e-3)),
+             min_size=q * r, max_size=q * r),
+    st.permutations(range(q)),
+)))
+
+
+class TestFsumKernels:
+    """The BDeu and penalized log-likelihood kernels sum by math.fsum, so
+    their bits depend neither on the order of the rows nor on the zero
+    cells and zero rows they skip, and they stay within a relative 1e-12
+    of the numpy-order kernels they replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_TABLES, st.sampled_from([0.37, 1.0, 10.0]))
+    def test_bits_are_order_free(self, shaped, ess):
+        (q, r), cells, order = shaped
+        counts = np.array(cells, dtype=float).reshape(q, r)
+        permuted = counts[list(order)].ravel().tolist()
+        got = _bdeu(cells, q, r, ess)
+        assert _same_bits(got, reference.bdeu(counts, ess))
+        assert _same_bits(_bdeu(permuted, q, r, ess), got)
+        for weight in (1, 1e6):
+            got = _bic(cells, q, r, weight, 7.5)
+            assert _same_bits(got, reference.penalized_loglik(counts, weight, 7.5))
+            assert _same_bits(_bic(permuted, q, r, weight, 7.5), got)
+        assert _same_bits(bic_local(counts, 7.5), _bic(cells, q, r, 1, 7.5))
+
+    def test_numpy_order_kernels_agree(self):
+        rng = np.random.default_rng(5)
+        for counts in _count_tables(rng):
+            for ess in (0.37, 10.0):
+                got, want = bdeu_local(counts, ess), reference.bdeu_numpy(counts, ess)
+                assert abs(got - want) <= 1e-12 * abs(want), (counts.shape, ess, got, want)
+            m = max(int(counts.sum()), 1)
+            got, want = bic_local(counts, m), reference.penalized_loglik_numpy(counts, 1, m)
+            assert abs(got - want) <= 1e-12 * abs(want), (counts.shape, got, want)
+            for table in _probability_tables(rng, counts):
+                got = _bic(table.ravel().tolist(), *table.shape, 1e6, 1e6)
+                want = reference.penalized_loglik_numpy(table, 1e6, 1e6)
+                assert abs(got - want) <= 1e-12 * abs(want), (table.shape, got, want)
 
 
 class TestPythonKernels:
-    """The Python pairwise sum against np.add.reduce, and the BDeu
-    scorer's Python tally against tally, on both sides of its cutoff."""
-
-    def test_pairwise_sum_matches_add_reduce(self):
-        # 0-1100 terms crosses the 8- and 128-term block edges and the
-        # recursive split
-        rng = np.random.default_rng(11)
-        for n in range(1101):
-            for values in (_mixed_floats(rng, n), -np.zeros(n), rng.integers(0, 9, n) * 1.0):
-                got = _pairwise_sum(values.tolist())
-                assert _same_bits(got, np.add.reduce(values)), (n, got)
-
-    def test_fractional_row_totals_skip_the_builtin_sum(self, monkeypatch):
-        # from Python 3.12 on sum() of floats is compensated, so it would
-        # not give numpy's bits
-        def no_sum(*args):
-            raise AssertionError("bdeu_local called the builtin sum")
-
-        monkeypatch.setattr(scoring, "sum", no_sum, raising=False)
-        rng = np.random.default_rng(12)
-        for q, r in ((1, 3), (3, 9), (2, 130)):
-            counts = np.abs(_mixed_floats(rng, q * r)).reshape(q, r) % 1e20
-            want = ref_bdeu_numpy(counts, 1.0)
-            assert _same_bits(bdeu_local(counts.tolist(), 1.0), want)
-            assert _same_bits(bdeu_local(counts, 1.0), want)
+    """The dataset scorers' Python tally against tally, on both sides of
+    its cutoff."""
 
     @staticmethod
     def _datasets(tmp_path, m, cards):
@@ -938,7 +930,7 @@ class TestPythonKernels:
         assert (data._python_table is None) == (read._python_table is None) == (k > 6)
         monkeypatch.setattr(scoring, "PYTHON_TALLY_ROWS", 10**6)
         wide, _ = self._datasets(tmp_path, m, cards)
-        counted = []  # the datasets whose BDeu counts came from tally
+        counted = []  # the datasets whose counts came from tally
 
         def spy(dataset, *family):
             counted.append(dataset)
@@ -950,11 +942,12 @@ class TestPythonKernels:
                 want = tally(data, child, parents)
                 for dataset in (data, read, wide):
                     counted.clear()
-                    cells, q, r = _bdeu_counts(dataset, child, parents)
+                    cells, q, r = _family_counts(dataset, child, parents)
                     python = dataset is wide or k <= 6
                     assert counted == ([] if python else [dataset]), (k, child, parents)
                     assert (q, r) == want.shape and cells == want.ravel().tolist()
                     assert _same_bits(_bdeu(cells, q, r, 10.0), bdeu_local(want, 10.0))
+                    assert _same_bits(_bic(cells, q, r, 1, 60), bic_local(want, 60))
 
     def test_refusal_comes_before_the_python_table(self, monkeypatch):
         # a 10^6-cell family of a 3-row table: the loop would allocate an
@@ -966,7 +959,7 @@ class TestPythonKernels:
         tracemalloc.start()
         try:
             with pytest.raises(CountTableTooLarge, match="counts of ID given B need a table of"):
-                _bdeu_counts(data, 0, (1,))
+                _family_counts(data, 0, (1,))
             with pytest.raises(CountTableTooLarge, match="counts of ID given no parents"):
                 scorer.local(0, ())
             peak = tracemalloc.get_traced_memory()[1]

@@ -307,11 +307,10 @@ class TestRunSearch:
 # algorithm bodies, the start resolver and the scorer builders it replaced
 
 import itertools
-import math
+import reference
 from gesbn.datagen import gold_four_cycle, observed_sample
 from gesbn.scoring import (
     DecomposableScorer,
-    bdeu_local,
     bic_local,
     oracle_local,
     tally,
@@ -320,50 +319,21 @@ from gesbn.graphs import canonical_key
 from gesbn.search import SearchTrace
 
 
-def ref_bic_local(counts, m):
-    if m < 1:
-        raise ValueError("bic requires at least one record")
-    n_row = counts.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = counts * (np.log(counts) - np.log(n_row))
-    ll = float(np.where(counts > 0, terms, 0.0).sum())
-    q, r = counts.shape
-    return ll - 0.5 * q * (r - 1) * math.log(m)
-
-
-def ref_oracle_local(joint, child, parents, pseudo_m):
-    probs = joint.probs
-    cards = joint.spec.cards
-    parents = tuple(sorted(parents))
-    keep = sorted(set(parents) | {child})
-    drop = tuple(i for i in range(probs.ndim) if i not in keep)
-    marg = probs.sum(axis=drop) if drop else probs
-    axes = [keep.index(p) for p in parents] + [keep.index(child)]
-    r = cards[child]
-    pjk = np.transpose(marg, axes).reshape(-1, r)
-    pj = pjk.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = pjk * (np.log(pjk) - np.log(pj))
-    ell = float(np.where(pjk > 0, terms, 0.0).sum())
-    q = pjk.shape[0]
-    return pseudo_m * ell - 0.5 * q * (r - 1) * math.log(pseudo_m)
-
-
 def ref_make_class_scorer(score_cfg=None, data=None, joint=None):
     score_cfg = score_cfg if score_cfg is not None else ScoreConfig()
     if (data is None) == (joint is None):
         raise ValueError("provide exactly one of data or joint")
     if joint is not None:
         pseudo_m = score_cfg.oracle_pseudo_m
-        local = lambda child, parents: ref_oracle_local(joint, child, parents, pseudo_m)
+        local = lambda child, parents: reference.oracle_local(joint, child, parents, pseudo_m)
         n = joint.spec.n
     else:
         if score_cfg.criterion == "bdeu":
-            local = lambda child, parents: bdeu_local(
+            local = lambda child, parents: reference.bdeu(
                 tally(data, child, parents), score_cfg.ess
             )
         else:
-            local = lambda child, parents: ref_bic_local(
+            local = lambda child, parents: reference.bic_local(
                 tally(data, child, parents), data.m
             )
         n = data.spec.n
@@ -495,14 +465,14 @@ class TestKernelMatchesReference:
         for pseudo_m in (1e6, 163840, 12.5):
             for child, parents in _all_families(4):
                 got = oracle_local(margin, child, parents, pseudo_m)
-                assert got == ref_oracle_local(margin, child, parents, pseudo_m)
+                assert got == reference.oracle_local(margin, child, parents, pseudo_m)
 
     @pytest.mark.parametrize("gold", sorted(GOLDS))
     def test_bic_local_bit_identical(self, search_inputs, gold):
         data, _ = search_inputs[gold]["bic"]
         for child, parents in _all_families(4):
             counts = tally(data, child, parents)
-            assert bic_local(counts, data.m) == ref_bic_local(counts, data.m)
+            assert bic_local(counts, data.m) == reference.bic_local(counts, data.m)
 
 
 class TestMakeScorerChecks:
