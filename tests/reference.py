@@ -155,20 +155,17 @@ def bic_local(counts, m) -> float:
     return penalized_loglik(counts, 1, m)
 
 
-def family_table(joint, child, parents):
-    """The (q, r) joint probabilities of child's parent configurations and
-    states, read off an exact joint table."""
+def oracle_local(joint, child, parents, pseudo_m) -> float:
+    """The oracle criterion's local score, from the (q, r) joint
+    probabilities of child's parent configurations and states."""
     probs = joint.probs
     parents = tuple(sorted(parents))
     keep = sorted(set(parents) | {child})
     drop = tuple(i for i in range(probs.ndim) if i not in keep)
     marg = probs.sum(axis=drop) if drop else probs
     axes = [keep.index(p) for p in parents] + [keep.index(child)]
-    return np.transpose(marg, axes).reshape(-1, joint.spec.cards[child])
-
-
-def oracle_local(joint, child, parents, pseudo_m) -> float:
-    return penalized_loglik(family_table(joint, child, parents), pseudo_m, pseudo_m)
+    pjk = np.transpose(marg, axes).reshape(-1, joint.spec.cards[child])
+    return penalized_loglik(pjk, pseudo_m, pseudo_m)
 
 
 def _lgamma_array(x):
