@@ -31,12 +31,17 @@ GOLD_FLAGS = {"w": "w_structure", "cycle4": "four_cycle"}
 
 
 def _score_config(args) -> ScoreConfig:
+    """The --score criterion; --ess is read by bdeu alone."""
+    if args.ess is None:
+        return ScoreConfig(criterion=args.score)
+    if args.score != "bdeu":
+        _fail(args, f"--score {args.score} does not read --ess")
     return ScoreConfig(criterion=args.score, ess=args.ess)
 
 
 def _add_score_flags(p, criteria=CRITERIA):
     p.add_argument("--score", choices=criteria, default="bdeu")
-    p.add_argument("--ess", type=_positive, default=10.0,
+    p.add_argument("--ess", type=_positive,  # None: ScoreConfig's default
                    help="equivalent sample size for bdeu (default 10)")
 
 
@@ -175,11 +180,12 @@ def _resolve_start_flag(args, spec):
 
 
 def cmd_learn(args) -> int:
+    score_cfg = _score_config(args)
     data, joint, spec = _load_learn_inputs(args)
     cfg = SearchConfig(
         algorithm=args.algorithm,
         start=_resolve_start_flag(args, spec),
-        score=_score_config(args),
+        score=score_cfg,
     )
     _checked(args, args.out, _make_dir)
     try:
@@ -197,10 +203,11 @@ def cmd_learn(args) -> int:
 
 
 def cmd_score(args) -> int:
+    score_cfg = _score_config(args)
     data = _load_data_flag(args)
     c = _checked(args, args.graph, _load_class, data.spec)
     try:
-        total = make_scorer(_score_config(args), data=data).score_class(c)
+        total = make_scorer(score_cfg, data=data).score_class(c)
     except CountTableTooLarge as exc:
         _fail(args, str(exc))
     print(f"{args.score} score: {total!r}")

@@ -233,10 +233,10 @@ class CountTableTooLarge(ValueError):
     """A family's dense count table would pass MAX_TABLE_CELLS cells."""
 
 
-def _family(data: CategoricalDataset, child, parents) -> tuple:
-    """(child, sorted parents, q, r) of a family of data's variables, with
+def _family(spec: VariableSpec, child, parents) -> tuple:
+    """(child, sorted parents, q, r) of a family of spec's variables, with
     the checks tally documents."""
-    cards = data.spec.cards
+    cards = spec.cards
     n = len(cards)
     child = _variable(child, n)
     parents = sorted([_variable(p, n) for p in parents])
@@ -248,8 +248,8 @@ def _family(data: CategoricalDataset, child, parents) -> tuple:
     q = math.prod([cards[p] for p in parents])
     r = cards[child]
     if q * r > MAX_TABLE_CELLS:
-        names = ", ".join(data.spec.names[p] for p in parents) or "no parents"
-        raise CountTableTooLarge(f"the counts of {data.spec.names[child]} given {names} need a "
+        names = ", ".join(spec.names[p] for p in parents) or "no parents"
+        raise CountTableTooLarge(f"the counts of {spec.names[child]} given {names} need a "
                                  f"table of {q} x {r} cells, more than {MAX_TABLE_CELLS}")
     return child, parents, q, r
 
@@ -263,7 +263,7 @@ def tally(data: CategoricalDataset, child, parents):
     CountTableTooLarge before it is built."""
     import numpy as np
 
-    child, parents, q, r = _family(data, child, parents)
+    child, parents, q, r = _family(data.spec, child, parents)
     configs, weights = data.count_table
     # the family's code, with the child as the lowest digit: j * r + state
     code = np.empty(len(weights), dtype=np.int64)
@@ -282,7 +282,7 @@ def _family_counts(data: CategoricalDataset, child, parents) -> tuple:
     if table is None:
         counts = tally(data, child, parents)
         return counts.ravel().tolist(), *counts.shape
-    child, parents, q, r = _family(data, child, parents)
+    child, parents, q, r = _family(data.spec, child, parents)
     columns, weights = table
     cards = data.spec.cards
     # each distinct record's parent configuration j
@@ -389,17 +389,16 @@ def oracle_local(joint, child, parents, pseudo_m) -> float:
 
     pseudo_m * sum_jk p(pa_j, x_k) log p(x_k | pa_j) minus half the local
     dimension times log pseudo_m. Conditionals are read off the exact
-    joint; zero-probability parent rows carry zero weight.
+    joint; zero-probability parent rows carry zero weight. The family is
+    checked as tally checks one.
     """
+    child, parents, q, r = _family(joint.spec, child, parents)
     probs = joint.probs
-    parents = tuple(sorted(parents))
-    keep = sorted(set(parents) | {child})
+    keep = sorted([*parents, child])
     drop = tuple(i for i in range(probs.ndim) if i not in keep)
     marg = probs.sum(axis=drop) if drop else probs
     axes = [keep.index(p) for p in parents] + [keep.index(child)]
-    r = joint.spec.cards[child]
-    pjk = marg.transpose(axes).ravel().tolist()
-    return _bic(pjk, len(pjk) // r, r, pseudo_m, pseudo_m)
+    return _bic(marg.transpose(axes).ravel().tolist(), q, r, pseudo_m, pseudo_m)
 
 
 class DecomposableScorer:
@@ -517,99 +516,68 @@ def load_schema(path) -> VariableSpec:
 
 
 def save_dataset(data: CategoricalDataset, path):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(data.spec.names)
         writer.writerows(data._values.tolist())  # Python ints, as from the int64 records
 
 
-# np.loadtxt's int64 cell, stripped of the whitespace around it: a sign
-# and ASCII digits, whose value must also fit in int64
-_INT_CELL = re.compile(r"[+-]?[0-9]+")
-# a line of such cells with no whitespace and at most 18 digits each, all
-# of which int() reads as np.loadtxt does
-_PLAIN_LINE = re.compile(r"[+-]?[0-9]{1,18}(?:,[+-]?[0-9]{1,18})*")
+# a cell: an optional sign and 1-18 ASCII digits, so that every value fits
+# in int64, with spaces or tabs around them
+_CELL = r"[ \t]*[+-]?[0-9]{1,18}[ \t]*"
+_RECORD = re.compile(rf"{_CELL}(?:,{_CELL})*")
 
 
-def _cell(text, row, column) -> int:
-    """One cell as np.loadtxt reads an int64, or its error, which quotes at
-    most 100 characters of the cell's repr."""
-    value = text.strip()
-    if _INT_CELL.fullmatch(value):
-        value = int(value)
-        if -2**63 <= value < 2**63:
-            return value
-    raise ValueError(f"could not convert string {repr(text)[:100]} to int64 "
-                     f"at row {row}, column {column}.")
+def _parse_records(lines, width, first) -> list:
+    """The records of a CSV body's lines as int tuples of width values,
+    lines[0] being line `first` of the file. A "\\r" at the end of a line
+    is dropped, and a line of nothing but spaces and tabs is skipped; the
+    first line that is neither blank nor a record raises ValueError naming
+    its line, and the column of its first bad cell.
 
-
-def _parse_line(line, row) -> tuple:
-    """The cells of one non-empty line, row `row` of the records."""
-    if _PLAIN_LINE.fullmatch(line):
-        return tuple(map(int, line.split(",")))
-    return tuple(_cell(text, row, c) for c, text in enumerate(line.split(","), 1))
-
-
-def _parse_records(body) -> list:
-    """The records of a CSV body as int tuples, read as np.loadtxt reads
-    them with delimiter=",", comments=None and dtype=int64, with its error
-    messages less their advice on usecols. Lines end at each "\\n", less
-    one "\\r" before it; another "\\r" is an error. Empty lines are
-    skipped, a line of whitespace is a row of one cell, and every row must
-    have the first one's number of cells.
-
-    Each distinct line is parsed once; a body in which one fails, or two
-    differ in width, is read again line by line for the first error."""
-    text = body.replace("\r\n", "\n")
-    text = text[:-1] if text.endswith("\r") else text
-    if "\r" not in text:
-        lines = text.split("\n")
-        parsed = dict.fromkeys(lines)
-        parsed.pop("", None)
-        try:
-            for line in parsed:
-                parsed[line] = _parse_line(line, 0)
-        except ValueError:
-            parsed = {}
-        if len({len(cells) for cells in parsed.values()}) == 1:
-            return list(map(parsed.__getitem__, filter(None, lines)))
-    rows, width = [], None
-    for line in body.split("\n"):
-        if line.endswith("\r"):
-            line = line[:-1]
-        if not line:
-            continue
-        if "\r" in line:
-            raise ValueError("Found an unquoted embedded newline within a single line of "
-                             "input.  This is currently not supported.")
-        cells = line.count(",") + 1
-        if width is None:
-            width = cells
-        elif cells != width:
-            raise ValueError(f"the number of columns changed from {width} to {cells} "
-                             f"at row {len(rows) + 1}")
-        rows.append(_parse_line(line, len(rows)))
-    return rows
+    Each distinct line is parsed once, in the order it first occurs, so
+    the first to fail is the first bad line of the file."""
+    parsed = dict.fromkeys(lines)
+    for line in parsed:
+        text = line.removesuffix("\r")
+        cells = text.split(",")
+        if len(cells) == width and _RECORD.fullmatch(text):
+            parsed[line] = tuple(map(int, cells))
+        elif not text.strip(" \t"):
+            parsed[line] = ()  # blank; no record has zero values
+        else:
+            where = f"line {first + lines.index(line)}"
+            if len(cells) != width:
+                raise ValueError(f"{where}: {len(cells)} values, the header has {width} names")
+            column = next(c for c, cell in enumerate(cells) if not re.fullmatch(_CELL, cell))
+            raise ValueError(f"{where}, column {column + 1}: {cells[column]!r:.100} is not an "
+                             f"integer of at most 18 digits")
+    return list(filter(None, map(parsed.__getitem__, lines)))
 
 
 def load_dataset(path, schema=None, infer_cards=False) -> CategoricalDataset:
     """Read a dataset CSV: a header row of names, then integer records.
 
+    The file is UTF-8, less a byte-order mark, and its header is read by
+    the csv module, each name stripped. Every later line is blank or holds
+    one cell per name: an ASCII integer of at most 18 digits, with an
+    optional sign and spaces or tabs around it (see _parse_records). The
+    first bad line raises ValueError naming its line, the header being
+    line 1: "line 3, column 4: 'x' is not an integer of at most 18 digits"
+    or "line 3: 3 values, the header has 4 names".
+
     State counts come from the schema (a VariableSpec or a sidecar path);
     with infer_cards=True they are inferred as column max + 1, at least 1,
-    instead.
-    Blank lines are skipped; a malformed file raises ValueError. The
-    records are parsed and counted without numpy.
+    instead. The records are parsed and counted without numpy.
     """
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        body = fh.read()
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        lines = fh.read().split("\n")
     if header is None:
         raise ValueError("no header row")
     names = tuple(h.strip() for h in header)
-    rows = _parse_records(body) if body.strip() else []
-    if rows and len(rows[0]) != len(names):
-        raise ValueError(f"records have {len(rows[0])} columns, the header has {len(names)}")
+    rows = _parse_records(lines, len(names), reader.line_num + 1)
     if schema is not None:
         spec = schema if isinstance(schema, VariableSpec) else load_schema(schema)
         if spec.names != names:

@@ -32,7 +32,7 @@ from gesbn.harness import (
     summarize,
 )
 from gesbn.oracle import enumerate_classes, observed_margin
-from gesbn.scoring import MAX_TABLE_CELLS, load_dataset
+from gesbn.scoring import MAX_TABLE_CELLS, ScoreConfig, load_dataset
 
 TINY = ExperimentPlan(
     gold="w_structure", sizes=(10, 40), replicates=3, base_seed=7
@@ -667,6 +667,16 @@ class TestCliRejectsBadValues:
             main(["experiment", "--gold", "w", *extra, "--out", str(tmp_path / "r.csv")])
         assert [p.replicates for p in plans] == [50, 3, 100]
 
+    def test_ess_is_read_by_bdeu_and_defaults_to_ten(self, tmp_path, monkeypatch):
+        plans = []
+        monkeypatch.setattr(
+            "gesbn.harness.run_experiment", lambda plan, **kw: plans.append(plan) or []
+        )
+        for extra in ([], ["--ess", "3"], ["--score", "bic"]):
+            main(["experiment", "--gold", "w", *extra, "--out", str(tmp_path / "r.csv")])
+        assert [p.score for p in plans] == [ScoreConfig(), ScoreConfig(ess=3.0),
+                                            ScoreConfig("bic")]
+
 
 BAD_JSON = ("bad.json: Expecting property name enclosed in double quotes: "
             "line 1 column 2 (char 1)")
@@ -685,8 +695,8 @@ class TestCliRejectsBadData:
     @pytest.mark.parametrize("text,flags,message", [
         ("X1,X2\n0,1\n1,3\n", [], "record values out of range for spec cards"),
         (None, [], "No such file or directory"),
-        ("X1,X2\n0,1\n1,x\n", [], "could not convert string 'x'"),
-        ("X1,X2\n0,1\n1\n", [], "the number of columns changed from 2 to 1"),
+        ("X1,X2\n0,1\n1,x\n", [], "line 3, column 2: 'x' is not an integer of at most 18 digits"),
+        ("X1,X2\n0,1\n1\n", [], "line 3: 1 values, the header has 2 names"),
         ("A,B\n0,1\n", [], "do not match CSV header"),
         ("X1,X2\n", ["--score", "bic"], "bic needs at least one record"),
     ], ids=["out-of-range", "missing", "non-integer", "ragged", "header-names",
@@ -790,6 +800,16 @@ class TestCliRejectsBadData:
         (["score", "--data", "d.csv", "--schema", "s.json", "--infer-schema",
           "--graph", "arc.txt"],
          "--schema and --infer-schema cannot be combined"),
+        (["learn", "--data", "d.csv", "--schema", "s.json", "--score", "bic", "--ess", "5",
+          "--out", "out"],
+         "--score bic does not read --ess"),
+        (["score", "--data", "d.csv", "--schema", "s.json", "--graph", "arc.txt",
+          "--score", "bic", "--ess", "5"],
+         "--score bic does not read --ess"),
+        (["learn", "--score", "oracle", "--joint", "cycle.json", "--ess", "3", "--out", "out"],
+         "--score oracle does not read --ess"),
+        (["experiment", "--gold", "w", "--score", "bic", "--ess", "3", "--out", "r.csv"],
+         "--score bic does not read --ess"),
     ], ids=[
         "score-graph-missing", "score-graph-unknown-variable", "learn-start-missing",
         "learn-joint-missing", "learn-oracle-without-joint", "learn-without-data",
@@ -809,7 +829,8 @@ class TestCliRejectsBadData:
         "oracle-model-null-cpt-entry", "oracle-model-string-cpt",
         "learn-joint-string-cpt-entry", "learn-oracle-with-data",
         "learn-oracle-with-infer-schema", "learn-schema-and-infer-schema",
-        "score-schema-and-infer-schema",
+        "score-schema-and-infer-schema", "learn-bic-with-ess", "score-bic-with-ess",
+        "learn-oracle-with-ess", "experiment-bic-with-ess",
     ])
     def test_other_inputs_exit_with_one_line(
         self, tmp_path, capsys, monkeypatch, argv, message

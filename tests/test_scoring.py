@@ -2,6 +2,9 @@
 totals, the exact-joint oracle criterion, and the scorer's memos."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from gesbn.oracle import JointTable, joint_from_bn
 from gesbn.search import SearchConfig, run_search
 
 EXACT = ScoreConfig(criterion="oracle")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 YX = VariableSpec(("Y", "X"), (2, 2))
 YX_DATA = CategoricalDataset(YX, [(0, 0), (0, 1), (1, 1), (1, 1)])
 
@@ -127,10 +131,10 @@ class TestTableBound:
 
 
 class TestScorerChecksFamilies:
-    """A dataset scorer checks each family as tally does, before it keeps
-    a local score."""
+    """A scorer, on a dataset or a joint table, checks each family as
+    tally does, before it keeps a local score."""
 
-    @pytest.mark.parametrize("criterion", ["bdeu", "bic"])
+    @pytest.mark.parametrize("criterion", ["bdeu", "bic", "oracle"])
     @pytest.mark.parametrize("child,parents,message", [
         (5, (), "variable 5 out of range"),
         (-1, (), "variable -1 out of range"),
@@ -147,7 +151,9 @@ class TestScorerChecksFamilies:
     def test_local_raises_naming_the_variable(self, criterion, child, parents, message):
         # on a fresh scorer, then with every family memoized: True and 1.0
         # equal 1 and hash alike, so they used to hit the int family's score
-        scorer = make_scorer(ScoreConfig(criterion=criterion), data=YX_DATA)
+        source = ({"joint": JointTable(YX, np.full((2, 2), 0.25))} if criterion == "oracle"
+                  else {"data": YX_DATA})
+        scorer = make_scorer(ScoreConfig(criterion=criterion), **source)
         with pytest.raises(ValueError, match=message):
             scorer.local(child, parents)
         assert scorer.locals == {}
@@ -404,6 +410,25 @@ class TestDatasetFiles:
         assert load_schema(schema_path) == data.spec
         back = load_dataset(csv_path, schema=schema_path)
         assert back == data
+
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbfY,X\r\n0,0\r\n0,1\r\n1,1\r\n1,1\r\n")
+        assert load_dataset(path, infer_cards=True).spec.names == ("Y", "X")
+        assert load_dataset(path, schema=YX) == YX_DATA
+
+    def test_dataset_is_written_as_utf8_under_any_locale(self, tmp_path):
+        # an ASCII locale, in which open() writes a non-ASCII name only when
+        # told the encoding
+        code = ("import sys; from gesbn.graphs import VariableSpec; "
+                "from gesbn.scoring import CategoricalDataset, save_dataset; "
+                "save_dataset(CategoricalDataset(VariableSpec(('\\xc4', 'b'), (2, 2)), [[0, 1]]), "
+                "sys.argv[1])")
+        env = dict(os.environ, PYTHONPATH=SRC, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        subprocess.run([sys.executable, "-c", code, tmp_path / "d.csv"], env=env, check=True,
+                       timeout=60)
+        assert (tmp_path / "d.csv").read_bytes() == "\xc4,b\r\n0,1\r\n".encode("utf-8")
+        assert load_dataset(tmp_path / "d.csv", infer_cards=True).spec.names == ("\xc4", "b")
 
     def test_infer_cards_needs_flag(self, tmp_path):
         path = tmp_path / "d.csv"
