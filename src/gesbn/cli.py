@@ -139,7 +139,7 @@ def _load_data_flag(args):
 
 def _load_class(path, spec):
     """A class file, checked to encode a completed class."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         c = cpdag_from_text(fh.read(), spec)
     canonical_member(c)  # raises unless c is a completed class; memoized
     return c
@@ -193,10 +193,10 @@ def cmd_learn(args) -> int:
     except CountTableTooLarge as exc:
         _fail(args, str(exc))
     class_path = os.path.join(args.out, "class.txt")
-    with open(class_path, "w") as fh:
+    with open(class_path, "w", encoding="utf-8") as fh:
         fh.write("# vars: " + " ".join(spec.names) + "\n")
         fh.write(encode_edges(learned, spec))
-    with open(os.path.join(args.out, "trace.log"), "w") as fh:
+    with open(os.path.join(args.out, "trace.log"), "w", encoding="utf-8") as fh:
         fh.write(trace.to_log())
     print(f"learned class written to {class_path}")
     return 0

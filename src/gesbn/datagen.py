@@ -452,11 +452,11 @@ def model_from_dict(doc: dict) -> GoldStandard:
 
 
 def save_model(gold: GoldStandard, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(gold), fh, indent=2)
         fh.write("\n")
 
 
 def load_model(path) -> GoldStandard:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return model_from_dict(json.load(fh))

@@ -234,5 +234,5 @@ def parse_results_csv(text):
 
 
 def write_results(path, rows, timings=False):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(results_csv(rows, timings))

@@ -44,9 +44,12 @@ class JointTable:
 
     def __init__(self, spec: VariableSpec, probs):
         probs = np.asarray(probs, dtype=float).reshape(spec.cards)
+        total = probs.sum()  # NaN or infinite if any entry is
+        if not np.isfinite(total):
+            raise ValueError("joint table has non-finite entries")
         if probs.min() < 0:
             raise ValueError("joint table has negative entries")
-        if abs(probs.sum() - 1.0) > 1e-12:
+        if abs(total - 1.0) > 1e-12:
             raise ValueError("joint table does not sum to 1")
         probs.setflags(write=False)
         self.spec = spec
@@ -100,7 +103,12 @@ def condition_and_marginalize(p: JointTable, fix=None, drop=()) -> JointTable:
     for v in (*fix, *drop):
         if not (0 <= v < p.n):
             raise ValueError(f"variable {v} out of range")
-    sel = tuple(fix.get(v, slice(None)) for v in range(p.n))
+    for v, s in fix.items():
+        # numpy would read -1 as the last state and fail 2 or 1.5 with an IndexError
+        if isinstance(s, bool) or s not in range(p.spec.cards[v]):
+            raise ValueError(f"variable {v} ({p.spec.names[v]}) has no state {s!r}; "
+                             f"its states are 0..{p.spec.cards[v] - 1}")
+    sel = tuple(int(fix[v]) if v in fix else slice(None) for v in range(p.n))
     sliced = p.probs[sel]
     total = sliced.sum()
     if total <= 0:

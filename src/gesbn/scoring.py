@@ -477,7 +477,7 @@ def save_schema(spec: VariableSpec, path):
             {"name": s, "cardinality": c} for s, c in zip(spec.names, spec.cards)
         ],
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -511,7 +511,7 @@ def variable_int(v, i, key) -> int:
 
 
 def load_schema(path) -> VariableSpec:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return read_variables(json.load(fh))
 
 

@@ -7,8 +7,10 @@ tests read the completed pattern only, and each move changes one node's
 parent set, so it is scored by a one-node local-score delta; only the
 best-scoring moves are turned into classes and scored in full. One
 scoring.DecomposableScorer per run serves both, and memoizes every local
-and class score. The brute-force neighbour maps, which enumerate every
-member DAG, stay as test oracles.
+and class score. forward_neighbors and backward_neighbors, the classes
+one edge addition or deletion away, are the classes of every Insert and
+every Delete move (Theorems 15 and 17); tests/reference.py enumerates
+them by brute force over every member DAG.
 
 Moves require strict score improvement, ties among float-equal best
 improving neighbors are broken by canonical encoding, and the full trace
@@ -29,7 +31,6 @@ from .graphs import (
     Value,
     canonical_key,
     complete_cpdag,
-    consistent_extensions,
     dag_to_cpdag,
     empty_cpdag,
     pdag_extension,
@@ -92,36 +93,6 @@ class SearchConfig(Value):
         if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
             raise ValueError(f"max_steps must be a whole number >= 0 (0 = default), got {steps!r}")
         self.__dict__.update(algorithm=algorithm, start=start, score=score, max_steps=max_steps)
-
-
-def _single_edge_variants(c: Cpdag, add):
-    out = set()
-    for g in consistent_extensions(c):
-        if add:
-            for u in range(c.n):
-                for v in range(c.n):
-                    if u == v or g.adjacent(u, v):
-                        continue
-                    try:
-                        out.add(dag_to_cpdag(g.add_edge(u, v)))
-                    except GraphError:
-                        continue
-        else:
-            for u, v in g.edges:
-                out.add(dag_to_cpdag(g.remove_edge(u, v)))
-    return tuple(sorted(out, key=canonical_key))
-
-
-@lru_cache(maxsize=None)
-def forward_neighbors(c: Cpdag) -> tuple:
-    """Classes reachable by adding one edge to some member DAG (brute force)."""
-    return _single_edge_variants(c, add=True)
-
-
-@lru_cache(maxsize=None)
-def backward_neighbors(c: Cpdag) -> tuple:
-    """Classes reachable by deleting one edge from some member DAG (brute force)."""
-    return _single_edge_variants(c, add=False)
 
 
 class Move(NamedTuple):
@@ -240,6 +211,24 @@ def apply_move(c: Cpdag, move: Move) -> Cpdag:
     return dag_to_cpdag(g)
 
 
+def _classes(c: Cpdag, moves) -> tuple:
+    """The classes the moves lead to, each once, in canonical order."""
+    return tuple(sorted({apply_move(c, m) for m in moves}, key=canonical_key))
+
+
+# memoized because perfbench's search.neighbor_sets counter and _clear_memo read the caches
+@lru_cache(maxsize=None)
+def forward_neighbors(c: Cpdag) -> tuple:
+    """Classes one edge addition away from some member DAG: the Insert classes."""
+    return _classes(c, insert_moves(c))
+
+
+@lru_cache(maxsize=None)
+def backward_neighbors(c: Cpdag) -> tuple:
+    """Classes one edge deletion away from some member DAG: the Delete classes."""
+    return _classes(c, delete_moves(c))
+
+
 # the moves each phase may make; each algorithm runs its phases in order
 PHASE_MOVES = {
     "forward": (insert_moves,),
@@ -279,8 +268,7 @@ def operator_neighbors(phase, scorer):
         best = max((s for s, _ in scored), default=None)
         if best is None or best <= cur - tol:
             return ()
-        near = {apply_move(c, m) for s, m in scored if s >= best - 2 * tol}
-        return tuple(sorted(near, key=canonical_key))
+        return _classes(c, (m for s, m in scored if s >= best - 2 * tol))
 
     return neighbors
 

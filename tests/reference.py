@@ -1,5 +1,14 @@
 """Test references that the library does not run.
 
+forward_neighbors and backward_neighbors are the brute-force neighbour
+maps: every class one edge addition or deletion away from some member
+DAG, found by enumerating every member DAG with consistent_extensions,
+each class once, in canonical order. The library's maps of the same
+names are the classes of the Insert and Delete operators, and the tests
+check that the two agree tuple for tuple, and drive the run_search
+differentials with these. Both stay memoized, as they were in the
+library, so that the differentials enumerate each class's members once.
+
 insert_moves is search.insert_moves before it memoized its path tests,
 less its lru_cache: it walks every semi-directed path from y again for
 each x, and the tests check that the library's moves equal its moves
@@ -22,6 +31,7 @@ math.fsum; the fsum kernels agree with them to a relative 1e-12.
 
 import math
 from collections import deque
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +40,9 @@ from gesbn.graphs import (
     Dag,
     GraphError,
     Pdag,
+    canonical_key,
+    consistent_extensions,
+    dag_to_cpdag,
     dsep_triples,
     included_in,
     is_covered,
@@ -37,6 +50,36 @@ from gesbn.graphs import (
     reverse_covered,
 )
 from gesbn.search import Move, _subsets
+
+
+def _single_edge_variants(c: Cpdag, add):
+    out = set()
+    for g in consistent_extensions(c):
+        if add:
+            for u in range(c.n):
+                for v in range(c.n):
+                    if u == v or g.adjacent(u, v):
+                        continue
+                    try:
+                        out.add(dag_to_cpdag(g.add_edge(u, v)))
+                    except GraphError:
+                        continue
+        else:
+            for u, v in g.edges:
+                out.add(dag_to_cpdag(g.remove_edge(u, v)))
+    return tuple(sorted(out, key=canonical_key))
+
+
+@lru_cache(maxsize=None)
+def forward_neighbors(c: Cpdag) -> tuple:
+    """Classes reachable by adding one edge to some member DAG (brute force)."""
+    return _single_edge_variants(c, add=True)
+
+
+@lru_cache(maxsize=None)
+def backward_neighbors(c: Cpdag) -> tuple:
+    """Classes reachable by deleting one edge from some member DAG (brute force)."""
+    return _single_edge_variants(c, add=False)
 
 
 def transformation_sequence(g: Dag, h: Dag) -> list:

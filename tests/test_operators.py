@@ -5,6 +5,8 @@ on the search path."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import backward_neighbors as ref_backward_neighbors
+from reference import forward_neighbors as ref_forward_neighbors
 from reference import insert_moves as ref_insert_moves
 from test_harness import sparse_network
 
@@ -47,8 +49,12 @@ class TestNeighbourSetsMatchBruteForce:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_class(self, n):
         for c in enumerate_classes(n):
-            assert _operator_neighbors(c, insert_moves) == set(forward_neighbors(c)), c
-            assert _operator_neighbors(c, delete_moves) == set(backward_neighbors(c)), c
+            fwd, bwd = ref_forward_neighbors(c), ref_backward_neighbors(c)
+            assert _operator_neighbors(c, insert_moves) == set(fwd), c
+            assert _operator_neighbors(c, delete_moves) == set(bwd), c
+            # the library's maps: the same classes in the same order
+            assert forward_neighbors(c) == fwd, c
+            assert backward_neighbors(c) == bwd, c
 
     def test_moves_change_one_family_by_one_parent(self):
         for c in enumerate_classes(4):

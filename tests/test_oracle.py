@@ -1,6 +1,7 @@
 """Exact-joint oracle: tables, CI tests, composition, enumeration,
 optimality sweeps and inclusion-witnessing transformation sequences."""
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -43,6 +44,22 @@ def xor_triple() -> JointTable:
         for y in (0, 1):
             probs[x, y, x ^ y] = 0.25
     return JointTable(spec, probs)
+
+
+class TestJointTable:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_rejected(self, bad):
+        # NaN passes both the sign and the sum check on its own
+        spec = VariableSpec(("A", "B"), (2, 2))
+        with pytest.raises(ValueError, match="joint table has non-finite entries"):
+            JointTable(spec, [0.25, 0.25, 0.25, bad])
+
+    def test_negative_and_unnormalized_rejected(self):
+        spec = VariableSpec(("A", "B"), (2, 2))
+        with pytest.raises(ValueError, match="negative entries"):
+            JointTable(spec, [0.5, 0.5, 0.5, -0.5])
+        with pytest.raises(ValueError, match="does not sum to 1"):
+            JointTable(spec, [0.25, 0.25, 0.25, 0.3])
 
 
 class TestJointFromBn:
@@ -92,6 +109,19 @@ class TestConditionAndMarginalize:
         p = JointTable(spec, np.array([[0.5, 0.5], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="zero-probability"):
             condition_and_marginalize(p, fix={0: 1})
+
+    @pytest.mark.parametrize("state", [-1, 2, 1.5, True, "1", None])
+    def test_fixed_state_outside_the_variable_rejected(self, state):
+        # numpy would read -1 as the last state and fail 2 and 1.5 with a bare IndexError
+        p = xor_triple()
+        with pytest.raises(ValueError, match=re.escape(f"variable 0 (X) has no state {state!r}")):
+            condition_and_marginalize(p, fix={0: state})
+
+    def test_whole_float_and_numpy_states_accepted(self):
+        p = xor_triple()
+        want = condition_and_marginalize(p, fix={0: 1}).probs
+        assert np.array_equal(condition_and_marginalize(p, fix={0: 1.0}).probs, want)
+        assert np.array_equal(condition_and_marginalize(p, fix={0: np.int64(1)}).probs, want)
 
     def test_four_cycle_margin_ci_set(self):
         # conditioning on S=1 and dropping S leaves exactly the CIs of the

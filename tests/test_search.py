@@ -357,28 +357,31 @@ def ref_fes(data=None, joint=None, cfg=None, start=None):
     cfg = cfg if cfg is not None else SearchConfig(algorithm="fes")
     class_scorer, n = ref_make_class_scorer(cfg.score, data, joint)
     start = ref_resolve_start(start if start is not None else cfg.start, n, "empty")
-    return greedy_phase(start, forward_neighbors, class_scorer, "forward", cfg.max_steps)
+    return greedy_phase(start, reference.forward_neighbors, class_scorer, "forward", cfg.max_steps)
 
 
 def ref_bes(start=None, data=None, joint=None, cfg=None):
     cfg = cfg if cfg is not None else SearchConfig(algorithm="bes")
     class_scorer, n = ref_make_class_scorer(cfg.score, data, joint)
     start = ref_resolve_start(start if start is not None else cfg.start, n, "complete")
-    return greedy_phase(start, backward_neighbors, class_scorer, "backward", cfg.max_steps)
+    return greedy_phase(
+        start, reference.backward_neighbors, class_scorer, "backward", cfg.max_steps
+    )
 
 
 def ref_ges(data=None, joint=None, cfg=None):
     cfg = cfg if cfg is not None else SearchConfig()
     class_scorer, n = ref_make_class_scorer(cfg.score, data, joint)
     start = ref_resolve_start(cfg.start, n, "empty")
-    mid, fwd = greedy_phase(start, forward_neighbors, class_scorer, "forward", cfg.max_steps)
-    out, bwd = greedy_phase(mid, backward_neighbors, class_scorer, "backward", cfg.max_steps)
+    fwd_map, bwd_map = reference.forward_neighbors, reference.backward_neighbors
+    mid, fwd = greedy_phase(start, fwd_map, class_scorer, "forward", cfg.max_steps)
+    out, bwd = greedy_phase(mid, bwd_map, class_scorer, "backward", cfg.max_steps)
     trace = SearchTrace(fwd.steps + bwd.steps[1:], fwd.truncated or bwd.truncated)
     return out, trace
 
 
 def ref_both_neighbors(c):
-    merged = set(forward_neighbors(c)) | set(backward_neighbors(c))
+    merged = set(reference.forward_neighbors(c)) | set(reference.backward_neighbors(c))
     return tuple(sorted(merged, key=canonical_key))
 
 
