@@ -13,10 +13,11 @@ import os
 import subprocess
 import sys
 
+from test_harness import SRC
+
 from gesbn.graphs import VariableSpec
 from gesbn.scoring import load_schema
 
-SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 UTF8_LOCALE = {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}
 CSV = "\xc4,B\n" + "0,0\n1,1\n" * 20 + "0,1\n1,0\n"
