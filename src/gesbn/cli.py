@@ -361,10 +361,19 @@ def main(argv=None) -> int:
 
 def run():
     """The process entry of `gesbn` and `python -m gesbn.cli`: main(), then
-    exit. Freezing the collector first leaves every object alive at exit out
+    exit.
+
+    stdout is UTF-8 whatever the locale, as the files are, so a name the
+    locale cannot encode is printed, not a traceback; with surrogate
+    escapes, a path argument the locale could not decode is printed as the
+    bytes it was given.
+
+    Freezing the collector before exit leaves every object alive at exit out
     of the interpreter's shutdown collections, which would otherwise spend
     longer freeing module cycles than a small search takes; the OS reclaims
-    the memory. main() itself freezes nothing, so it can run in-process."""
+    the memory. main() itself neither re-encodes stdout nor freezes
+    anything, so it can run in-process."""
+    sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     status = main()
     gc.freeze()
     sys.exit(status)

@@ -169,14 +169,11 @@ class CategoricalDataset:
         import numpy as np
 
         cards, values = self.spec.cards, self._values
-        size = math.prod(cards)
-        if size >= 2**63:  # a record's mixed-radix code would overflow int64
+        code = _record_codes(values, cards)
+        if code is None:  # a code could overflow int64
             configs, counts = np.unique(values, axis=0, return_counts=True)
             return configs.astype(np.int64), counts
-        # each record's mixed-radix code, in the smallest dtype that holds
-        # every code and every cardinality
-        code = np.empty(self.m, dtype=np.min_scalar_type(size))
-        config_indices(values.T, range(self.spec.n), cards, code)
+        size = math.prod(cards)
         if size <= self.m:
             counts = np.bincount(code, minlength=size)
             code = np.flatnonzero(counts)
@@ -196,6 +193,20 @@ class CategoricalDataset:
         if len(counts) > PYTHON_TALLY_ROWS:
             return None
         return configs.T.tolist(), counts.tolist()
+
+
+def _record_codes(values, cards):
+    """Each record's mixed-radix code over every variable (config_indices),
+    in the smallest dtype that holds every code and every cardinality, for
+    compact records `values` of variables with these cards; None when a
+    code could overflow int64."""
+    import numpy as np
+
+    size = math.prod(cards)
+    if size >= 2**63:
+        return None
+    code = np.empty(len(values), dtype=np.min_scalar_type(size))
+    return config_indices(values.T, range(len(cards)), cards, code)
 
 
 def config_indices(columns, variables, cards, out):
@@ -516,10 +527,27 @@ def load_schema(path) -> VariableSpec:
 
 
 def save_dataset(data: CategoricalDataset, path):
+    """Write data as a UTF-8 dataset CSV: the names as a header row written
+    by the csv module, then one line per record of its states as decimal
+    integers joined by commas; every line ends in "\\r\\n". These are the
+    bytes csv.writer writes for the rows.
+
+    Each distinct record's line is formatted once, keyed by the record's
+    mixed-radix code, and the body is one join over the records' keys.
+    Where a code could overflow int64, a record's key is instead its index
+    among the distinct records, which np.unique sorts m records to find."""
+    import numpy as np
+
+    values = data._values
+    codes = _record_codes(values, data.spec.cards)
+    if codes is None:
+        codes = np.unique(values, axis=0, return_inverse=True)[1]
+    keys, first = np.unique(codes, return_index=True)
+    rows = values[first].tolist()  # Python ints
+    line = dict(zip(keys.tolist(), [",".join(map(str, row)) + "\r\n" for row in rows]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(data.spec.names)
-        writer.writerows(data._values.tolist())  # Python ints, as from the int64 records
+        csv.writer(fh).writerow(data.spec.names)
+        fh.write("".join(map(line.__getitem__, codes.tolist())))
 
 
 # a cell: an optional sign and 1-18 ASCII digits, so that every value fits

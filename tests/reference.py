@@ -27,8 +27,13 @@ total by another. The scoring kernels skip zero terms and sum by C-level
 maps, and must give the same bits. bdeu_numpy and penalized_loglik_numpy
 are the kernels that summed in numpy's order before the scores moved to
 math.fsum; the fsum kernels agree with them to a relative 1e-12.
+
+save_dataset_csv is scoring.save_dataset before it formatted each
+distinct record once: csv.writer writes every record's row. The tests
+check that the library's writer gives the same bytes.
 """
 
+import csv
 import math
 from collections import deque
 from functools import lru_cache
@@ -232,3 +237,11 @@ def penalized_loglik_numpy(table, weight, size) -> float:
     ll = float(np.where(table > 0, terms, 0.0).sum())
     q, r = table.shape
     return weight * ll - 0.5 * q * (r - 1) * math.log(size)
+
+
+def save_dataset_csv(data, path):
+    """The dataset CSV of data, written row by row by csv.writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(data.spec.names)
+        writer.writerows(data._values.tolist())  # Python ints, as from the int64 records

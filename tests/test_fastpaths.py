@@ -14,7 +14,8 @@ a search step, and against the numpy-order kernels they replaced within a
 relative 1e-12; the tally kernel against its numpy version and the
 scorers' Python tally against tally, exactly; the dataset loader against
 the csv-module loader, exactly, and its parser against a table of the
-dataset grammar with each message, and a save-load round trip. The
+dataset grammar with each message, and a save-load round trip; the
+dataset writer against the csv-module writer, byte for byte. The
 batched CI pass, the bitmask class table and the one-call parameter draw
 are checked against the per-query, per-class and per-row code they
 replaced, exactly, and so is the graph code on graphs.Pdag and
@@ -29,7 +30,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -1170,6 +1171,61 @@ class TestLoaderGrammar:
         _rewrite(path, "A,B\n0,-1\n1,-2\n")
         with pytest.raises(ValueError, match="record values out of range for spec cards"):
             load_dataset(path, infer_cards=True)
+
+
+@st.composite
+def _datasets(draw):
+    """A dataset of 0-5 variables of 1-1000 states, whose names hold
+    commas, quotes, spaces and non-ASCII characters, and 0-3000 records
+    drawn from a pool of up to 60, so that records repeat."""
+    n = draw(st.integers(0, 5))
+    names = draw(st.lists(st.text(alphabet='aZ0_ ,"\xe9\xc4\u2603', max_size=5),
+                          min_size=n, max_size=n, unique_by=str.strip))
+    cards = draw(st.lists(st.one_of(st.integers(1, 9), st.integers(10, 255),
+                                    st.integers(256, 1000)), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(0, cards, size=(draw(st.integers(1, 60)), n))
+    records = pool[rng.integers(0, len(pool), size=draw(st.integers(0, 3000)))]
+    return CategoricalDataset(VariableSpec(names, cards), records)
+
+
+class TestWriterMatchesReference:
+    """save_dataset writes the bytes that csv.writer wrote
+    (reference.save_dataset_csv), and load_dataset reads them back."""
+
+    @staticmethod
+    def check(data, directory):
+        got, want = directory / "got.csv", directory / "want.csv"
+        save_dataset(data, got)
+        reference.save_dataset_csv(data, want)
+        assert got.read_bytes() == want.read_bytes()
+        if data.spec.n:  # a header of no names reads back as no records
+            spec = VariableSpec([name.strip() for name in data.spec.names], data.spec.cards)
+            assert load_dataset(got, schema=spec) == CategoricalDataset(spec, data._values)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_datasets())
+    @example(CategoricalDataset(VariableSpec((), ()), np.zeros((0, 0), int)))
+    @example(CategoricalDataset(VariableSpec((), ()), np.zeros((3, 0), int)))
+    @example(CategoricalDataset(VariableSpec(("A", "B"), (2, 1000)), []))
+    def test_random_datasets(self, tmp_path_factory, data):
+        self.check(data, tmp_path_factory.mktemp("writer"))
+
+    @pytest.mark.parametrize("cards", [
+        (2**32, 2**31 - 1),  # the largest codes fit int64
+        (2**32, 2**31),  # 2**63 records: a code could overflow int64
+        (2**32, 2**31 + 1, 1),  # past 2**63, below 2**64
+        (2**40, 2**30, 3),  # past 2**64
+    ])
+    def test_state_spaces_at_and_past_int64(self, tmp_path, cards):
+        rng = np.random.default_rng(len(cards))
+        pool = np.vstack([np.zeros(len(cards), np.uint64), np.array(cards, np.uint64) - 1,
+                          rng.integers(0, cards, size=(6, len(cards))).astype(np.uint64)])
+        records = pool[rng.integers(0, len(pool), size=200)]
+        data = CategoricalDataset(VariableSpec([f"V{i}" for i in range(len(cards))], cards),
+                                  records)
+        assert (scoring._record_codes(data._values, cards) is None) == (math.prod(cards) >= 2**63)
+        self.check(data, tmp_path)
 
 
 def ref_sample_parameters(structure, spec, ess=10.0, seed=0):

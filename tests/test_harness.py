@@ -596,6 +596,42 @@ class TestGoldenCliOutputs:
         assert got == GOLDEN_STDOUT_SHA256[gold, command]
 
 
+# sha256 of data.csv, data.schema.json and model.json from `gesbn generate
+# --seed 7`, recorded while save_dataset wrote every row by csv.writer: the
+# CSV body's CRLF line ends are part of the bytes, which the loader does
+# not see. The schema and model do not depend on m.
+GOLDEN_GENERATE_SHA256 = {
+    ("cycle4", 0): ("f0e4f34e79f90e2a1d5c372b94d7dffaf62ae8d4297fba915778ef79fa314508",
+                    "95ca37454a526630e294a0af99754788225735599719b44a59536bb17a14d77d",
+                    "f0a3981273e089fc9da7e2501cbd4d1f3a33879e84ad97a73188668bd63bd097"),
+    ("cycle4", 10): ("060766b90384cf9b8d14b4373b5c43778f6e49d37216cd63ca6c9f7f91e8c9ca",
+                     "95ca37454a526630e294a0af99754788225735599719b44a59536bb17a14d77d",
+                     "f0a3981273e089fc9da7e2501cbd4d1f3a33879e84ad97a73188668bd63bd097"),
+    ("cycle4", 5000): ("bf99b4e95f83806bcc36b0abcb89b3048ff94db2d7a4ac949c66bb132cfe2433",
+                       "95ca37454a526630e294a0af99754788225735599719b44a59536bb17a14d77d",
+                       "f0a3981273e089fc9da7e2501cbd4d1f3a33879e84ad97a73188668bd63bd097"),
+    ("w", 0): ("f0e4f34e79f90e2a1d5c372b94d7dffaf62ae8d4297fba915778ef79fa314508",
+               "07e8a9ea518ca17546710e032f147c41031af9d1b14903be34db47ad8eff4a05",
+               "66ac13bbcce61af05c82f2e4e77ee8861f5780edaf38d045c438740756359e5f"),
+    ("w", 10): ("86f109a1ea0df142caa5ee71170777295ee51ee8479596a99321b21d20a72ec2",
+                "07e8a9ea518ca17546710e032f147c41031af9d1b14903be34db47ad8eff4a05",
+                "66ac13bbcce61af05c82f2e4e77ee8861f5780edaf38d045c438740756359e5f"),
+    ("w", 5000): ("20aef68317ab03fb211f23848d318500d8c4376fb3dda578e56e8238f7c9c494",
+                  "07e8a9ea518ca17546710e032f147c41031af9d1b14903be34db47ad8eff4a05",
+                  "66ac13bbcce61af05c82f2e4e77ee8861f5780edaf38d045c438740756359e5f"),
+}
+
+
+class TestGoldenGenerateOutputs:
+    @pytest.mark.parametrize("gold,m", sorted(GOLDEN_GENERATE_SHA256))
+    def test_file_bytes(self, tmp_path, gold, m):
+        assert main(["generate", "--gold", gold, "--m", str(m), "--seed", "7",
+                     "--out", str(tmp_path)]) == 0
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("data.csv", "data.schema.json", "model.json"))
+        assert got == GOLDEN_GENERATE_SHA256[gold, m]
+
+
 class TestCliRejectsBadValues:
     @pytest.mark.parametrize("argv,message", [
         (["generate", "--gold", "w", "--m", "10", "--ess", "0", "--out", "gen"],

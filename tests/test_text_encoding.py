@@ -2,13 +2,14 @@
 
 The source check reads src/gesbn/*.py with ast: every open() call names
 its encoding, since open() with none uses the locale's. The CLI checks run
-`gesbn learn` and `gesbn score` in new interpreters under an ASCII locale
-(LC_ALL=C, with Python's UTF-8 mode and locale coercion off) on files that
-name a non-ASCII variable.
+`gesbn learn`, `gesbn score` and `gesbn oracle` in new interpreters under
+an ASCII locale (LC_ALL=C, with Python's UTF-8 mode and locale coercion
+off) on files that name a non-ASCII variable; stdout is UTF-8 too.
 """
 
 import ast
 import glob
+import json
 import os
 import subprocess
 import sys
@@ -54,10 +55,11 @@ class TestAsciiLocale:
     def test_learn_writes_utf8_and_score_reads_it(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_bytes(CSV.encode("utf-8"))
-        out = tmp_path / "out"
+        out = tmp_path / "out\xe9"  # printed as the bytes it was given
         learn = gesbn(ASCII_LOCALE, "learn", "--data", str(data), "--infer-schema",
                       "--out", str(out))
         assert learn.returncode == 0, learn.stderr
+        assert learn.stdout == b"learned class written to " + os.fsencode(out / "class.txt") + b"\n"
         assert (out / "class.txt").read_bytes() == "# vars: \xc4 B\n\xc4 -- B\n".encode("utf-8")
         scores = [
             gesbn(locale, "score", "--data", str(data), "--infer-schema",
@@ -87,3 +89,17 @@ class TestAsciiLocale:
         ]
         assert [s.returncode for s in scores] == [0, 0], [s.stderr for s in scores]
         assert scores[0].stdout == scores[1].stdout
+
+    def test_oracle_prints_a_non_ascii_name(self, tmp_path):
+        gen = tmp_path / "gen"
+        made = gesbn(UTF8_LOCALE, "generate", "--gold", "w", "--m", "0", "--out", str(gen))
+        assert made.returncode == 0, made.stderr
+        model = json.loads((gen / "model.json").read_text(encoding="utf-8"))
+        renamed = json.dumps(model).replace('"X1"', json.dumps("\xc4"))
+        assert renamed.count('"\\u00c4"') == 3  # its entry, its edge and its CPT
+        (tmp_path / "model.json").write_text(renamed, encoding="utf-8")
+        runs = [gesbn(locale, "oracle", "--model", str(tmp_path / "model.json"))
+                for locale in (ASCII_LOCALE, UTF8_LOCALE)]
+        assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
+        assert runs[0].stdout == runs[1].stdout
+        assert "\xc4 -> X2".encode("utf-8") in runs[0].stdout
