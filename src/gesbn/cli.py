@@ -373,7 +373,8 @@ def run():
     longer freeing module cycles than a small search takes; the OS reclaims
     the memory. main() itself neither re-encodes stdout nor freezes
     anything, so it can run in-process."""
-    sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
+    if sys.stdout is not None:  # None when fd 1 is closed; print() then writes nothing
+        sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     status = main()
     gc.freeze()
     sys.exit(status)

@@ -1213,7 +1213,7 @@ class TestWriterMatchesReference:
 
     @pytest.mark.parametrize("cards", [
         (2**32, 2**31 - 1),  # the largest codes fit int64
-        (2**32, 2**31),  # 2**63 records: a code could overflow int64
+        (2**32, 2**31),  # 2**63 configurations: a code could overflow int64
         (2**32, 2**31 + 1, 1),  # past 2**63, below 2**64
         (2**40, 2**30, 3),  # past 2**64
     ])

@@ -103,3 +103,15 @@ class TestAsciiLocale:
         assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
         assert runs[0].stdout == runs[1].stdout
         assert "\xc4 -> X2".encode("utf-8") in runs[0].stdout
+
+
+def test_the_cli_runs_with_stdout_closed(tmp_path):
+    # with fd 1 closed, sys.stdout is None and print() writes nothing
+    made = subprocess.run(
+        [sys.executable, "-m", "gesbn.cli", "generate", "--gold", "w", "--m", "10",
+         "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=lambda: os.close(1),
+        stderr=subprocess.PIPE, check=False, timeout=60,
+    )
+    assert made.returncode == 0, made.stderr
+    assert (tmp_path / "data.csv").read_bytes().startswith(b"X1,X2,X3,X4\r\n")
