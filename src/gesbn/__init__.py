@@ -30,8 +30,8 @@ _EXPORTS = {
     ),
     "oracle": (
         "JointTable", "ci_holds", "composition_holds", "condition_and_marginalize",
-        "enumerate_classes", "enumerate_dags", "includes", "joint_from_bn",
-        "observed_margin", "optimal_classes",
+        "enumerate_classes", "enumerate_dags", "includes", "is_inclusion_optimal",
+        "joint_from_bn", "observed_margin", "optimal_classes",
     ),
     "search": ("SearchConfig", "SearchTrace", "run_search"),
     "harness": (

@@ -216,14 +216,16 @@ def cmd_score(args) -> int:
 
 def _parse_ci_flag(args, text, spec):
     """A --ci 'X,Y|Z1,Z2' query as graphs.ci_query's (x, y, z); a malformed
-    one exits 2."""
+    one exits 2. Each name is read from argv's bytes as UTF-8, as the model
+    file's names are, whatever the locale."""
     lhs, _, zpart = text.partition("|")
+    index = lambda s: spec.index(os.fsencode(s.strip()).decode("utf-8", "surrogateescape"))
     try:
-        names = [s.strip() for s in lhs.split(",")]
+        names = lhs.split(",")
         if len(names) != 2:
             raise ValueError("expected 'X,Y' or 'X,Y|Z1,Z2'")
-        x, y = (spec.index(s) for s in names)
-        z = [spec.index(s.strip()) for s in zpart.split(",") if s.strip()]
+        x, y = map(index, names)
+        z = [index(s) for s in zpart.split(",") if s.strip()]
         return ci_query(spec.n, x, y, z)
     except (ValueError, KeyError) as exc:
         _fail(args, f"--ci {text!r}: {exc.args[0]}")

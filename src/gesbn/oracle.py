@@ -2,8 +2,9 @@
 
 Dense joint tables computed from parametric networks, conditional
 independence read directly off the table, complete DAG / equivalence-class
-enumerations, inclusion- and parameter-optimality sweeps, and a numeric
-check of the composition property.
+enumerations, inclusion- and parameter-optimality sweeps, a local
+inclusion-optimality certificate (one CI query per Delete move), and a
+numeric check of the composition property.
 
 Floating point with tolerances is the contract here: oracle joints are
 products of clean CPT entries, so a residual tolerance of 1e-10 sits far
@@ -21,6 +22,7 @@ import numpy as np
 
 from .datagen import GoldStandard, ParametricBn
 from .graphs import (
+    Cpdag,
     Dag,
     GraphError,
     VariableSpec,
@@ -34,6 +36,7 @@ from .graphs import (
     parameter_count,
 )
 from .scoring import config_indices
+from .search import delete_moves
 
 CI_TOL = 1e-10
 MAX_JOINT_CELLS = 10_000_000
@@ -250,14 +253,36 @@ def includes(g: Dag, p: JointTable) -> bool:
     return all(ci_holds(p, *t) for t in dsep_triples(g))
 
 
+def _delete_queries(c: Cpdag) -> frozenset:
+    """The pair query (x, y, m.new) of each move m of search.delete_moves(c),
+    x < y as in pair_queries. Given that c includes p, m's class includes
+    p iff its query holds in p: m drops x from y's parents in a member DAG
+    and leaves every other family alone, and contraction supplies the rest."""
+    return frozenset((min(m.x, m.y), max(m.x, m.y), frozenset(m.new)) for m in delete_moves(c))
+
+
+def is_inclusion_optimal(c: Cpdag, p: JointTable) -> bool:
+    """True iff c includes p and no class strictly included in c does.
+
+    By Chickering (2002), Theorem 4, a strictly smaller class that
+    includes p lies below some Delete(X, Y, H) class of c, which then
+    includes p too; so it is enough that no _delete_queries(c) holds in p.
+    This needs no composition and no class enumeration."""
+    return includes(canonical_member(c), p) and not any(
+        ci_holds(p, *t) for t in _delete_queries(c)
+    )
+
+
 @lru_cache(maxsize=None)
 def _class_table(n) -> tuple:
-    """enumerate_classes(n), each class's d-separations as an int bitmask
-    over the pair_queries(n) index, and the bit of each query."""
+    """enumerate_classes(n); as int bitmasks over the pair_queries(n) index,
+    each class's d-separations and its _delete_queries; and the bit of
+    each query."""
     bit = {t: 1 << k for k, t in enumerate(pair_queries(n))}
     classes = enumerate_classes(n)
-    masks = tuple(sum(bit[t] for t in dsep_triples(canonical_member(c))) for c in classes)
-    return classes, masks, bit
+    dseps = tuple(sum(bit[t] for t in dsep_triples(canonical_member(c))) for c in classes)
+    deletes = tuple(sum(bit[t] for t in _delete_queries(c)) for c in classes)
+    return classes, dseps, deletes, bit
 
 
 @lru_cache(maxsize=None)
@@ -270,19 +295,16 @@ def optimal_classes(p: JointTable) -> tuple:
     """(inclusion-optimal, parameter-optimal) classes of p, from one sweep.
 
     Inclusion-optimal: classes that include p with no strictly-included
-    class also including it. Parameter-optimal: including classes of
-    minimal parameter count under p.spec. Both keep canonical_key order.
+    class also including it, decided as is_inclusion_optimal decides it.
+    Parameter-optimal: including classes of minimal parameter count under
+    p.spec. Both keep canonical_key order.
     """
     if p.n > 4:
         raise ValueError("optimality sweep limited to n <= 4")
-    classes, masks, bit = _class_table(p.n)
+    classes, dseps, deletes, bit = _class_table(p.n)
     ci = sum(bit[t] for t in ci_triple_set(p))
     counts = _parameter_counts(p.spec)
-    incl = [k for k, m in enumerate(masks) if m & ~ci == 0]
-    inclusion = tuple(
-        classes[k] for k in incl
-        if not any(masks[j] != masks[k] and masks[j] & masks[k] == masks[k] for j in incl)
-    )
+    incl = [k for k, m in enumerate(dseps) if m & ~ci == 0]
+    inclusion = tuple(classes[k] for k in incl if deletes[k] & ci == 0)
     best = min((counts[k] for k in incl), default=None)
     return inclusion, tuple(classes[k] for k in incl if counts[k] == best)
-

@@ -535,9 +535,18 @@ def save_dataset(data: CategoricalDataset, path):
     Each distinct record's line is formatted once, keyed by the record's
     mixed-radix code, and the body is one join over the records' keys.
     Where a code could overflow int64, a record's key is instead its index
-    among the distinct records, which np.unique sorts m records to find."""
+    among the distinct records, which np.unique sorts m records to find.
+
+    Raises ValueError, writing nothing, where load_dataset could not read
+    the data back: for no variables, whose records would be blank lines,
+    and for a name with whitespace around it, which it would strip."""
     import numpy as np
 
+    if not data.spec.n:
+        raise ValueError("a dataset with no variables cannot be written as CSV")
+    for name in data.spec.names:
+        if name != name.strip():
+            raise ValueError(f"variable name {name!r} has whitespace around it")
     values = data._values
     codes = _record_codes(values, data.spec.cards)
     if codes is None:

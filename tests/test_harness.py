@@ -1113,6 +1113,14 @@ def test_cli_import_loads_only_the_learn_path():
     assert _loaded_beyond_a_bare_interpreter("import gesbn.cli") == []
 
 
+def test_search_import_loads_neither_the_oracle_nor_numpy():
+    # oracle imports search for the Delete moves; the edge must not turn round
+    assert fresh_interpreter(
+        "import sys, gesbn.search; "
+        "print([m for m in ('gesbn.oracle', 'numpy') if m in sys.modules])"
+    ) == "[]"
+
+
 def test_learn_command_loads_only_the_learn_path(tmp_path):
     (tmp_path / "d.csv").write_text("X1,X2,X3\n0,1,1\n1,0,1\n1,1,0\n0,0,0\n")
     save_schema(VariableSpec(("X1", "X2", "X3"), (2, 2, 2)), tmp_path / "s.json")
@@ -1234,8 +1242,8 @@ PACKAGE_EXPORTS = {
     ),
     "oracle": (
         "JointTable", "ci_holds", "composition_holds", "condition_and_marginalize",
-        "enumerate_classes", "enumerate_dags", "includes", "joint_from_bn",
-        "observed_margin", "optimal_classes",
+        "enumerate_classes", "enumerate_dags", "includes", "is_inclusion_optimal",
+        "joint_from_bn", "observed_margin", "optimal_classes",
     ),
     "search": ("SearchConfig", "SearchTrace", "run_search"),
     "harness": (
@@ -1249,7 +1257,7 @@ def test_package_exports():
     import gesbn
 
     names = {name: module for module, names in PACKAGE_EXPORTS.items() for name in names}
-    assert len(names) == 60
+    assert len(names) == 61
     assert set(gesbn.__all__) == set(names)
     for name, module in names.items():
         assert getattr(gesbn, name) is getattr(importlib.import_module(f"gesbn.{module}"), name)

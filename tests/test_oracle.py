@@ -1,5 +1,6 @@
 """Exact-joint oracle: tables, CI tests, composition, enumeration,
-optimality sweeps and inclusion-witnessing transformation sequences."""
+optimality sweeps, the inclusion-optimality certificate and
+inclusion-witnessing transformation sequences."""
 
 import re
 from itertools import combinations
@@ -7,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gesbn.datagen import gold_four_cycle, gold_w, sample_parameters
+from gesbn.datagen import RngSeed, gold_four_cycle, gold_w, sample_parameters
 from gesbn.graphs import (
     Dag,
     GraphError,
@@ -29,11 +30,14 @@ from gesbn.oracle import (
     enumerate_classes,
     enumerate_dags,
     includes,
+    is_inclusion_optimal,
     joint_from_bn,
     observed_margin,
     optimal_classes,
 )
+from gesbn.search import apply_move, insert_moves
 from reference import transformation_sequence
+from test_fastpaths import _random_joints
 
 
 def xor_triple() -> JointTable:
@@ -301,6 +305,71 @@ class TestOptimalClasses:
                 p = joint_from_bn(sample_parameters(g, spec, seed=int(idx)))
                 for x, y, z in dsep_triples(g):
                     assert ci_holds(p, x, y, z)
+
+
+def parity_margin(eps) -> JointTable:
+    """X1, X2 fair bits, X3 = X1 xor X2 flipped with probability eps, and X4
+    an independent coin: X1 depends on {X2, X3} but on neither alone, so
+    composition fails."""
+    spec = VariableSpec(("X1", "X2", "X3", "X4"), (2, 2, 2, 2))
+    probs = np.zeros((2, 2, 2, 2))
+    for x1, x2, x3, x4 in np.ndindex(probs.shape):
+        flip = eps if x3 != x1 ^ x2 else 1 - eps
+        probs[x1, x2, x3, x4] = 0.25 * flip * (0.3 if x4 else 0.7)
+    return JointTable(spec, probs)
+
+
+class TestInclusionOptimalCertificate:
+    """is_inclusion_optimal decides, from c's Delete moves alone, what
+    optimal_classes decides by enumerating every class."""
+
+    @staticmethod
+    def check_every_class(p):
+        optimal = optimal_classes(p)[0]
+        for c in enumerate_classes(p.n):
+            assert is_inclusion_optimal(c, p) == (c in optimal), c
+        return optimal
+
+    @pytest.mark.parametrize("gold", [gold_w, gold_four_cycle])
+    def test_gold_margins(self, gold):
+        for seed in range(0, 200, 20):
+            self.check_every_class(
+                observed_margin(gold().with_parameters(ess=10.0, seed=RngSeed(seed, 0))))
+
+    @pytest.mark.parametrize("eps,optima", [(0.0, 3), (0.1, 3), (0.3, 3)])
+    def test_parity_margins_where_composition_fails(self, eps, optima):
+        # Theorem 4 and contraction hold for every p, so the certificate
+        # needs no composition; the forward step is what needs it
+        p = parity_margin(eps)
+        assert not composition_holds(p)
+        assert len(self.check_every_class(p)) == optima
+
+    def test_joints_with_zero_probability_configurations(self):
+        joints = _random_joints(4, 10, seed=204)
+        assert sum((p.probs == 0).any() for p in joints) >= 5
+        for p in joints:
+            self.check_every_class(p)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_generating_class_passes_and_its_insert_classes_fail(self, n):
+        # beyond optimal_classes' reach: the generating DAG is a perfect map
+        # of a joint with generic parameters, so its class is the one
+        # inclusion-optimal class, and every class above it fails
+        rng = np.random.default_rng([31, n])
+        spec = VariableSpec(tuple(f"V{i}" for i in range(n)), rng.integers(2, 4, size=n))
+        for _ in range(3):
+            order = rng.permutation(n).tolist()
+            g = Dag(n, {(order[i], order[j]) for i, j in combinations(range(n), 2)
+                        if rng.random() < 0.4})
+            p = joint_from_bn(sample_parameters(g, spec, seed=int(rng.integers(2**32))))
+            c = dag_to_cpdag(g)
+            assert is_inclusion_optimal(c, p)
+            for move in insert_moves(c):
+                assert not is_inclusion_optimal(apply_move(c, move), p)
+
+    def test_size_mismatch_raises(self):
+        with pytest.raises(ValueError, match="sizes differ"):
+            is_inclusion_optimal(dag_to_cpdag(Dag(3)), parity_margin(0.1))
 
 
 def _check_sequence(g, h, moves):

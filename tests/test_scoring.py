@@ -3,6 +3,7 @@ totals, the exact-joint oracle criterion, and the scorer's memos."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -429,6 +430,25 @@ class TestDatasetFiles:
                        timeout=60)
         assert (tmp_path / "d.csv").read_bytes() == "\xc4,b\r\n0,1\r\n".encode("utf-8")
         assert load_dataset(tmp_path / "d.csv", infer_cards=True).spec.names == ("\xc4", "b")
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_dataset_without_variables_is_not_written(self, tmp_path, m):
+        # its records would be blank lines, which load_dataset skips
+        data = CategoricalDataset(VariableSpec((), ()), np.zeros((m, 0), int))
+        with pytest.raises(ValueError, match="no variables"):
+            save_dataset(data, tmp_path / "d.csv")
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("name", [" A", "A ", "\tA", "A\u2003"])
+    def test_name_with_whitespace_around_it_is_not_written(self, tmp_path, name):
+        # load_dataset strips header names, so it would read back as "A"
+        data = CategoricalDataset(VariableSpec((name, "B"), (2, 2)), [[0, 1]])
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            save_dataset(data, tmp_path / "d.csv")
+        assert not (tmp_path / "d.csv").exists()
+        inner = CategoricalDataset(VariableSpec(("A B", "C"), (2, 2)), [[0, 1]])
+        save_dataset(inner, tmp_path / "d.csv")
+        assert load_dataset(tmp_path / "d.csv", schema=inner.spec) == inner
 
     def test_infer_cards_needs_flag(self, tmp_path):
         path = tmp_path / "d.csv"

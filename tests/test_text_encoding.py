@@ -4,7 +4,8 @@ The source check reads src/gesbn/*.py with ast: every open() call names
 its encoding, since open() with none uses the locale's. The CLI checks run
 `gesbn learn`, `gesbn score` and `gesbn oracle` in new interpreters under
 an ASCII locale (LC_ALL=C, with Python's UTF-8 mode and locale coercion
-off) on files that name a non-ASCII variable; stdout is UTF-8 too.
+off) on files that name a non-ASCII variable, which `oracle --ci` can
+name on the command line; stdout is UTF-8 too.
 """
 
 import ast
@@ -103,6 +104,24 @@ class TestAsciiLocale:
         assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
         assert runs[0].stdout == runs[1].stdout
         assert "\xc4 -> X2".encode("utf-8") in runs[0].stdout
+
+    def test_oracle_ci_names_a_non_ascii_variable(self, tmp_path):
+        # argv arrives surrogate-escaped under an ASCII locale; the name is
+        # read from its bytes as UTF-8, as the model file's names are
+        gen = tmp_path / "gen"
+        made = gesbn(UTF8_LOCALE, "generate", "--gold", "w", "--m", "0", "--out", str(gen))
+        assert made.returncode == 0, made.stderr
+        model = (gen / "model.json").read_text(encoding="utf-8")
+        (tmp_path / "model.json").write_text(model.replace('"X1"', json.dumps("\xc4")),
+                                             encoding="utf-8")
+        runs = [gesbn(locale, "oracle", "--model", str(tmp_path / "model.json"),
+                      "--ci", "\xc4,X3|X2", "--ci", "X3, \xc4")
+                for locale in (ASCII_LOCALE, UTF8_LOCALE)]
+        assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
+        assert runs[0].stdout == runs[1].stdout
+        lines = runs[0].stdout.decode("utf-8").splitlines()
+        assert lines[-2].startswith("ci \xc4,X3|X2: ")
+        assert lines[-1].startswith("ci X3, \xc4: ")
 
 
 def test_the_cli_runs_with_stdout_closed(tmp_path):
